@@ -41,8 +41,8 @@ for kind in features.FeatureKind:
 matrix = features.feature_matrix(clip, features.FeatureKind.MEL_SPECTROGRAM)
 stats = features.FeatureStats.fit([matrix])
 blocks = features.assemble_blocks(clip, features.FeatureKind.MEL_SPECTROGRAM, stats=stats)
-print(f"blocks: {len(blocks)} x {blocks[0].data.shape} "
-      f"(trailing {matrix.shape[1] - 20 * len(blocks)} frames dropped)")
+print(f"blocks: {blocks.shape} (blocks x dims x frames; "
+      f"trailing {matrix.shape[1] - 20 * len(blocks)} frames dropped)")
 
 # Gain invariance: attenuating the waveform shifts log features, and only
 # coefficient 0 of the MFCCs moves.

@@ -37,8 +37,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# OSError covers input files that are missing or unreadable
 _DATA_ERRORS = (FormatError, UnsupportedError, DegenerateInputError, ManifestError,
-                InsufficientRatingsError, RangeError, ShapeError, StateError)
+                InsufficientRatingsError, RangeError, ShapeError, StateError, OSError)
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -61,7 +62,7 @@ def cmd_extract(args) -> int:
         clip = audio_io.resample_to_16k(clip)
     stats = FeatureStats.load(args.stats) if args.stats else None
     blocks = assemble_blocks(clip, kind, stats=stats)
-    save_blocks(blocks, args.output)
+    save_blocks(blocks, kind, args.output)
     if args.csv:
         write_blocks_csv(blocks, args.csv)
     print(f"wrote {len(blocks)} {kind.value} block(s) to {args.output}")

@@ -73,7 +73,6 @@ class ExperimentConfig:
     early_stop_patience: int = 0        # 0: fixed-epoch training
     validation_fraction: float = 0.2
     train_snr_augment: bool = False     # mix noise into training clips; off by default
-    mix_after_resample: bool = True     # pipeline order, echoed in reports
     per_block_eval: bool = False        # score 20-frame blocks instead of clips
     gru_concat_width: bool = True       # BiGRU width read as the concatenated size
     manifest: str = ""

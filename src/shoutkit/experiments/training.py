@@ -11,9 +11,10 @@ from ..audio_io import (CLEAN, AudioClip, NoiseSpec, load_wav, mix_noise_at_snr,
                         peak_normalize, pink_noise, resample_to_16k)
 from ..corpus import ShoutClass, Style, UtteranceRecord
 from ..errors import ConfigError, DegenerateInputError, NumericError
-from ..features import FeatureKind, FeatureStats, feature_matrix, parse_feature_kind, split_blocks
+from ..features import (BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix,
+                        parse_feature_kind, split_blocks)
 from ..models import (Arch, FusionModel, HeadKind, NetworkGraph, build_baseline_mlp,
-                      build_fusion_model, build_single_model, predict_clip)
+                      build_fusion_model, build_single_model, decide, predict_clip)
 from ..neural import Adam, loss as loss_fn, no_grad
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
@@ -103,14 +104,12 @@ def load_noise(spec: str, sample_rate: int = 16000) -> AudioClip | None:
 class FoldData:
     kinds: tuple[FeatureKind, ...]
     stats: dict
-    train_x: dict            # kind -> (N, D, 20)
+    train_x: dict            # kind -> (N, D, 20) in cfg.dtype
     train_y: np.ndarray
-    train_clip_slices: list  # (clip_id, label, start, stop) into the block axis
     val_x: dict
     val_y: np.ndarray
     test_examples: list[ClipExample]
     train_examples: list[ClipExample]
-    validation_speakers: tuple[str, ...]
 
 
 def _augment_training_clip(example: ClipExample, cfg: ExperimentConfig,
@@ -133,7 +132,8 @@ def build_fold_data(examples: list[ClipExample], fold: Fold,
     """Feature matrices, training statistics and block tensors for one fold.
 
     Statistics come from the training split only; validation and test reuse
-    them. Test clips stay as audio so each SNR condition can re-mix them.
+    them. Blocks are z-scored in float64 and stored in ``cfg.dtype``. Test
+    clips stay as audio so each SNR condition can re-mix them.
     """
     check_speaker_independence(fold)
     train_speakers, val_speakers = split_train_validation(
@@ -152,33 +152,27 @@ def build_fold_data(examples: list[ClipExample], fold: Fold,
     stats = {kind: FeatureStats.fit([matrices[kind][e.clip_id] for e in train])
              for kind in kinds}
 
+    dtype = np.dtype(cfg.dtype)
+
     def stack(split):
         xs: dict = {kind: [] for kind in kinds}
         ys = []
-        slices = []
-        start = 0
         for e in split:
-            per_kind = {kind: split_blocks(matrices[kind][e.clip_id], kind,
-                                           clip_ref=e.clip_id, stats=stats[kind])
-                        for kind in kinds}
-            n_blocks = len(per_kind[kinds[0]])
-            if any(len(v) != n_blocks for v in per_kind.values()):
-                raise DegenerateInputError(f"block count mismatch across kinds for {e.clip_id}")
             for kind in kinds:
-                xs[kind].extend(b.data for b in per_kind[kind])
+                xs[kind].append(split_blocks(matrices[kind][e.clip_id], kind,
+                                             stats=stats[kind]))
+            n_blocks = len(xs[kinds[0]][-1])
+            if any(len(xs[kind][-1]) != n_blocks for kind in kinds):
+                raise DegenerateInputError(f"block count mismatch across kinds for {e.clip_id}")
             ys.extend([e.label] * n_blocks)
-            slices.append((e.clip_id, e.label, start, start + n_blocks))
-            start += n_blocks
-        x_arrays = {kind: np.stack(xs[kind]) if xs[kind] else
-                    np.zeros((0, kind.dim, 20)) for kind in kinds}
-        return x_arrays, np.asarray(ys), slices
+        x_arrays = {kind: np.concatenate(xs[kind], dtype=dtype) if xs[kind] else
+                    np.zeros((0, kind.dim, BLOCK_FRAMES), dtype=dtype) for kind in kinds}
+        return x_arrays, np.asarray(ys)
 
-    train_x, train_y, train_slices = stack(train)
-    val_x, val_y, _ = stack(val)
+    train_x, train_y = stack(train)
+    val_x, val_y = stack(val)
     return FoldData(kinds=kinds, stats=stats, train_x=train_x, train_y=train_y,
-                    train_clip_slices=train_slices, val_x=val_x, val_y=val_y,
-                    test_examples=test, train_examples=train,
-                    validation_speakers=val_speakers)
+                    val_x=val_x, val_y=val_y, test_examples=test, train_examples=train)
 
 
 # -- training loop -----------------------------------------------------------------
@@ -305,13 +299,11 @@ def evaluate_loss(model: NetworkGraph, x, y, loss_kind) -> float:
 # -- evaluation under the SNR sweep ----------------------------------------------------
 
 
-def _clip_blocks(model: NetworkGraph, clip: AudioClip, kinds, stats):
-    per_kind = [split_blocks(feature_matrix(clip, kind), kind,
-                             clip_ref=clip.source_id, stats=stats[kind])
-                for kind in kinds]
-    if isinstance(model, FusionModel):
-        return list(zip(*per_kind))
-    return per_kind[0]
+def _clip_blocks(model: NetworkGraph, clip: AudioClip, stats):
+    """One clip's blocks, arranged as the forward-pass input for this model."""
+    return _model_batch(model, {kind: split_blocks(feature_matrix(clip, kind), kind,
+                                                   stats=stats[kind])
+                                for kind in model.kinds})
 
 
 def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
@@ -321,10 +313,11 @@ def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
 
     Returns {snr label: {"metric": value, ...details}}. Noise segments are
     seeded per (seed, clip, SNR), so a re-run reproduces every mix exactly.
+    With ``per_block`` each block is scored on its own: one forward pass per
+    clip, the decision rule applied to each output row.
     """
     if not test_examples:
         raise ConfigError("empty test set")
-    kinds = model.kinds
     results = {}
     for snr in snrs_db:
         if snr != CLEAN and noise is None:
@@ -335,16 +328,16 @@ def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
             spec = NoiseSpec(snr_db=snr, noise=noise,
                              seed=derive_seed(seed, example.clip_id, snr_label(snr)))
             mixed = mix_noise_at_snr(example.clip, spec)
-            blocks = _clip_blocks(model, mixed, kinds, stats)
+            x = _clip_blocks(model, mixed, stats)
             if per_block:
-                for block in blocks:
-                    prediction = predict_clip(model, [block])
-                    y_true.append(example.label)
-                    y_pred.append(_decision(prediction, task))
+                with no_grad():
+                    out = model.forward(x).data
+                predictions = [decide(model.head.kind, out[i : i + 1])
+                               for i in range(len(out))]
             else:
-                prediction = predict_clip(model, blocks)
-                y_true.append(example.label)
-                y_pred.append(_decision(prediction, task))
+                predictions = [predict_clip(model, x)]
+            y_true.extend([example.label] * len(predictions))
+            y_pred.extend(_decision(p, task) for p in predictions)
         results[snr_label(snr)] = _score(task, y_true, y_pred)
     return results
 

@@ -10,8 +10,9 @@ a 1024-point transform per frame, then one of five per-frame features:
   mfcc_delta_delta    60  30 static MFCCs stacked with their 30 second deltas
 
 Features are grouped into non-overlapping blocks of 20 frames; a trailing
-remainder shorter than 20 frames is dropped. Power is floored at 1e-10
-before any log, so silence never produces -inf.
+remainder shorter than 20 frames is dropped. A clip's blocks are one
+(n_blocks, D, 20) array, the form models take as input. Power is floored at
+1e-10 before any log, so silence never produces -inf.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip
-from .errors import DegenerateInputError, FormatError, NumericError, UnsupportedError
+from .errors import DegenerateInputError, FormatError, NumericError, ShapeError, UnsupportedError
 
 FRAME_LENGTH = 1024
 HOP_LENGTH = 512
@@ -94,16 +95,6 @@ class FrameMatrix:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
-class FeatureBlock:
-    """One 20-frame feature image of a declared kind, dims x frames."""
-
-    kind: FeatureKind
-    data: np.ndarray  # (D, 20)
-    clip_ref: str = ""
-    block_index: int = 0
 
 
 def hamming_window(length: int = FRAME_LENGTH) -> np.ndarray:
@@ -290,33 +281,36 @@ class FeatureStats:
         return cls(mean=np.asarray(payload["mean"]), std=np.asarray(payload["std"]))
 
 
-def split_blocks(matrix: np.ndarray, kind: FeatureKind, clip_ref: str = "",
-                 stats: FeatureStats | None = None) -> list[FeatureBlock]:
-    """Cut a (D, T) matrix into non-overlapping 20-frame blocks.
+def split_blocks(matrix: np.ndarray, kind: FeatureKind,
+                 stats: FeatureStats | None = None) -> np.ndarray:
+    """Cut a (D, T) matrix of ``kind`` into a C-contiguous (n_blocks, D, 20)
+    array of non-overlapping 20-frame blocks.
 
     The trailing remainder shorter than 20 frames is dropped. When stats are
-    given, each block is z-scored per dimension.
+    given, the kept frames are z-scored per dimension.
     """
+    if matrix.ndim != 2 or matrix.shape[0] != kind.dim:
+        raise ShapeError(f"{kind.value} expects a ({kind.dim}, T) matrix, got {matrix.shape}")
+    if stats is not None and stats.mean.shape != (kind.dim,):
+        raise ShapeError(f"statistics of length {stats.mean.size} do not fit "
+                         f"{kind.value} ({kind.dim} dims)")
     n_frames = matrix.shape[1]
     n_blocks = n_frames // BLOCK_FRAMES
     if n_blocks == 0:
         raise DegenerateInputError(
             f"clip yields {n_frames} frames, fewer than one {BLOCK_FRAMES}-frame block"
         )
-    blocks = []
-    for i in range(n_blocks):
-        data = matrix[:, i * BLOCK_FRAMES : (i + 1) * BLOCK_FRAMES]
-        if stats is not None:
-            data = stats.apply(data)
-        blocks.append(FeatureBlock(kind=kind, data=data, clip_ref=clip_ref, block_index=i))
-    return blocks
+    kept = matrix[:, : n_blocks * BLOCK_FRAMES]
+    if stats is not None:
+        kept = stats.apply(kept)
+    blocks = kept.reshape(kind.dim, n_blocks, BLOCK_FRAMES).transpose(1, 0, 2)
+    return np.ascontiguousarray(blocks)
 
 
 def assemble_blocks(clip: AudioClip, kind: FeatureKind,
-                    stats: FeatureStats | None = None) -> list[FeatureBlock]:
+                    stats: FeatureStats | None = None) -> np.ndarray:
     """Full clip-to-blocks path: frames, per-frame features, 20-frame blocks."""
-    matrix = feature_matrix(clip, kind)
-    return split_blocks(matrix, kind, clip_ref=clip.source_id, stats=stats)
+    return split_blocks(feature_matrix(clip, kind), kind, stats=stats)
 
 
 # Binary block container: all integers little-endian.
@@ -331,21 +325,21 @@ _CONTAINER_MAGIC = b"SKFB"
 _HEADER = struct.Struct("<4sHBIII")
 
 
-def save_blocks(blocks: list[FeatureBlock], path) -> None:
-    if not blocks:
+def save_blocks(blocks: np.ndarray, kind: FeatureKind, path) -> None:
+    """Write an (n_blocks, D, 20) array of ``kind`` as an SKFB container."""
+    if blocks.ndim != 3 or blocks.shape[1:] != (kind.dim, BLOCK_FRAMES):
+        raise ShapeError(f"{kind.value} blocks must be (n, {kind.dim}, {BLOCK_FRAMES}), "
+                         f"got {blocks.shape}")
+    if len(blocks) == 0:
         raise DegenerateInputError("no blocks to save")
-    kind = blocks[0].kind
-    dim = blocks[0].data.shape[0]
-    if any(b.kind is not kind or b.data.shape != (dim, BLOCK_FRAMES) for b in blocks):
-        raise UnsupportedError("all blocks in a container must share kind and shape")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CONTAINER_MAGIC, 1, _KIND_CODES[kind], dim,
+        fh.write(_HEADER.pack(_CONTAINER_MAGIC, 1, _KIND_CODES[kind], kind.dim,
                               BLOCK_FRAMES, len(blocks)))
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(blocks, dtype="<f4").tobytes())
 
 
-def load_blocks(path, clip_ref: str | None = None) -> list[FeatureBlock]:
+def load_blocks(path) -> tuple[FeatureKind, np.ndarray]:
+    """Read an SKFB container back into its kind and (n_blocks, D, 20) array."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"block container too short: {path}")
@@ -356,22 +350,18 @@ def load_blocks(path, clip_ref: str | None = None) -> list[FeatureBlock]:
         raise UnsupportedError(f"unsupported container version {version}")
     if code not in _CODE_KINDS:
         raise FormatError(f"unknown feature kind code {code}")
-    kind = _CODE_KINDS[code]
     expected = _HEADER.size + 4 * dim * frames * count
     if len(raw) != expected:
         raise FormatError(f"container payload size mismatch: {len(raw)} != {expected}")
-    ref = clip_ref if clip_ref is not None else Path(path).stem
     payload = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    payload = payload.reshape(count, dim, frames)
-    return [FeatureBlock(kind=kind, data=payload[i], clip_ref=ref, block_index=i)
-            for i in range(count)]
+    return _CODE_KINDS[code], payload.reshape(count, dim, frames)
 
 
-def write_blocks_csv(blocks: list[FeatureBlock], path) -> None:
+def write_blocks_csv(blocks: np.ndarray, path) -> None:
     """Debug dump: one row per (block, dimension) with the 20 frame values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "dim"] + [f"t{i}" for i in range(BLOCK_FRAMES)])
-        for block in blocks:
-            for d in range(block.data.shape[0]):
-                writer.writerow([block.block_index, d] + [repr(v) for v in block.data[d]])
+        for index, block in enumerate(blocks):
+            for d, row in enumerate(block):
+                writer.writerow([index, d] + [repr(v) for v in row.tolist()])

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .features import BLOCK_FRAMES, FeatureBlock, FeatureKind
+from .features import BLOCK_FRAMES, FeatureKind
 from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor,
                      load_checkpoint, no_grad, save_checkpoint)
 from .neural import tensor as T
@@ -221,7 +221,7 @@ class SingleFeatureModel(NetworkGraph):
             for _ in range(3):
                 self.convs.append(Conv2d(in_ch, d.channels, kernel=5, padding=2,
                                          rng=rng, dtype=self.dtype))
-                self.pools.append(MaxPool2d(d.pool_kernel, 1))
+                self.pools.append(MaxPool2d(d.pool_kernel))
                 in_ch = d.channels
             self.pooled_heights = []
             h = d.d1
@@ -471,23 +471,23 @@ class ClipPrediction:
     tie: bool = False
 
 
-def predict_clip(model: NetworkGraph, blocks) -> ClipPrediction:
+def predict_clip(model: NetworkGraph, x) -> ClipPrediction:
     """Average block outputs into one clip decision.
 
-    ``blocks`` is a list of FeatureBlock for a single-feature model, or a list
-    of (left, right) FeatureBlock pairs for a fusion model.
+    ``x`` is what ``model.forward`` takes: one clip's (n_blocks, D, 20) block
+    array, or a (left, right) pair of such arrays for a fusion model.
     """
-    if not blocks:
+    if len(x[0] if isinstance(x, tuple) else x) == 0:
         raise DegenerateInputError("predict_clip needs at least one feature block")
-    if isinstance(model, FusionModel):
-        left = np.stack([_block_data(b[0]) for b in blocks])
-        right = np.stack([_block_data(b[1]) for b in blocks])
-        batch = (left, right)
-    else:
-        batch = np.stack([_block_data(b) for b in blocks])
     with no_grad():
-        out = model.forward(batch).data
-    head = model.head.kind
+        out = model.forward(x).data
+    return decide(model.head.kind, out)
+
+
+def decide(head: HeadKind, out: np.ndarray) -> ClipPrediction:
+    """The decision rule: average the (n, outputs) rows, then threshold a
+    binary mean at 0.5, take the four-class argmax (ties to the lowest index),
+    or clamp a regression mean into [1, 7]."""
     if head is HeadKind.BINARY:
         p = float(out.mean())
         return ClipPrediction(head=head, label=int(p > 0.5), probability=p)
@@ -499,10 +499,6 @@ def predict_clip(model: NetworkGraph, blocks) -> ClipPrediction:
                               probabilities=probs, tie=tie)
     value = float(np.clip(out.mean(), 1.0, 7.0))
     return ClipPrediction(head=head, value=value)
-
-
-def _block_data(block) -> np.ndarray:
-    return block.data if isinstance(block, FeatureBlock) else np.asarray(block)
 
 
 # -- descriptor + checkpoint persistence -----------------------------------------

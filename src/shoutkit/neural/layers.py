@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError, UnsupportedError
+from ..errors import ShapeError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -52,9 +52,7 @@ class Conv2d(Layer):
     """2-D convolution, stride 1, symmetric zero padding, bias per channel."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 padding: int, rng: np.random.Generator, dtype=np.float64, stride: int = 1):
-        if stride != 1:
-            raise UnsupportedError("only stride 1 is supported")
+                 padding: int, rng: np.random.Generator, dtype=np.float64):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -126,33 +124,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
 
 
 class MaxPool2d(Layer):
-    """Non-overlapping max pooling; trailing rows/columns beyond a full window
-    are dropped (output H = floor(H / kh))."""
+    """Non-overlapping max pooling along the height (feature) axis; trailing
+    rows beyond a full window are dropped (output H = floor(H / kernel))."""
 
-    def __init__(self, kernel_h: int, kernel_w: int = 1):
-        self.kernel_h = kernel_h
-        self.kernel_w = kernel_w
+    def __init__(self, kernel: int):
+        self.kernel = kernel
 
     def __call__(self, x: Tensor) -> Tensor:
         squeeze = x.data.ndim == 3
         if squeeze:
             x = T.reshape(x, (1,) + x.data.shape)
-        out = maxpool2d(x, self.kernel_h, self.kernel_w)
+        out = maxpool2d(x, self.kernel)
         return T.reshape(out, out.data.shape[1:]) if squeeze else out
 
     def parameters(self):
         return {}
 
 
-def maxpool2d(x: Tensor, kernel_h: int, kernel_w: int = 1) -> Tensor:
+def maxpool2d(x: Tensor, kernel: int) -> Tensor:
+    """Max over non-overlapping windows of ``kernel`` rows of (N, C, H, W)."""
     n, c, h, w = x.data.shape
-    if h < kernel_h or w < kernel_w:
-        raise ShapeError(f"pool kernel {kernel_h}x{kernel_w} exceeds input {h}x{w}")
-    ho, wo = h // kernel_h, w // kernel_w
-    windows = (x.data[:, :, : ho * kernel_h, : wo * kernel_w]
-               .reshape(n, c, ho, kernel_h, wo, kernel_w)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, ho, wo, kernel_h * kernel_w))
+    if h < kernel:
+        raise ShapeError(f"pool kernel {kernel} exceeds input height {h}")
+    ho = h // kernel
+    # window-last view (N, C, Ho, W, kernel); no copy is made
+    windows = x.data[:, :, : ho * kernel].reshape(n, c, ho, kernel, w).swapaxes(3, 4)
     # argmax returns the first maximum, so ties route to the lowest index
     best = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, best[..., None], axis=-1)[..., 0]
@@ -160,13 +156,11 @@ def maxpool2d(x: Tensor, kernel_h: int, kernel_w: int = 1) -> Tensor:
     def backward(g):
         d_windows = np.zeros_like(windows)
         np.put_along_axis(d_windows, best[..., None], g[..., None], axis=-1)
-        d_cropped = (d_windows.reshape(n, c, ho, wo, kernel_h, kernel_w)
-                     .transpose(0, 1, 2, 4, 3, 5)
-                     .reshape(n, c, ho * kernel_h, wo * kernel_w))
+        d_cropped = d_windows.swapaxes(3, 4).reshape(n, c, ho * kernel, w)
         if d_cropped.shape == x.data.shape:
             return (d_cropped,)
         d_x = np.zeros_like(x.data)
-        d_x[:, :, : ho * kernel_h, : wo * kernel_w] = d_cropped
+        d_x[:, :, : ho * kernel] = d_cropped
         return (d_x,)
 
     return Tensor._make(out, (x,), backward)

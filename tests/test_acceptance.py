@@ -151,7 +151,7 @@ def test_c05_gradient_checks():
     xp = Tensor(rng.standard_normal((1, 2, 11, 4)), requires_grad=True)
     wp = Tensor(rng.standard_normal((1, 2, 5, 4)))
     results["maxpool2d"] = finite_difference_check(
-        lambda: T.mean_all(T.mul(neural.maxpool2d(xp, 2, 1), wp)), {"x": xp}, h=h)
+        lambda: T.mean_all(T.mul(neural.maxpool2d(xp, 2), wp)), {"x": xp}, h=h)
 
     gru = neural.BiGRU(4, 3, rng)
     xg = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
@@ -214,9 +214,9 @@ def test_c06_overfit_oracle():
     kind = FeatureKind.SPECTROGRAM
     matrices = {e.clip_id: feature_matrix(e.clip, kind) for e in examples}
     stats = FeatureStats.fit(list(matrices.values()))
-    blocks_by_clip = {cid: split_blocks(m, kind, clip_ref=cid, stats=stats)
+    blocks_by_clip = {cid: split_blocks(m, kind, stats=stats)
                       for cid, m in matrices.items()}
-    x = np.stack([b.data for e in examples for b in blocks_by_clip[e.clip_id]])
+    x = np.concatenate([blocks_by_clip[e.clip_id] for e in examples])
     y = np.concatenate([[e.label] * len(blocks_by_clip[e.clip_id]) for e in examples])
 
     model = build_single_model("cnn", kind, "binary", seed=6, dtype=np.float32)

@@ -8,7 +8,8 @@ import pytest
 from shoutkit.cli import main
 from shoutkit.corpus import (RatingRecord, make_rating_subsets, write_ratings_csv,
                              write_subsets_csv)
-from shoutkit.features import load_blocks
+from shoutkit.audio_io import load_wav
+from shoutkit.features import FeatureKind, FeatureStats, feature_matrix, load_blocks
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,9 @@ def test_extract_and_csv(corpus_dir, tmp_path):
     code = main(["extract", str(wav), str(out), "--kind", "mel_spectrogram",
                  "--csv", str(csv_path)])
     assert code == 0
-    blocks = load_blocks(out)
-    assert blocks and blocks[0].data.shape == (30, 20)
+    kind, blocks = load_blocks(out)
+    assert kind is FeatureKind.MEL_SPECTROGRAM
+    assert len(blocks) and blocks.shape[1:] == (30, 20)
     assert csv_path.exists()
 
 
@@ -158,3 +160,27 @@ def test_exit_codes(tmp_path):
     from shoutkit.audio_io import AudioClip, write_wav
     write_wav(AudioClip(np.zeros(2000) + 0.1, 16000, "t"), wav)
     assert main(["extract", str(wav), str(tmp_path / "o.fbk"), "--kind", "mystery"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "{missing}.wav", "{tmp}/o.fbk", "--kind", "tmfcc"],
+    ["extract", "{wav}", "{tmp}/o.fbk", "--kind", "tmfcc", "--stats", "{missing}.json"],
+    ["evaluate", "--model", "{missing}.descriptor"],
+], ids=["extract-input", "extract-stats", "evaluate-model"])
+def test_missing_file_is_data_error(corpus_dir, tmp_path, capsys, argv):
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    fill = dict(missing=tmp_path / "missing", tmp=tmp_path, wav=wav)
+    assert main([a.format(**fill) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_stats_of_another_kind_is_data_error(corpus_dir, tmp_path, capsys):
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    stats = tmp_path / "spectrogram.json"
+    FeatureStats.fit([feature_matrix(load_wav(wav), FeatureKind.SPECTROGRAM)]).save(stats)
+    out = tmp_path / "o.fbk"
+    assert main(["extract", str(wav), str(out), "--kind", "tmfcc",
+                 "--stats", str(stats)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()

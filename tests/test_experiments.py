@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from shoutkit.corpus import parse_manifest, validate_manifest
 from oracles import tally_binary_f1, tally_confusion, tally_rmse, tally_weighted_f1
 
 
-def synth_examples(n_clips=40, n_speakers=4, n_classes=2, seed=1):
+def synth_examples(n_clips=40, n_speakers=4, n_classes=2, seed=1, clip_seconds=(0.72, 0.85)):
     synth = make_classification_corpus(n_clips=n_clips, n_speakers=n_speakers,
-                                       n_classes=n_classes, seed=seed)
+                                       n_classes=n_classes, seed=seed,
+                                       clip_seconds=clip_seconds)
     return [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id,
                         clip=s.clip, label=s.class_index) for s in synth]
 
@@ -321,10 +323,41 @@ class TestTraining:
         noise = load_noise(cfg.noise)
         by_clip = evaluate_model(model, data.test_examples, data.stats, "binary",
                                  (CLEAN,), noise, seed=3)
-        by_block = evaluate_model(model, data.test_examples, data.stats, "binary",
-                                  (CLEAN,), noise, seed=3, per_block=True)
+        outputs = []
+        forward = model.forward
+
+        def spy(x):
+            out = forward(x)
+            outputs.append(out.data[:, 0].copy())
+            return out
+
+        model.forward = spy
+        # 1.4-1.9 s clips hold two blocks each
+        clips = synth_examples(n_clips=8, n_speakers=2, seed=4, clip_seconds=(1.4, 1.9))
+        by_block = evaluate_model(model, clips, data.stats, "binary",
+                                  cfg.snrs_db, noise, seed=3, per_block=True)
         assert 0.0 <= by_block["clean"]["metric"] <= 1.0
         assert 0.0 <= by_clip["clean"]["metric"] <= 1.0
+        # one forward per (clip, SNR), each block decided from its own row
+        assert len(outputs) == len(clips) * len(cfg.snrs_db)
+        assert all(rows.size == 2 for rows in outputs)
+        for i, snr in enumerate(cfg.snrs_db):
+            truth, pred = [], []
+            for e, rows in zip(clips, outputs[i * len(clips):]):
+                truth.extend([e.label] * rows.size)
+                pred.extend(int(v > 0.5) for v in rows)
+            assert by_block[snr_label(snr)]["metric"] == tally_binary_f1(truth, pred)
+
+    def test_fold_blocks_stored_in_cfg_dtype(self, fold_setup):
+        examples, cfg, plan, data = fold_setup
+        wide = build_fold_data(examples, plan.folds[0], (FeatureKind.MEL_SPECTROGRAM,),
+                               replace(cfg, dtype="float64"))
+        for split in ("train_x", "val_x"):
+            narrow = getattr(data, split)[FeatureKind.MEL_SPECTROGRAM]
+            assert narrow.dtype == np.float32
+            assert np.array_equal(
+                narrow, getattr(wide, split)[FeatureKind.MEL_SPECTROGRAM].astype(np.float32))
+        assert np.array_equal(data.train_y, wide.train_y)
 
     def test_evaluate_empty_test_rejected(self, fold_setup):
         _, cfg, _, data = fold_setup

@@ -1,13 +1,15 @@
 """features: framing, spectra, cepstra, mel/MFCC, deltas, blocks, containers."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
 
 from shoutkit import features
 from shoutkit.audio_io import AudioClip
-from shoutkit.errors import DegenerateInputError, FormatError, NumericError, UnsupportedError
+from shoutkit.errors import (DegenerateInputError, FormatError, NumericError, ShapeError,
+                             UnsupportedError)
 from shoutkit.features import (BLOCK_FRAMES, FRAME_LENGTH, HOP_LENGTH, LOG_FLOOR,
                                FeatureKind, FeatureStats, assemble_blocks, cepstrum,
                                cepstrum_full, dct_matrix, delta, delta_delta,
@@ -215,10 +217,13 @@ class TestBlocks:
         assert len(blocks) == 1
 
     def test_40_frames_two_spectrogram_blocks(self):
-        blocks = assemble_blocks(clip_with_frames(40), FeatureKind.SPECTROGRAM)
-        assert len(blocks) == 2
-        assert all(b.data.shape == (512, 20) for b in blocks)
-        assert [b.block_index for b in blocks] == [0, 1]
+        clip = clip_with_frames(40)
+        blocks = assemble_blocks(clip, FeatureKind.SPECTROGRAM)
+        assert blocks.shape == (2, 512, 20)
+        assert blocks.flags.c_contiguous
+        matrix = feature_matrix(clip, FeatureKind.SPECTROGRAM)
+        for i in range(2):  # block i holds frames 20*i .. 20*i + 19 in order
+            assert np.array_equal(blocks[i], matrix[:, 20 * i : 20 * (i + 1)])
 
     def test_19_frames_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -233,17 +238,28 @@ class TestBlocks:
         clip = clip_with_frames(20)
         for kind in FeatureKind:
             blocks = assemble_blocks(clip, kind)
-            assert blocks[0].data.shape == (kind.dim, 20)
-            assert np.all(np.isfinite(blocks[0].data))
+            assert blocks.shape == (1, kind.dim, 20)
+            assert np.all(np.isfinite(blocks))
 
     def test_zscore_applied(self):
         clip = clip_with_frames(40)
         matrix = feature_matrix(clip, FeatureKind.MEL_SPECTROGRAM)
         stats = FeatureStats.fit([matrix])
         blocks = split_blocks(matrix, FeatureKind.MEL_SPECTROGRAM, stats=stats)
-        pooled = np.concatenate([b.data for b in blocks], axis=1)
+        pooled = np.concatenate(list(blocks), axis=1)
         assert np.max(np.abs(pooled.mean(axis=1))) < 1e-9
         assert np.max(np.abs(pooled.std(axis=1) - 1.0)) < 1e-9
+
+    def test_matrix_of_another_kind_rejected(self):
+        matrix = feature_matrix(clip_with_frames(20), FeatureKind.MEL_SPECTROGRAM)
+        with pytest.raises(ShapeError):
+            split_blocks(matrix, FeatureKind.SPECTROGRAM)
+
+    def test_stats_of_another_kind_rejected(self):
+        clip = clip_with_frames(20)
+        stats = FeatureStats.fit([feature_matrix(clip, FeatureKind.SPECTROGRAM)])
+        with pytest.raises(ShapeError):
+            assemble_blocks(clip, FeatureKind.TMFCC, stats=stats)
 
 
 class TestGainInvariance:
@@ -275,18 +291,29 @@ class TestContainer:
     def test_round_trip(self, tmp_path):
         blocks = assemble_blocks(clip_with_frames(40), FeatureKind.MEL_SPECTROGRAM)
         path = tmp_path / "blocks.fbk"
-        save_blocks(blocks, path)
-        back = load_blocks(path)
-        assert len(back) == 2
-        assert back[0].kind is FeatureKind.MEL_SPECTROGRAM
-        for a, b in zip(blocks, back):
-            assert np.allclose(a.data, b.data, atol=1e-6)  # float32 payload
-            assert b.block_index == a.block_index
+        save_blocks(blocks, FeatureKind.MEL_SPECTROGRAM, path)
+        kind, back = load_blocks(path)
+        assert kind is FeatureKind.MEL_SPECTROGRAM
+        assert back.shape == (2, 30, 20)
+        assert np.array_equal(back, blocks.astype(np.float32))  # float32 payload
+
+    def test_layout_is_header_then_float32_payload(self, tmp_path):
+        blocks = assemble_blocks(clip_with_frames(45), FeatureKind.TMFCC)
+        path = tmp_path / "blocks.fbk"
+        save_blocks(blocks, FeatureKind.TMFCC, path)
+        expected = (struct.pack("<4sHBIII", b"SKFB", 1, 4, 30, 20, 2)
+                    + blocks.astype("<f4").tobytes())
+        assert path.read_bytes() == expected
+
+    def test_blocks_of_another_kind_rejected(self, tmp_path):
+        blocks = assemble_blocks(clip_with_frames(20), FeatureKind.TMFCC)
+        with pytest.raises(ShapeError):
+            save_blocks(blocks, FeatureKind.SPECTROGRAM, tmp_path / "blocks.fbk")
 
     def test_truncated_rejected(self, tmp_path):
         blocks = assemble_blocks(clip_with_frames(20), FeatureKind.TMFCC)
         path = tmp_path / "blocks.fbk"
-        save_blocks(blocks, path)
+        save_blocks(blocks, FeatureKind.TMFCC, path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError):
             load_blocks(path)
@@ -306,6 +333,17 @@ class TestContainer:
         assert rows[0][:2] == ["block", "dim"]
         assert len(rows) == 1 + 30  # header + one block x 30 dims
         assert len(rows[1]) == 2 + 20
+
+    def test_csv_rows_hold_block_index_dim_and_values(self, tmp_path):
+        blocks = assemble_blocks(clip_with_frames(40), FeatureKind.TMFCC)
+        path = tmp_path / "blocks.csv"
+        write_blocks_csv(blocks, path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[1]) for r in rows] == [(str(b), str(d)) for b in range(2)
+                                                for d in range(30)]
+        values = np.array([[float(v) for v in r[2:]] for r in rows]).reshape(2, 30, 20)
+        assert np.array_equal(values, blocks)
 
 
 def test_stats_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shoutkit.errors import ConfigError, DegenerateInputError
-from shoutkit.features import FeatureBlock, FeatureKind
+from shoutkit.features import FeatureKind
 from shoutkit.models import (Arch, HeadKind, build_baseline_mlp, build_fusion_model,
                              build_single_model, load_model, predict_clip, save_model)
 
@@ -14,8 +14,7 @@ LOW = (FeatureKind.MEL_SPECTROGRAM, FeatureKind.TMFCC)
 
 def blocks_for(kind, n=1, seed=0):
     rng = np.random.default_rng(seed)
-    return [FeatureBlock(kind=kind, data=rng.standard_normal((kind.dim, 20)),
-                         clip_ref="t", block_index=i) for i in range(n)]
+    return rng.standard_normal((n, kind.dim, 20))
 
 
 class TestShapeLedger:
@@ -176,7 +175,7 @@ class TestPredictClip:
     def test_empty_blocks_rejected(self):
         model = StubModel(HeadKind.BINARY, [[0.5]])
         with pytest.raises(DegenerateInputError):
-            predict_clip(model, [])
+            predict_clip(model, np.zeros((0, 30, 20)))
 
     def test_real_model_batches_blocks(self):
         m = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",

@@ -144,29 +144,29 @@ class TestConv:
 
 class TestMaxPool:
     def test_high_dim_heights(self):
-        pool = MaxPool2d(5, 1)
+        pool = MaxPool2d(5)
         out = pool(Tensor(np.zeros((1, 16, 512, 20))))
         assert out.data.shape == (1, 16, 102, 20)
 
     def test_low_dim_heights(self):
-        pool = MaxPool2d(3, 1)
+        pool = MaxPool2d(3)
         out = pool(Tensor(np.zeros((1, 16, 30, 20))))
         assert out.data.shape == (1, 16, 10, 20)
 
     def test_constant_input(self):
-        pool = MaxPool2d(5, 1)
+        pool = MaxPool2d(5)
         out = pool(Tensor(np.full((1, 1, 10, 4), 2.5)))
         assert np.all(out.data == 2.5)
 
     def test_kernel_larger_than_input(self):
-        pool = MaxPool2d(5, 1)
+        pool = MaxPool2d(5)
         with pytest.raises(ShapeError):
             pool(Tensor(np.zeros((1, 1, 4, 4))))
 
     def test_tie_routes_to_lowest_index(self):
         x = Tensor(np.zeros((1, 1, 4, 1)), requires_grad=True)
         x.zero_grad()
-        out = neural.maxpool2d(x, 2, 1)
+        out = neural.maxpool2d(x, 2)
         T.sum_all(out).backward()
         # all-equal windows: gradient goes to the first row of each window
         assert x.grad[0, 0].ravel().tolist() == [1.0, 0.0, 1.0, 0.0]
@@ -275,7 +275,7 @@ class TestGradientChecks:
         x = Tensor(x_data, requires_grad=True)
         w = rng_of(7).standard_normal((1, 2, 5, 4))
         err = finite_difference_check(
-            lambda: T.mean_all(T.mul(neural.maxpool2d(x, 2, 1), Tensor(w))),
+            lambda: T.mean_all(T.mul(neural.maxpool2d(x, 2), Tensor(w))),
             {"x": x}, h=self.H)
         assert err <= self.TOL
 
