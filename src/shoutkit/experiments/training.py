@@ -318,6 +318,8 @@ def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
     """
     if not test_examples:
         raise ConfigError("empty test set")
+    if HEAD_FOR_TASK.get(task) is not model.head.kind:
+        raise ConfigError(f"a {model.head.kind.value} model cannot be scored on task {task!r}")
     results = {}
     for snr in snrs_db:
         if snr != CLEAN and noise is None:

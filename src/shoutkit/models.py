@@ -3,8 +3,8 @@ and the three task heads.
 
 Architectures operate on 20-frame feature blocks:
 
-  cnn      3 x (conv 5x5/16ch + max-pool along the feature axis), flatten,
-           dense, ReLU, head
+  cnn      3 x (conv 5x5/16ch, max-pool along the feature axis, ReLU),
+           flatten, dense, ReLU, head
   gru      BiGRU over the 20 frames, final state, dense, ReLU, head
   cnn_gru  conv/pool stack, per-frame features to a BiGRU, final state,
            dense, ReLU, head
@@ -14,6 +14,11 @@ low-dimensional ones (mel spectrogram, tMFCCs, 30 per frame) use different
 width tables. The fusion network concatenates the last-ReLU embeddings of two
 pretrained single-feature networks, passes them through one dense layer with
 ReLU, and attaches a fresh head; every parameter stays trainable.
+
+Each conv stage pools before its ReLU. ReLU is monotone, so relu(pool(x))
+equals pool(relu(x)) in value and routes gradients the same way (a window
+whose max is <= 0 gets none either way), while ReLU runs on the pooled
+array, a pool kernel times smaller.
 """
 
 from __future__ import annotations
@@ -254,7 +259,7 @@ class SingleFeatureModel(NetworkGraph):
         if ledger is not None:
             ledger["input_height"] = t.data.shape[2]
         for conv, pool in zip(self.convs, self.pools):
-            t = pool(T.relu(conv(t)))
+            t = T.relu(pool(conv(t)))
             heights.append(t.data.shape[2])
         if ledger is not None:
             ledger["pooled_heights"] = heights
@@ -520,8 +525,9 @@ def save_model(model: NetworkGraph, directory, name: str) -> Path:
         f"width_scale = {model.width_scale}",
         f"checkpoint = {ckpt.name}",
     ]
-    if isinstance(model, SingleFeatureModel) and model.arch is Arch.GRU:
-        lines.append(f"gru_concat_width = {model.gru_concat_width}")
+    if model.arch is Arch.GRU:
+        branch = model.left if isinstance(model, FusionModel) else model
+        lines.append(f"gru_concat_width = {branch.gru_concat_width}")
     if model.dims is not None:
         d = model.dims
         lines.append(f"variant = {d.variant}")

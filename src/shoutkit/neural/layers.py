@@ -3,6 +3,14 @@
 Dense and the GRU cell are compositions of tensor primitives; convolution and
 max-pooling are custom graph nodes with hand-written backward passes (checked
 against finite differences in the test suite).
+
+Convolution builds its im2col columns a few samples at a time, so each GEMM
+reads columns that are still in cache, and keeps them for the weight
+gradient only while a graph is being recorded. Its input gradient is the
+transposed correlation (the output gradient, padded, against the flipped
+kernel with in/out channels swapped) through the same chunked helper, so
+there is no col2im scatter. Max-pooling finds each window's first maximum
+in one pass over the window rows.
 """
 
 from __future__ import annotations
@@ -81,46 +89,73 @@ class Conv2d(Layer):
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
     """Stride-1 convolution of (N, C, H, W) with (O, C, K, K) + per-channel bias.
 
-    Uses an im2col buffer laid out as (C*K*K, N*Ho*Wo) so the whole layer is
-    one GEMM in each direction; the buffer is kept for the backward pass.
+    The forward is chunked im2col + GEMM (see ``_correlate``); its columns
+    are kept for ``d_weight`` only while a graph is being recorded. The
+    backward computes ``d_weight`` as one GEMM over the kept columns and
+    ``d_x`` as a transposed correlation through the same helper: ``g``
+    zero-padded by ``K - 1 - padding``, the kernel flipped and its in/out
+    channels swapped. ``d_x`` is skipped when ``x`` does not need a gradient.
     """
     n, c, h, w = x.data.shape
     out_ch, in_ch, kh, kw = weight.data.shape
     if in_ch != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {in_ch}")
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    if ho < 1 or wo < 1:
+    if h + 2 * padding - kh + 1 < 1 or w + 2 * padding - kw + 1 < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w}")
 
     pad_spec = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pad_spec)
-    length = ho * wo
-    cols = np.empty((c, kh * kw, n, length), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            window = xp[:, :, i : i + ho, j : j + wo]
-            cols[:, i * kw + j] = window.transpose(1, 0, 2, 3).reshape(c, n, length)
-    cols2 = cols.reshape(c * kh * kw, n * length)
-    w2 = weight.data.reshape(out_ch, c * kh * kw)
-    out2 = w2 @ cols2
-    out = out2.reshape(out_ch, n, ho, wo).transpose(1, 0, 2, 3)
-    out = out + bias.data[None, :, None, None]
+    out, cols = _correlate(np.pad(x.data, pad_spec), weight.data.reshape(out_ch, -1),
+                           kh, kw, keep=T.records(x, weight, bias))
+    out += bias.data[None, :, None, None]
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(out_ch, n * length)
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(out_ch, -1)
+        d_weight = (g2 @ cols.T).reshape(weight.data.shape)
         d_bias = g.sum(axis=(0, 2, 3))
-        d_weight = (g2 @ cols2.T).reshape(weight.data.shape)
-        d_cols = (w2.T @ g2).reshape(c, kh * kw, n, ho, wo)
-        d_xp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                d_xp[:, :, i : i + ho, j : j + wo] += d_cols[:, i * kw + j].transpose(1, 0, 2, 3)
-        if padding:
-            return d_xp[:, :, padding : padding + h, padding : padding + w], d_weight, d_bias
-        return d_xp, d_weight, d_bias
+        if not x.requires_grad:
+            return None, d_weight, d_bias
+        # padding g by K - 1 and cropping ``padding`` off each side is the
+        # K - 1 - padding pad, and stays valid when padding > K - 1
+        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+        gp = gp[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        d_x, _ = _correlate(gp, flipped, kh, kw, keep=False)
+        return d_x, d_weight, d_bias
 
     return Tensor._make(out, (x, weight, bias), backward)
+
+
+# Elements of one chunk of im2col columns: small enough that the GEMM reads
+# columns still in cache, large enough to keep each GEMM efficient.
+_CHUNK_ELEMENTS = 1 << 20
+
+
+def _correlate(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int, keep: bool):
+    """Valid correlation ``out[n, o, y, z] = sum w2[o, (c, i, j)] * xp[n, c, y+i, z+j]``.
+
+    Builds the (C*kh*kw, b*Ho*Wo) im2col columns of ``b`` samples at a time,
+    ``b`` sized by ``_CHUNK_ELEMENTS``, and multiplies each chunk by ``w2``
+    while it is in cache. With ``keep`` the chunks are written side by side
+    into one (C*kh*kw, N*Ho*Wo) buffer, which is returned with the output;
+    otherwise one chunk-sized buffer is reused and None is returned.
+    """
+    n, c, hp, wp = xp.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    length = ho * wo
+    chunk = max(1, _CHUNK_ELEMENTS // (c * kh * kw * length))
+    cols = np.empty((c * kh * kw, (n if keep else min(n, chunk)) * length), dtype=xp.dtype)
+    out = np.empty((n, w2.shape[0], ho, wo), dtype=np.result_type(xp, w2))
+    for start in range(0, n, chunk):
+        b = min(chunk, n - start)
+        offset = start * length if keep else 0
+        block = cols[:, offset : offset + b * length]
+        taps = block.reshape(c, kh * kw, b, ho, wo)  # a view: only axes are split
+        samples = xp[start : start + b].transpose(1, 0, 2, 3)
+        for i in range(kh):
+            for j in range(kw):
+                taps[:, i * kw + j] = samples[:, :, i : i + ho, j : j + wo]
+        out[start : start + b] = (w2 @ block).reshape(-1, b, ho, wo).transpose(1, 0, 2, 3)
+    return out, (cols if keep else None)
 
 
 class MaxPool2d(Layer):
@@ -142,25 +177,34 @@ class MaxPool2d(Layer):
 
 
 def maxpool2d(x: Tensor, kernel: int) -> Tensor:
-    """Max over non-overlapping windows of ``kernel`` rows of (N, C, H, W)."""
+    """Max over non-overlapping windows of ``kernel`` rows of (N, C, H, W).
+
+    One pass over the ``kernel`` rows of the (N, C, Ho, kernel, W) view keeps
+    the running max and the row it came from. A row takes the index only when
+    strictly greater, so the index is the first maximum and ties route the
+    gradient to the lowest row. Both updates are branch-free ufuncs: a masked
+    copy under a data-dependent mask runs several times slower. The backward
+    multiplies ``g`` by each row's 0/1 mask, so a non-finite ``g`` spreads
+    NaN over its window; the optimiser refuses such a gradient either way.
+    """
     n, c, h, w = x.data.shape
     if h < kernel:
         raise ShapeError(f"pool kernel {kernel} exceeds input height {h}")
     ho = h // kernel
-    # window-last view (N, C, Ho, W, kernel); no copy is made
-    windows = x.data[:, :, : ho * kernel].reshape(n, c, ho, kernel, w).swapaxes(3, 4)
-    # argmax returns the first maximum, so ties route to the lowest index
-    best = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, best[..., None], axis=-1)[..., 0]
+    rows = x.data[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
+    out = rows[:, :, :, 0].copy()
+    best = np.zeros(out.shape, dtype=np.min_scalar_type(kernel - 1))
+    for r in range(1, kernel):
+        greater = rows[:, :, :, r] > out
+        np.maximum(out, rows[:, :, :, r], out=out)
+        # rows come in ascending order, so r exceeds every index set so far
+        np.maximum(best, np.multiply(greater, r, dtype=best.dtype), out=best)
 
     def backward(g):
-        d_windows = np.zeros_like(windows)
-        np.put_along_axis(d_windows, best[..., None], g[..., None], axis=-1)
-        d_cropped = d_windows.swapaxes(3, 4).reshape(n, c, ho * kernel, w)
-        if d_cropped.shape == x.data.shape:
-            return (d_cropped,)
-        d_x = np.zeros_like(x.data)
-        d_x[:, :, : ho * kernel] = d_cropped
+        d_x = np.zeros(x.data.shape, dtype=g.dtype)
+        d_rows = d_x[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
+        for r in range(kernel):
+            np.multiply(g, best == r, out=d_rows[:, :, :, r])
         return (d_x,)
 
     return Tensor._make(out, (x,), backward)

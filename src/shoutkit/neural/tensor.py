@@ -40,6 +40,11 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+def records(*tensors: "Tensor") -> bool:
+    """Whether an op over these inputs is recorded in the graph right now."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
@@ -59,7 +64,7 @@ class Tensor:
     def _make(data, parents, backward_fn):
         """Create an op result; records the graph only when it matters."""
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if records(*parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn

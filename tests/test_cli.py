@@ -10,6 +10,7 @@ from shoutkit.corpus import (RatingRecord, make_rating_subsets, write_ratings_cs
                              write_subsets_csv)
 from shoutkit.audio_io import load_wav
 from shoutkit.features import FeatureKind, FeatureStats, feature_matrix, load_blocks
+from shoutkit.models import build_single_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +185,17 @@ def test_stats_of_another_kind_is_data_error(corpus_dir, tmp_path, capsys):
                  "--stats", str(stats)]) == 3
     assert capsys.readouterr().err.startswith("data error:")
     assert not out.exists()
+
+
+def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys):
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
+    descriptor = save_model(model, tmp_path, "m")
+    FeatureStats.fit([feature_matrix(load_wav(wav), FeatureKind.TMFCC)]).save(
+        tmp_path / "m.stats.tmfcc.json")
+    settings = ["task=four_class", "n_folds=2", "snrs_db=clean",
+                f"manifest={corpus_dir / 'manifest.csv'}", f"audio_root={corpus_dir}"]
+    args = [a for s in settings for a in ("--set", s)]
+    assert main(["evaluate", *args, "--fold", "0", "--model", str(descriptor)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

@@ -366,6 +366,15 @@ class TestTraining:
         with pytest.raises(ConfigError):
             evaluate_model(model, [], data.stats, "binary", cfg.snrs_db, None, seed=0)
 
+    def test_evaluate_refuses_head_of_another_task(self, fold_setup):
+        _, cfg, _, data = fold_setup
+        model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",
+                                   seed=0, dtype=np.float32)
+        for task in ("four_class", "regression"):
+            with pytest.raises(ConfigError, match="binary"):
+                evaluate_model(model, data.test_examples, data.stats, task,
+                               cfg.snrs_db, None, seed=0)
+
     def test_evaluate_requires_noise_for_finite_snr(self, fold_setup):
         _, _, _, data = fold_setup
         model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",

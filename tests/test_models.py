@@ -237,6 +237,29 @@ class TestPersistence:
         restored = load_model(descriptor)
         assert np.allclose(restored.forward(x).data, expected, atol=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("concat", [True, False])
+    @pytest.mark.parametrize("fused", [False, True], ids=["single", "fusion"])
+    @pytest.mark.parametrize("arch", ["cnn", "gru", "cnn_gru"])
+    def test_round_trip_every_build(self, tmp_path, arch, fused, concat, dtype):
+        def build(kind, seed):
+            return build_single_model(arch, kind, "binary", seed=seed, dtype=dtype,
+                                      width_scale=2, gru_concat_width=concat)
+
+        model = build(LOW[0], 5)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 30, 20)).astype(dtype)
+        if fused:
+            model = build_fusion_model(model, build(LOW[1], 9), seed=7)
+            x = (x, rng.standard_normal((3, 30, 20)).astype(dtype))
+        restored = load_model(save_model(model, tmp_path, "m"))
+        state, back = model.state_dict(), restored.state_dict()
+        assert set(back) == set(state)
+        for name, value in state.items():
+            assert back[name].dtype == value.dtype
+            assert np.array_equal(back[name], value)
+        assert np.array_equal(restored.forward(x).data, model.forward(x).data)
+
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         m = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
         other = build_single_model("gru", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)

@@ -8,6 +8,7 @@ from shoutkit.errors import NumericError, RangeError, ShapeError, StateError
 from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, GruCell, LossKind,
                              MaxPool2d, Tensor, cross_entropy_loss, load_checkpoint,
                              loss, mse_loss, save_checkpoint)
+from shoutkit.neural import layers
 from shoutkit.neural import tensor as T
 
 from oracles import (adam_descent_oracle, finite_difference_check, naive_conv2d,
@@ -142,6 +143,61 @@ class TestConv:
             conv(Tensor(np.zeros((1, 3, 5, 5))))
 
 
+def samples_per_chunk(channels, height, width=20, kernel=5):
+    """How many samples one im2col chunk holds at this (padded 'same') shape."""
+    return layers._CHUNK_ELEMENTS // (channels * kernel * kernel * height * width)
+
+
+class TestConvChunks:
+    """Batches that cross the boundaries of the im2col chunks."""
+
+    @pytest.mark.parametrize("channels,height", [(1, 512), (16, 10)],
+                             ids=["high-dim", "low-dim"])
+    def test_matches_naive_across_chunks(self, channels, height):
+        n = 2 * samples_per_chunk(channels, height) + 1
+        assert n >= 3
+        conv = Conv2d(channels, 1, kernel=5, padding=2, rng=rng_of(30))
+        conv.bias.data = rng_of(31).standard_normal(1)
+        x = rng_of(32).standard_normal((n, channels, height, 20))
+        out = conv(Tensor(x)).data
+        oracle = naive_conv2d(x, conv.weight.data, conv.bias.data, padding=2)
+        assert np.max(np.abs(out - oracle)) <= 1e-10
+
+    def test_finite_differences_across_a_chunk_boundary(self):
+        n = samples_per_chunk(16, 20) + 1
+        conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(33))
+        conv.bias.data = rng_of(34).standard_normal(16)
+        x = Tensor(rng_of(35).standard_normal((n, 16, 20, 20)), requires_grad=True)
+        w = Tensor(rng_of(36).standard_normal((n, 16, 20, 20)))
+        err = finite_difference_check(lambda: T.mean_all(T.mul(conv(x), w)),
+                                      dict(conv.parameters(), x=x), h=1e-5)
+        assert err <= 1e-4
+
+    def test_no_grad_gives_the_same_output(self):
+        n = 2 * samples_per_chunk(16, 20) + 1
+        conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(37))
+        x = Tensor(rng_of(38).standard_normal((n, 16, 20, 20)))
+        recorded = conv(x)
+        with neural.no_grad():
+            inference = conv(x)
+        assert recorded.requires_grad and not inference.requires_grad
+        assert np.array_equal(recorded.data, inference.data)
+
+    def test_data_input_still_trains_weight_and_bias(self):
+        conv = Conv2d(1, 4, kernel=5, padding=2, rng=rng_of(39))
+        data = rng_of(40).standard_normal((5, 1, 30, 20))
+        g = Tensor(rng_of(41).standard_normal((5, 4, 30, 20)))
+        grads = {}
+        for requires_grad in (True, False):
+            x = Tensor(data, requires_grad=requires_grad)
+            conv.weight.grad = conv.bias.grad = None
+            T.sum_all(T.mul(conv(x), g)).backward()
+            grads[requires_grad] = (x.grad, conv.weight.grad, conv.bias.grad)
+        assert grads[True][0] is not None and grads[False][0] is None
+        assert np.array_equal(grads[False][1], grads[True][1])
+        assert np.array_equal(grads[False][2], grads[True][2])
+
+
 class TestMaxPool:
     def test_high_dim_heights(self):
         pool = MaxPool2d(5)
@@ -170,6 +226,31 @@ class TestMaxPool:
         T.sum_all(out).backward()
         # all-equal windows: gradient goes to the first row of each window
         assert x.grad[0, 0].ravel().tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_ties_at_batch_with_dropped_rows(self):
+        x = Tensor(np.zeros((3, 2, 11, 4)), requires_grad=True)
+        out = neural.maxpool2d(x, 5)
+        assert out.data.shape == (3, 2, 2, 4)
+        T.sum_all(out).backward()
+        # first row of each all-zero window; row 10 is dropped, so none
+        expected = np.zeros((3, 2, 11, 4))
+        expected[:, :, [0, 5]] = 1.0
+        assert np.array_equal(x.grad, expected)
+
+    def test_pool_commutes_with_relu(self):
+        # small integers give negative windows, all-negative windows and ties
+        data = rng_of(42).integers(-3, 3, size=(4, 3, 17, 5)).astype(np.float64)
+        g = Tensor(rng_of(43).standard_normal((4, 3, 5, 5)))
+        outs, grads = [], []
+        for stage in (lambda t: T.relu(neural.maxpool2d(t, 3)),
+                      lambda t: neural.maxpool2d(T.relu(t), 3)):
+            x = Tensor(data, requires_grad=True)
+            out = stage(x)
+            T.sum_all(T.mul(out, g)).backward()
+            outs.append(out.data)
+            grads.append(x.grad)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(grads[0], grads[1])
 
 
 class TestBiGru:
