@@ -402,10 +402,14 @@ def read_subsets_csv(path) -> list[RatingSubset]:
         header = next(reader, None)
         if header != SUBSETS_COLUMNS:
             raise ManifestError(f"subsets header must be {','.join(SUBSETS_COLUMNS)}")
-        for row in reader:
+        for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
-            grouped[int(row[0])][int(row[1])] = (row[2], bool(int(row[3])))
+            try:
+                subset, slot, item, is_dummy = int(row[0]), int(row[1]), row[2], int(row[3])
+            except (ValueError, IndexError):
+                raise ManifestError("bad subsets row", row=row_number)
+            grouped[subset][slot] = (item, bool(is_dummy))
     subsets = []
     for subset_id, slots in sorted(grouped.items()):
         if sorted(slots) != list(range(TASK_ITEMS)):
@@ -438,12 +442,13 @@ def aggregate_ratings_pipeline(ratings: list[RatingRecord],
             pooled[item_id].append(score)
     labels = {}
     for item_id in sorted(pooled):
-        item_seed = int(np.random.SeedSequence((seed, _stable_key(item_id))).generate_state(1)[0])
+        item_seed = int(np.random.SeedSequence((seed, stable_key(item_id))).generate_state(1)[0])
         labels[item_id] = aggregate_intensity(pooled[item_id], seed=item_seed)
     return labels
 
 
-def _stable_key(text: str) -> int:
+def stable_key(text: str) -> int:
+    """A string hash that, unlike ``hash``, is the same in every process."""
     value = 0
     for ch in text:
         value = (value * 1000003 + ord(ch)) % (2**31)

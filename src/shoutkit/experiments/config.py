@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..audio_io import CLEAN, SWEEP_SNRS_DB
+from ..corpus import stable_key
 from ..errors import ConfigError
 
 _VALID_TASKS = ("binary", "four_class", "regression")
@@ -21,15 +22,8 @@ _VALID_TASKS = ("binary", "four_class", "regression")
 
 def derive_seed(master: int, *tags) -> int:
     """Stable sub-seed from a master seed and a sequence of string/int tags."""
-    parts = [int(master)]
-    for tag in tags:
-        if isinstance(tag, str):
-            value = 0
-            for ch in tag:
-                value = (value * 1000003 + ord(ch)) % (2**31)
-            parts.append(value)
-        else:
-            parts.append(int(tag) & 0x7FFFFFFF)
+    parts = [int(master)] + [stable_key(tag) if isinstance(tag, str) else int(tag) & 0x7FFFFFFF
+                             for tag in tags]
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 

@@ -53,10 +53,6 @@ class FeatureKind(Enum):
     def dim(self) -> int:
         return _KIND_DIMS[self]
 
-    @property
-    def high_dimensional(self) -> bool:
-        return self in (FeatureKind.SPECTROGRAM, FeatureKind.CEPSTROGRAM)
-
 
 _KIND_DIMS = {
     FeatureKind.SPECTROGRAM: 512,
@@ -277,8 +273,14 @@ class FeatureStats:
 
     @classmethod
     def load(cls, path) -> "FeatureStats":
-        payload = json.loads(Path(path).read_text())
-        return cls(mean=np.asarray(payload["mean"]), std=np.asarray(payload["std"]))
+        try:
+            payload = json.loads(Path(path).read_text())
+            mean, std = (np.asarray(payload[key], dtype=np.float64) for key in ("mean", "std"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: not a feature stats file ({exc!r})") from None
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise FormatError(f"{path}: mean {mean.shape} and std {std.shape} are not one length")
+        return cls(mean=mean, std=std)
 
 
 def split_blocks(matrix: np.ndarray, kind: FeatureKind,

@@ -268,8 +268,6 @@ class SingleFeatureModel(NetworkGraph):
 
     def embed(self, x, ledger=None) -> Tensor:
         t = self._as_tensor(x)
-        if t.data.ndim == 2:
-            t = T.reshape(t, (1,) + t.data.shape)
         if t.data.ndim != 3 or t.data.shape[1] != self.dims.d1 or t.data.shape[2] != BLOCK_FRAMES:
             raise ShapeError(f"expected blocks of shape (N, {self.dims.d1}, {BLOCK_FRAMES}), "
                              f"got {t.data.shape}")
@@ -356,8 +354,6 @@ class BaselineMlp(NetworkGraph):
 
     def embed(self, x, ledger=None) -> Tensor:
         t = self._as_tensor(x)
-        if t.data.ndim == 2:
-            t = T.reshape(t, (1,) + t.data.shape)
         if t.data.shape[1:] != (self.kind.dim, BLOCK_FRAMES):
             raise ShapeError(f"expected (N, {self.kind.dim}, {BLOCK_FRAMES}), got {t.data.shape}")
         n = t.data.shape[0]

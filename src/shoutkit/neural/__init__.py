@@ -1,18 +1,18 @@
 """Minimal differentiable-computation engine: tensors, layers, losses, Adam."""
 
-from .tensor import (Tensor, no_grad, grad_enabled, add, mul, matmul, reshape,
+from .tensor import (Tensor, no_grad, add, mul, matmul, reshape,
                      transpose, narrow, concat, relu, sigmoid, tanh, softmax,
                      log_clipped, gather_rows, sum_all, mean_all)
-from .layers import Dense, Conv2d, MaxPool2d, BiGRU, GruCell, conv2d, maxpool2d
+from .layers import Dense, Conv2d, MaxPool2d, BiGRU, conv2d, maxpool2d, gru_sequence
 from .losses import LossKind, loss, mse_loss, cross_entropy_loss
 from .optim import Adam, AdamState
 from .checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
-    "Tensor", "no_grad", "grad_enabled", "add", "mul", "matmul", "reshape",
+    "Tensor", "no_grad", "add", "mul", "matmul", "reshape",
     "transpose", "narrow", "concat", "relu", "sigmoid", "tanh", "softmax",
     "log_clipped", "gather_rows", "sum_all", "mean_all",
-    "Dense", "Conv2d", "MaxPool2d", "BiGRU", "GruCell", "conv2d", "maxpool2d",
+    "Dense", "Conv2d", "MaxPool2d", "BiGRU", "conv2d", "maxpool2d", "gru_sequence",
     "LossKind", "loss", "mse_loss", "cross_entropy_loss",
     "Adam", "AdamState", "save_checkpoint", "load_checkpoint",
 ]

@@ -1,8 +1,9 @@
 """Network layers built on the autograd Tensor.
 
-Dense and the GRU cell are compositions of tensor primitives; convolution and
-max-pooling are custom graph nodes with hand-written backward passes (checked
-against finite differences in the test suite).
+Dense is a composition of tensor primitives; convolution, max-pooling and
+one GRU direction over a whole sequence are custom graph nodes with
+hand-written backward passes (checked against finite differences in the test
+suite). Every layer takes batched input only.
 
 Convolution builds its im2col columns a few samples at a time, so each GEMM
 reads columns that are still in cache, and keeps them for the weight
@@ -73,14 +74,10 @@ class Conv2d(Layer):
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.data.ndim == 3
-        if squeeze:
-            x = T.reshape(x, (1,) + x.data.shape)
         if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv2d expects (N, {self.in_channels}, H, W), got {x.data.shape}")
-        out = conv2d(x, self.weight, self.bias, self.padding)
-        return T.reshape(out, out.data.shape[1:]) if squeeze else out
+        return conv2d(x, self.weight, self.bias, self.padding)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -166,11 +163,7 @@ class MaxPool2d(Layer):
         self.kernel = kernel
 
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.data.ndim == 3
-        if squeeze:
-            x = T.reshape(x, (1,) + x.data.shape)
-        out = maxpool2d(x, self.kernel)
-        return T.reshape(out, out.data.shape[1:]) if squeeze else out
+        return maxpool2d(x, self.kernel)
 
     def parameters(self):
         return {}
@@ -187,6 +180,8 @@ def maxpool2d(x: Tensor, kernel: int) -> Tensor:
     multiplies ``g`` by each row's 0/1 mask, so a non-finite ``g`` spreads
     NaN over its window; the optimiser refuses such a gradient either way.
     """
+    if x.data.ndim != 4:
+        raise ShapeError(f"maxpool2d expects (N, C, H, W), got {x.data.shape}")
     n, c, h, w = x.data.shape
     if h < kernel:
         raise ShapeError(f"pool kernel {kernel} exceeds input height {h}")
@@ -210,58 +205,80 @@ def maxpool2d(x: Tensor, kernel: int) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-class GruCell:
-    """Single-direction GRU cell; gate order (reset, update, candidate).
+def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
+                 b_hidden: Tensor, reverse: bool) -> Tensor:
+    """One GRU direction over (N, T, F) from h = 0; returns every state, (N, T, k).
 
-    r_t = sigmoid(x_t Wi_r + h Wh_r + bi_r + bh_r)
-    z_t = sigmoid(x_t Wi_z + h Wh_z + bi_z + bh_z)
+    Gate order (reset, update, candidate), over t = 0..T-1 (T-1..0 with ``reverse``):
+
+    r_t = sigmoid(x_t Wi_r + bi_r + h Wh_r + bh_r)
+    z_t = sigmoid(x_t Wi_z + bi_z + h Wh_z + bh_z)
     n_t = tanh(x_t Wi_n + bi_n + r_t * (h Wh_n + bh_n))
     h_t = (1 - z_t) * n_t + z_t * h
+
+    The input projection of all steps is one GEMM. The backward runs the
+    recurrence in reverse and takes ``d_w_input`` and ``d_w_hidden`` as one
+    GEMM each over all steps; ``d_x`` is skipped when ``x`` needs no gradient.
     """
+    n, steps, f = x.data.shape
+    k = w_hidden.data.shape[0]
+    time_major = x.data.transpose(1, 0, 2).reshape(steps * n, f)
+    gi = (time_major @ w_input.data + b_input.data).reshape(steps, n, 3 * k)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    # per step taken, in the order taken: states[s] is the state it starts
+    # from, gates[s] its r, z, n and h Wh_n + bh_n side by side
+    states = np.zeros((steps + 1, n, k), dtype=gi.dtype)
+    gates = np.empty((steps, n, 4 * k), dtype=gi.dtype)
+    for s, t in enumerate(order):
+        gh = states[s] @ w_hidden.data + b_hidden.data
+        gates[s, :, : 2 * k] = T.logistic(gi[t, :, : 2 * k] + gh[:, : 2 * k])
+        gates[s, :, 3 * k :] = gh[:, 2 * k :]
+        r, z, cand, hn = np.split(gates[s], 4, axis=1)
+        cand[...] = np.tanh(gi[t, :, 2 * k :] + r * hn)
+        states[s + 1] = (1 - z) * cand + z * states[s]
 
-    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator, dtype=np.float64):
-        self.input_dim = input_dim
-        self.hidden = hidden
-        self.w_input = Tensor(recurrent_uniform(rng, (input_dim, 3 * hidden), hidden, dtype),
-                              requires_grad=True)
-        self.w_hidden = Tensor(recurrent_uniform(rng, (hidden, 3 * hidden), hidden, dtype),
-                               requires_grad=True)
-        self.b_input = Tensor(np.zeros(3 * hidden, dtype=dtype), requires_grad=True)
-        self.b_hidden = Tensor(np.zeros(3 * hidden, dtype=dtype), requires_grad=True)
+    def backward(g):
+        d_gi = np.empty_like(gi)  # time order, like time_major
+        d_gh = np.empty_like(gi)  # step order, like states
+        d_h = np.zeros((n, k), dtype=gi.dtype)
+        for s in reversed(range(steps)):
+            t = order[s]
+            d_h = d_h + g[:, t]
+            r, z, cand, hn = np.split(gates[s], 4, axis=1)
+            d_n = d_h * (1 - z) * (1 - cand * cand)
+            d_gi[t, :, 2 * k :] = d_n
+            d_gi[t, :, :k] = d_n * hn * r * (1 - r)
+            d_gi[t, :, k : 2 * k] = d_h * (states[s] - cand) * z * (1 - z)
+            d_gh[s, :, : 2 * k] = d_gi[t, :, : 2 * k]
+            d_gh[s, :, 2 * k :] = d_n * r
+            d_h = d_h * z + d_gh[s] @ w_hidden.data.T
+        d_gi, d_gh = d_gi.reshape(-1, 3 * k), d_gh.reshape(-1, 3 * k)
+        d_w_input = time_major.T @ d_gi
+        d_w_hidden = states[:-1].reshape(-1, k).T @ d_gh
+        d_x = None
+        if x.requires_grad:
+            d_x = (d_gi @ w_input.data.T).reshape(steps, n, f).transpose(1, 0, 2)
+        return d_x, d_w_input, d_w_hidden, d_gi.sum(axis=0), d_gh.sum(axis=0)
 
-    def step(self, gi: Tensor, h: Tensor) -> Tensor:
-        """One update given the precomputed input projection gi = x W_i + b_i."""
-        k = self.hidden
-        gh = T.add(T.matmul(h, self.w_hidden), self.b_hidden)
-        r = T.sigmoid(T.add(T.narrow(gi, 1, 0, k), T.narrow(gh, 1, 0, k)))
-        z = T.sigmoid(T.add(T.narrow(gi, 1, k, k), T.narrow(gh, 1, k, k)))
-        n = T.tanh(T.add(T.narrow(gi, 1, 2 * k, k),
-                         T.mul(r, T.narrow(gh, 1, 2 * k, k))))
-        return T.add(T.mul(1.0 - z, n), T.mul(z, h))
-
-    def run(self, steps: list[Tensor], batch: int, dtype) -> list[Tensor]:
-        """Run over per-step input projections, returning hidden states."""
-        h = Tensor(np.zeros((batch, self.hidden), dtype=dtype))
-        states = []
-        for gi in steps:
-            h = self.step(gi, h)
-            states.append(h)
-        return states
-
-    def parameters(self):
-        return {"w_input": self.w_input, "w_hidden": self.w_hidden,
-                "b_input": self.b_input, "b_hidden": self.b_hidden}
+    out = states[1:][::-1] if reverse else states[1:]
+    return Tensor._make(out.transpose(1, 0, 2), (x, w_input, w_hidden, b_input, b_hidden),
+                        backward)
 
 
 class BiGRU(Layer):
-    """Bidirectional GRU over (N, T, F); per-step outputs concatenated."""
+    """Bidirectional GRU over (N, T, F): one ``gru_sequence`` node per direction,
+    per-step outputs concatenated."""
 
     def __init__(self, input_dim: int, hidden_per_direction: int,
                  rng: np.random.Generator, dtype=np.float64):
         self.input_dim = input_dim
-        self.hidden = hidden_per_direction
-        self.forward_cell = GruCell(input_dim, hidden_per_direction, rng, dtype)
-        self.backward_cell = GruCell(input_dim, hidden_per_direction, rng, dtype)
+        self.hidden = k = hidden_per_direction
+        self.weights = {
+            tag: (Tensor(recurrent_uniform(rng, (input_dim, 3 * k), k, dtype), requires_grad=True),
+                  Tensor(recurrent_uniform(rng, (k, 3 * k), k, dtype), requires_grad=True),
+                  Tensor(np.zeros(3 * k, dtype=dtype), requires_grad=True),
+                  Tensor(np.zeros(3 * k, dtype=dtype), requires_grad=True))
+            for tag in ("fwd", "bwd")}
 
     def __call__(self, x: Tensor):
         """Returns (sequence (N, T, 2h), final (N, 2h)).
@@ -269,33 +286,15 @@ class BiGRU(Layer):
         ``final`` concatenates each direction's last computed state, i.e. the
         forward state after step T-1 and the backward state after step 0.
         """
-        if x.data.ndim == 2:
-            x = T.reshape(x, (1,) + x.data.shape)
         if x.data.ndim != 3 or x.data.shape[2] != self.input_dim:
             raise ShapeError(f"bigru expects (N, T, {self.input_dim}), got {x.data.shape}")
         n, steps, _ = x.data.shape
-        dtype = x.data.dtype
-
-        # One big input projection per direction, then per-step slices.
-        time_major = T.reshape(T.transpose(x, (1, 0, 2)), (steps * n, self.input_dim))
-
-        def projections(cell):
-            gi_all = T.add(T.matmul(time_major, cell.w_input), cell.b_input)
-            return [T.narrow(gi_all, 0, t * n, n) for t in range(steps)]
-
-        fwd_states = self.forward_cell.run(projections(self.forward_cell), n, dtype)
-        bwd_inputs = list(reversed(projections(self.backward_cell)))
-        bwd_states = list(reversed(self.backward_cell.run(bwd_inputs, n, dtype)))
-
-        per_step = [T.reshape(T.concat([f, b], axis=1), (n, 1, 2 * self.hidden))
-                    for f, b in zip(fwd_states, bwd_states)]
-        sequence = T.concat(per_step, axis=1)
-        final = T.concat([fwd_states[-1], bwd_states[0]], axis=1)
-        return sequence, final
+        fwd = gru_sequence(x, *self.weights["fwd"], reverse=False)
+        bwd = gru_sequence(x, *self.weights["bwd"], reverse=True)
+        sequence = T.concat([fwd, bwd], axis=2)
+        final = T.concat([T.narrow(fwd, 1, steps - 1, 1), T.narrow(bwd, 1, 0, 1)], axis=2)
+        return sequence, T.reshape(final, (n, 2 * self.hidden))
 
     def parameters(self):
-        params = {}
-        for tag, cell in (("fwd", self.forward_cell), ("bwd", self.backward_cell)):
-            for name, p in cell.parameters().items():
-                params[f"{tag}.{name}"] = p
-        return params
+        return {f"{tag}.{name}": p for tag, weights in self.weights.items()
+                for name, p in zip(("w_input", "w_hidden", "b_input", "b_hidden"), weights)}

@@ -36,10 +36,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def records(*tensors: "Tensor") -> bool:
     """Whether an op over these inputs is recorded in the graph right now."""
     return _grad_enabled and any(t.requires_grad for t in tensors)
@@ -83,9 +79,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- backward ------------------------------------------------------------
 
@@ -291,13 +284,18 @@ def relu(t: Tensor) -> Tensor:
     return Tensor._make(out, (t,), backward)
 
 
-def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise sigmoid; each sign takes the form whose exp cannot overflow."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     expx = np.exp(x[~pos])
     out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+def sigmoid(t: Tensor) -> Tensor:
+    out = logistic(t.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)

@@ -151,3 +151,14 @@ def finite_difference_check(forward, params, h=1e-5, max_coords=25, seed=0):
         scale = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-8)
         worst = max(worst, np.max(np.abs(numeric - analytic)) / scale)
     return worst
+
+
+def count_graph_nodes(root):
+    """Recorded op nodes reachable from ``root``, one per backward closure."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward_fn is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)

@@ -176,6 +176,38 @@ def test_missing_file_is_data_error(corpus_dir, tmp_path, capsys, argv):
     assert err.startswith("data error:") and err.count("\n") == 1
 
 
+SUBSETS_HEADER = "subset_id,item_index,item_id,is_dummy\n"
+
+
+@pytest.mark.parametrize("case", [
+    ("subsets", SUBSETS_HEADER + "x,0,a,0\n", "row 2"),
+    ("subsets", SUBSETS_HEADER + "1,0\n", "row 2"),
+    ("stats", "{not json", "stats"),
+    ("stats", '{"std": [1.0]}', "stats"),
+    ("stats", json.dumps({"mean": [0.0] * 30, "std": [1.0] * 29}), "stats"),
+], ids=["subsets-not-an-int", "subsets-short-row", "stats-bad-json", "stats-no-mean",
+        "stats-lengths-differ"])
+def test_malformed_file_is_data_error(corpus_dir, tmp_path, capsys, case):
+    what, text, mentioned = case
+    bad = tmp_path / f"bad.{what}"
+    bad.write_text(text)
+    if what == "subsets":
+        subsets = make_rating_subsets([f"item{i}" for i in range(20)], seed=2)
+        ratings = [RatingRecord(worker_id="w0", subset_id=1, scores=(4,) * 21,
+                                dummy_index=subsets[0].dummy_position)]
+        write_ratings_csv(ratings, tmp_path / "ratings.csv")
+        argv = ["corpus", "aggregate", "--ratings", str(tmp_path / "ratings.csv"),
+                "--subsets", str(bad), "--output", str(tmp_path / "out.csv")]
+    else:
+        wav = next((corpus_dir / "wav").glob("*.wav"))
+        argv = ["extract", str(wav), str(tmp_path / "o.fbk"), "--kind", "tmfcc",
+                "--stats", str(bad)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert mentioned in err
+
+
 def test_stats_of_another_kind_is_data_error(corpus_dir, tmp_path, capsys):
     wav = next((corpus_dir / "wav").glob("*.wav"))
     stats = tmp_path / "spectrogram.json"

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from shoutkit.errors import ConfigError, DegenerateInputError
+from shoutkit import neural
+from shoutkit.errors import ConfigError, DegenerateInputError, ShapeError
 from shoutkit.features import FeatureKind
 from shoutkit.models import (Arch, HeadKind, build_baseline_mlp, build_fusion_model,
                              build_single_model, load_model, predict_clip, save_model)
+
+from oracles import count_graph_nodes
 
 HIGH = (FeatureKind.SPECTROGRAM, FeatureKind.CEPSTROGRAM)
 LOW = (FeatureKind.MEL_SPECTROGRAM, FeatureKind.TMFCC)
@@ -280,3 +283,29 @@ def test_four_class_rows_sum_to_one():
     x = np.random.default_rng(2).standard_normal((5, 30, 20))
     out = m.forward(x).data
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_gru_loss_graph_is_a_few_nodes():
+    m = build_single_model("gru", FeatureKind.SPECTROGRAM, "binary", seed=0, dtype=np.float32)
+    x = np.random.default_rng(3).standard_normal((32, 512, 20)).astype(np.float32)
+    assert count_graph_nodes(neural.mse_loss(m.forward(x), np.ones((32, 1)))) <= 20
+
+
+def _unbatched(shape):
+    return neural.Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: neural.Conv2d(1, 2, 5, 2, np.random.default_rng(0))(_unbatched((1, 8, 8))),
+    lambda: neural.MaxPool2d(2)(_unbatched((1, 8, 8))),
+    lambda: neural.maxpool2d(_unbatched((1, 8, 8)), 2),
+    lambda: neural.BiGRU(3, 2, np.random.default_rng(0))(_unbatched((5, 3))),
+    lambda: build_single_model("cnn", FeatureKind.TMFCC, "binary", width_scale=4).forward(
+        np.zeros((30, 20))),
+    lambda: build_single_model("gru", FeatureKind.TMFCC, "binary", width_scale=4).forward(
+        np.zeros((30, 20))),
+    lambda: build_baseline_mlp("binary", width_scale=4).forward(np.zeros((60, 20))),
+], ids=["Conv2d", "MaxPool2d", "maxpool2d", "BiGRU", "cnn", "gru", "mlp"])
+def test_unbatched_input_refused(call):
+    with pytest.raises(ShapeError):
+        call()

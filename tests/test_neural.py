@@ -5,14 +5,14 @@ import pytest
 
 from shoutkit import neural
 from shoutkit.errors import NumericError, RangeError, ShapeError, StateError
-from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, GruCell, LossKind,
-                             MaxPool2d, Tensor, cross_entropy_loss, load_checkpoint,
-                             loss, mse_loss, save_checkpoint)
+from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor,
+                             cross_entropy_loss, gru_sequence, load_checkpoint, loss,
+                             mse_loss, save_checkpoint)
 from shoutkit.neural import layers
 from shoutkit.neural import tensor as T
 
-from oracles import (adam_descent_oracle, finite_difference_check, naive_conv2d,
-                     scalar_gru_step)
+from oracles import (adam_descent_oracle, count_graph_nodes, finite_difference_check,
+                     naive_conv2d, scalar_gru_step)
 
 
 def rng_of(seed):
@@ -119,8 +119,8 @@ class TestConv:
 
     def test_preserves_spatial_dims(self):
         conv = Conv2d(1, 16, kernel=5, padding=2, rng=rng_of(0))
-        out = conv(Tensor(np.zeros((1, 512, 20))))
-        assert out.data.shape == (16, 512, 20)
+        out = conv(Tensor(np.zeros((2, 1, 512, 20))))
+        assert out.data.shape == (2, 16, 512, 20)
 
     def test_matches_naive_convolution(self):
         # the documented configuration: 5x5 kernel, stride 1, padding 2
@@ -264,23 +264,56 @@ class TestBiGru:
         assert seq.data.shape == (2, 5, 4)
 
     def test_single_step_matches_scalar_oracle(self):
-        cell = GruCell(1, 1, rng_of(0))
         wi_r, wi_z, wi_n = 0.5, -0.25, 0.8
         wh_r, wh_z, wh_n = 0.3, 0.1, -0.6
-        cell.w_input.data = np.array([[wi_r, wi_z, wi_n]])
-        cell.w_hidden.data = np.array([[wh_r, wh_z, wh_n]])
-        x_value, h_prev = 0.9, 0.4
-        gi = T.add(T.matmul(Tensor(np.array([[x_value]])), cell.w_input), cell.b_input)
-        h = cell.step(gi, Tensor(np.array([[h_prev]])))
-        expected = scalar_gru_step(x_value, h_prev, wi_r, wi_z, wi_n, wh_r, wh_z, wh_n)
-        assert float(h.data[0, 0]) == pytest.approx(expected, abs=1e-12)
+        weights = (Tensor(np.array([[wi_r, wi_z, wi_n]])), Tensor(np.array([[wh_r, wh_z, wh_n]])),
+                   Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        # the step that reads x = 0.9 starts from the state the first step left
+        states = gru_sequence(Tensor(np.array([[[-1.3], [0.9]]])), *weights, reverse=False)
+        h_prev = float(states.data[0, 0, 0])
+        assert h_prev != 0.0
+        expected = scalar_gru_step(0.9, h_prev, wi_r, wi_z, wi_n, wh_r, wh_z, wh_n)
+        assert float(states.data[0, 1, 0]) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_sequence_matches_scalar_oracle(self, reverse):
+        wi, wh = (0.5, -0.25, 0.8), (0.3, 0.1, -0.6)
+        bi, bh = (0.1, -0.2, 0.05), (-0.3, 0.15, 0.2)
+        xs = [0.9, -1.3, 0.2, 2.0, -0.4, 0.0]
+        states = gru_sequence(Tensor(np.array(xs).reshape(1, -1, 1)),
+                              Tensor(np.array([wi])), Tensor(np.array([wh])),
+                              Tensor(np.array(bi)), Tensor(np.array(bh)), reverse=reverse)
+        h = 0.0
+        for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+            h = scalar_gru_step(xs[t], h, *wi, *wh, *bi, *bh)
+            assert float(states.data[0, t, 0]) == pytest.approx(h, abs=1e-12)
+
+    def test_parameters_are_recurrent_uniform_draws_in_order(self):
+        rng = rng_of(4)
+        draws = [layers.recurrent_uniform(rng, shape, 2, np.float32)
+                 for shape in ((3, 6), (2, 6), (3, 6), (2, 6))]
+        params = BiGRU(3, 2, rng_of(4), np.float32).parameters()
+        assert list(params) == [f"{tag}.{name}" for tag in ("fwd", "bwd")
+                                for name in ("w_input", "w_hidden", "b_input", "b_hidden")]
+        expected = [draws[0], draws[1], np.zeros(6), np.zeros(6),
+                    draws[2], draws[3], np.zeros(6), np.zeros(6)]
+        for p, value in zip(params.values(), expected):
+            assert p.requires_grad and p.data.dtype == np.float32
+            assert np.array_equal(p.data, value)
+
+    def test_graph_size_does_not_grow_with_steps(self):
+        def nodes(steps):
+            seq, final = BiGRU(3, 2, rng_of(0))(Tensor(rng_of(1).standard_normal((2, steps, 3))))
+            return count_graph_nodes(T.add(T.sum_all(seq), T.sum_all(final)))
+
+        assert nodes(5) == nodes(20)
 
     def test_time_reversal_swaps_streams(self):
         gru = BiGRU(3, 2, rng_of(7))
         # share parameters between the two directions
-        fwd = gru.forward_cell.parameters()
-        for name, p in gru.backward_cell.parameters().items():
-            p.data = fwd[name].data.copy()
+        params = gru.parameters()
+        for name in ("w_input", "w_hidden", "b_input", "b_hidden"):
+            params[f"bwd.{name}"].data = params[f"fwd.{name}"].data.copy()
         x = rng_of(8).standard_normal((1, 6, 3))
         seq, _ = gru(Tensor(x))
         seq_rev, _ = gru(Tensor(x[:, ::-1].copy()))
@@ -371,6 +404,29 @@ class TestGradientChecks:
 
         err = finite_difference_check(forward, dict(gru.parameters(), x=x), h=self.H)
         assert err <= self.TOL
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_gru_sequence(self, reverse):
+        weights = {name: Tensor(rng_of(seed).uniform(-0.6, 0.6, shape), requires_grad=True)
+                   for seed, (name, shape) in enumerate((("w_input", (3, 6)), ("w_hidden", (2, 6)),
+                                                         ("b_input", (6,)), ("b_hidden", (6,))))}
+        x = Tensor(rng_of(9).standard_normal((2, 5, 3)), requires_grad=True)
+        w = Tensor(rng_of(10).standard_normal((2, 5, 2)))
+        err = finite_difference_check(
+            lambda: T.mean_all(T.mul(gru_sequence(x, *weights.values(), reverse=reverse), w)),
+            dict(weights, x=x), h=self.H)
+        assert err <= self.TOL
+
+        # a data input gets no gradient, and the weights get the same ones
+        grads = {name: p.grad.copy() for name, p in weights.items()}
+        data = Tensor(x.data)
+        out = gru_sequence(data, *weights.values(), reverse=reverse)
+        assert out._backward_fn(w.data)[0] is None
+        for p in weights.values():
+            p.zero_grad()
+        T.mean_all(T.mul(out, w)).backward()
+        for name, p in weights.items():
+            assert np.array_equal(p.grad, grads[name])
 
     def test_mse_path(self):
         layer = Dense(3, 1, rng_of(11))
