@@ -25,8 +25,8 @@ from .experiments import (ExperimentConfig, apply_overrides, build_fold_data,
                           corpus_examples, derive_seed, evaluate_model,
                           export_plot_csvs, load_config, load_noise,
                           make_classification_corpus, make_intensity_corpus,
-                          parse_feature_set, plan_folds, run_suite, snr_label,
-                          write_synth_corpus)
+                          parse_feature_set, parse_snr, plan_folds, run_suite,
+                          snr_label, write_synth_corpus)
 from .experiments.training import build_cell_model
 from .features import FeatureStats, assemble_blocks, parse_feature_kind, save_blocks, write_blocks_csv
 from .models import load_model, save_model
@@ -71,7 +71,7 @@ def cmd_extract(args) -> int:
 
 def cmd_mix(args) -> int:
     speech = audio_io.load_wav(args.speech)
-    snr = audio_io.CLEAN if args.snr.lower() == "clean" else float(args.snr)
+    snr = parse_snr(args.snr)
     noise = audio_io.load_wav(args.noise) if args.noise else None
     spec = audio_io.NoiseSpec(snr_db=snr, noise=noise, seed=args.seed)
     mixed = audio_io.mix_noise_at_snr(speech, spec)

@@ -36,13 +36,17 @@ def snr_label(snr_db: float) -> str:
 
 
 def parse_snr(text: str) -> float:
+    """A dB value, or CLEAN for ``clean`` / ``inf``; NaN and -inf are refused."""
     text = text.strip().lower()
     if text in ("clean", "inf", "infinity"):
         return CLEAN
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"bad SNR value {text!r}")
+    if math.isnan(value) or value == -math.inf:
+        raise ConfigError(f"bad SNR value {text!r}: expected a finite dB value or 'clean'")
+    return value
 
 
 @dataclass(frozen=True)

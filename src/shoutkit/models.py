@@ -549,8 +549,12 @@ def load_model(descriptor_path) -> NetworkGraph:
         kinds = tuple(FeatureKind(k) for k in fields["features"].split("+"))
         head = HeadKind(fields["head"])
         seed = int(fields["seed"])
+        if fields["dtype"] not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {fields['dtype']!r}")
         dtype = np.dtype(fields["dtype"])
         width_scale = int(fields.get("width_scale", "1"))
+        if width_scale < 1:
+            raise ValueError(f"width_scale must be an integer >= 1, got {width_scale}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad model descriptor {descriptor_path}: {exc}") from exc
     if arch is Arch.MLP_BASELINE:

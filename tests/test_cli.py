@@ -231,3 +231,33 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     assert main(["evaluate", *args, "--fold", "0", "--model", str(descriptor)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [
+    ("snr", "nan", "'nan'"),
+    ("snr", "-inf", "'-inf'"),
+    ("snr", "abc", "'abc'"),
+    ("width_scale", "0", "width_scale"),
+    ("width_scale", "-2", "width_scale"),
+    ("dtype", "int8", "'int8'"),
+    ("dtype", "float16", "'float16'"),
+], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
+        "width-scale-negative", "dtype-int8", "dtype-float16"])
+def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
+    key, value, mentioned = case
+    out = tmp_path / "mixed.wav"
+    if key == "snr":
+        wav = next((corpus_dir / "wav").glob("*.wav"))
+        argv = ["mix", str(wav), str(out), f"--snr={value}"]
+    else:
+        model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
+        descriptor = save_model(model, tmp_path, "m")
+        lines = descriptor.read_text().splitlines()
+        descriptor.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =")
+                                        else line for line in lines) + "\n")
+        argv = ["evaluate", "--model", str(descriptor)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert mentioned in err
+    assert not out.exists()

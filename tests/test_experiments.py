@@ -176,7 +176,11 @@ class TestConfig:
         assert snr_label(CLEAN) == "clean"
         assert snr_label(-10.0) == "-10"
         assert parse_snr("clean") == CLEAN
+        assert parse_snr("inf") == CLEAN
         assert parse_snr("-5") == -5.0
+        for bad in ("nan", "-inf", "abc"):
+            with pytest.raises(ConfigError):
+                parse_snr(bad)
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, "folds") == derive_seed(7, "folds")

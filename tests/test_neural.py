@@ -1,5 +1,7 @@
 """neural: autograd ops, layers, losses, Adam, determinism, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from shoutkit.neural import layers
 from shoutkit.neural import tensor as T
 
 from oracles import (adam_descent_oracle, count_graph_nodes, finite_difference_check,
-                     naive_conv2d, scalar_gru_step)
+                     full_batch_conv_weight_grad, naive_conv2d, scalar_gru_step)
 
 
 def rng_of(seed):
@@ -196,6 +198,54 @@ class TestConvChunks:
         assert grads[True][0] is not None and grads[False][0] is None
         assert np.array_equal(grads[False][1], grads[True][1])
         assert np.array_equal(grads[False][2], grads[True][2])
+
+
+class TestConvColumnRebuild:
+    """A recorded conv keeps its im2col columns only when the batch fits in one
+    chunk; otherwise the backward rebuilds them chunk by chunk."""
+
+    @staticmethod
+    def weight_grad(channels, height, n, dtype):
+        conv = Conv2d(channels, 16, kernel=5, padding=2, rng=rng_of(50), dtype=dtype)
+        x = rng_of(51).standard_normal((n, channels, height, 20)).astype(dtype)
+        g = rng_of(52).standard_normal((n, 16, height, 20)).astype(dtype)
+        T.sum_all(T.mul(conv(Tensor(x, requires_grad=True)), Tensor(g))).backward()
+        return conv.weight.grad, full_batch_conv_weight_grad(x, g, kernel=5, padding=2)
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-14)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("channels,height,n", [(16, 102, 3), (16, 10, 33), (1, 512, 10)],
+                             ids=["high-dim-layer2", "low-dim-layer2-uneven",
+                                  "high-dim-layer1-uneven"])
+    def test_rebuilt_weight_grad_matches_full_batch_gemm(self, channels, height, n,
+                                                         dtype, rtol):
+        assert n > samples_per_chunk(channels, height)
+        d_weight, reference = self.weight_grad(channels, height, n, dtype)
+        assert d_weight.dtype == dtype
+        assert np.max(np.abs(d_weight - reference)) <= rtol * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_one_chunk_weight_grad_is_the_full_batch_gemm(self, dtype):
+        n = samples_per_chunk(16, 10)
+        d_weight, reference = self.weight_grad(16, 10, n, dtype)
+        assert np.array_equal(d_weight, reference)
+
+    def test_recorded_forward_keeps_no_full_batch_columns(self):
+        conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(53), dtype=np.float32)
+        x = Tensor(rng_of(54).standard_normal((32, 16, 102, 20)).astype(np.float32),
+                   requires_grad=True)
+        padded_bytes = 32 * 16 * (102 + 4) * (20 + 4) * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv(x)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # the backward rebuilds the columns from the padded input; a full-batch
+        # column buffer would be 400 x 65 280 float32 (104 MB)
+        assert retained <= padded_bytes + layers._CHUNK_ELEMENTS * 4
 
 
 class TestMaxPool:
