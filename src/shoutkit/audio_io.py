@@ -23,8 +23,6 @@ SWEEP_SNRS_DB = (CLEAN, 20.0, 10.0, 5.0, 0.0, -5.0, -10.0, -20.0)
 # Corpus amplitude convention: peaks normalized to 30000 on the int16 grid.
 DEFAULT_TARGET_PEAK = 30000.0 / 32768.0
 
-INGEST_RATES = (48000, 16000)
-
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -49,9 +47,6 @@ class AudioClip:
         if peak > 1.0 + 1e-12:
             raise DegenerateInputError(f"clip peak {peak:.6f} exceeds 1.0")
         return self
-
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass(frozen=True)

@@ -116,10 +116,8 @@ def cmd_train(args) -> int:
     kinds = parse_feature_set(cfg.features[0])
     examples, fold = _corpus_and_fold(cfg, args.fold)
     data = build_fold_data(examples, fold, kinds, cfg, noise=load_noise(cfg.noise))
-    logs: list = []
     raw_logs: list = []
-    model = build_cell_model(cfg.archs[0], kinds, cfg, data, args.fold,
-                             log_sink=logs, raw_logs=raw_logs)
+    model = build_cell_model(cfg.archs[0], kinds, cfg, data, args.fold, raw_logs=raw_logs)
     out_dir = Path(args.output)
     descriptor = save_model(model, out_dir, args.name)
     if raw_logs and raw_logs[-1].best_state is not None:
@@ -128,10 +126,9 @@ def cmd_train(args) -> int:
         save_checkpoint(raw_logs[-1].best_state, out_dir / f"{args.name}.best.ckpt")
     for kind in kinds:
         data.stats[kind].save(out_dir / f"{args.name}.stats.{kind.value}.json")
-    for summary, log in zip(logs, raw_logs):
-        summary["curve"] = log.epochs
+    stages = [{**log.summary(), "curve": log.epochs} for log in raw_logs]
     (out_dir / f"{args.name}.training.json").write_text(json.dumps({
-        "config": cfg.echo(), "fold": args.fold, "stages": logs}, indent=2, sort_keys=True))
+        "config": cfg.echo(), "fold": args.fold, "stages": stages}, indent=2, sort_keys=True))
     print(f"trained {cfg.archs[0]} on {cfg.features[0]}; descriptor at {descriptor}")
     return EXIT_OK
 
@@ -234,9 +231,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors: one line on stderr, exit 2. Subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shoutkit",
-                                     description="Shouted-speech analysis toolkit")
+    parser = _Parser(prog="shoutkit", description="Shouted-speech analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="clip to feature-block container")
@@ -321,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

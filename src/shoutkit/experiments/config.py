@@ -16,8 +16,7 @@ import numpy as np
 from ..audio_io import CLEAN, SWEEP_SNRS_DB
 from ..corpus import stable_key
 from ..errors import ConfigError
-
-_VALID_TASKS = ("binary", "four_class", "regression")
+from ..models import HeadKind
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -79,8 +78,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.task not in _VALID_TASKS:
-            raise ConfigError(f"task must be one of {_VALID_TASKS}, got {self.task!r}")
+        tasks = tuple(head.value for head in HeadKind)
+        if self.task not in tasks:
+            raise ConfigError(f"task must be one of {tasks}, got {self.task!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.n_folds < 1:
             raise ConfigError("epochs, batch_size and n_folds must be positive")
         if self.dtype not in ("float32", "float64"):

@@ -50,8 +50,9 @@ def run_cell(cfg: ExperimentConfig, arch: str, features: str,
     snr_values: dict[str, list[float]] = {snr_label(s): [] for s in cfg.snrs_db}
     for fold_index, fold in enumerate(plan.folds):
         data = build_fold_data(examples, fold, kinds, cfg, noise=noise)
-        model = build_cell_model(arch, kinds, cfg, data, fold_index,
-                                 log_sink=report.training)
+        logs: list = []
+        model = build_cell_model(arch, kinds, cfg, data, fold_index, raw_logs=logs)
+        report.training.extend(log.summary() for log in logs)
         scores = evaluate_model(model, data.test_examples, data.stats, cfg.task,
                                 cfg.snrs_db, noise,
                                 seed=derive_seed(cfg.seed, "noise", fold_index),

@@ -14,8 +14,8 @@ from ..errors import ConfigError, DegenerateInputError, NumericError
 from ..features import (BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix,
                         parse_feature_kind, split_blocks)
 from ..models import (Arch, FusionModel, HeadKind, NetworkGraph, build_baseline_mlp,
-                      build_fusion_model, build_single_model, decide, predict_clip)
-from ..neural import Adam, loss as loss_fn, no_grad
+                      build_fusion_model, build_single_model, predict_clip)
+from ..neural import Adam, Tensor, loss as loss_fn, no_grad
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
 from .metrics import binary_f1, confusion_matrix, rmse, weighted_f1
@@ -23,8 +23,8 @@ from .metrics import binary_f1, confusion_matrix, rmse, weighted_f1
 CLASS_INDEX = {ShoutClass.NORMAL: 0, ShoutClass.SHOUT_H: 1,
                ShoutClass.SHOUT_L: 2, ShoutClass.SHOUT_HL: 3}
 
-HEAD_FOR_TASK = {"binary": HeadKind.BINARY, "four_class": HeadKind.FOUR_CLASS,
-                 "regression": HeadKind.REGRESSION}
+# Most blocks one no-grad forward (validation loss, block scoring) takes at once.
+FORWARD_CHUNK = 64
 
 
 @dataclass
@@ -192,6 +192,8 @@ class TrainSettings:
 
 @dataclass
 class TrainingLog:
+    stage: str = ""                             # "<kind>", "left.<kind>", ... or "fusion"
+    fold: int = 0
     epochs: list = field(default_factory=list)  # dicts: epoch, train_loss, val_loss
     best_epoch: int = 0
     best_val_loss: float = float("inf")
@@ -199,23 +201,28 @@ class TrainingLog:
     best_state: dict | None = None              # best-validation parameters
 
     def summary(self) -> dict:
-        return {"epochs_run": len(self.epochs), "best_epoch": self.best_epoch,
+        return {"stage": self.stage, "fold": self.fold,
+                "epochs_run": len(self.epochs), "best_epoch": self.best_epoch,
                 "best_val_loss": self.best_val_loss, "stopped_early": self.stopped_early,
                 "final_train_loss": self.epochs[-1]["train_loss"] if self.epochs else None}
 
 
-def _model_batch(model: NetworkGraph, x: dict | np.ndarray, idx=None):
-    """Arrange per-kind arrays into the forward-pass input for this model."""
+def _model_batch(model: NetworkGraph, x: dict, idx):
+    """Rows ``idx`` of the per-kind arrays, as the forward-pass input for this model."""
     if isinstance(model, FusionModel):
         left, right = model.kinds
-        xl, xr = x[left], x[right]
-        if idx is not None:
-            xl, xr = xl[idx], xr[idx]
-        return (xl.astype(model.dtype, copy=False), xr.astype(model.dtype, copy=False))
-    arr = x[model.kinds[0]] if isinstance(x, dict) else x
-    if idx is not None:
-        arr = arr[idx]
-    return arr.astype(model.dtype, copy=False)
+        return x[left][idx], x[right][idx]
+    return x[model.kinds[0]][idx]
+
+
+def _forward_chunks(model: NetworkGraph, x: dict) -> np.ndarray:
+    """No-grad forward of per-kind block arrays, FORWARD_CHUNK blocks at a
+    time; returns the (n, outputs) rows (an empty input is forwarded once)."""
+    n = len(x[model.kinds[0]])
+    with no_grad():
+        rows = [model.forward(_model_batch(model, x, slice(i, i + FORWARD_CHUNK))).data
+                for i in range(0, max(n, 1), FORWARD_CHUNK)]
+    return np.concatenate(rows)
 
 
 def _targets(y: np.ndarray, head: HeadKind, dtype):
@@ -290,20 +297,12 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
     return log
 
 
-def evaluate_loss(model: NetworkGraph, x, y, loss_kind) -> float:
-    with no_grad():
-        out = model.forward(_model_batch(model, x))
-        return loss_fn(out, y, loss_kind).item()
+def evaluate_loss(model: NetworkGraph, x: dict, y, loss_kind) -> float:
+    out = Tensor(_forward_chunks(model, x))
+    return loss_fn(out, y, loss_kind).item()
 
 
 # -- evaluation under the SNR sweep ----------------------------------------------------
-
-
-def _clip_blocks(model: NetworkGraph, clip: AudioClip, stats):
-    """One clip's blocks, arranged as the forward-pass input for this model."""
-    return _model_batch(model, {kind: split_blocks(feature_matrix(clip, kind), kind,
-                                                   stats=stats[kind])
-                                for kind in model.kinds})
 
 
 def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
@@ -313,41 +312,39 @@ def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
 
     Returns {snr label: {"metric": value, ...details}}. Noise segments are
     seeded per (seed, clip, SNR), so a re-run reproduces every mix exactly.
-    With ``per_block`` each block is scored on its own: one forward pass per
-    clip, the decision rule applied to each output row.
+    A clip is decided from the mean of its block outputs (``predict_clip``).
+    With ``per_block`` each block is decided on its own: every block of the
+    SNR condition goes through ``_forward_chunks`` and each output row
+    through ``HeadKind.decide``.
     """
     if not test_examples:
         raise ConfigError("empty test set")
-    if HEAD_FOR_TASK.get(task) is not model.head.kind:
-        raise ConfigError(f"a {model.head.kind.value} model cannot be scored on task {task!r}")
+    head = model.head.kind
+    if head.value != task:
+        raise ConfigError(f"a {head.value} model cannot be scored on task {task!r}")
     results = {}
     for snr in snrs_db:
         if snr != CLEAN and noise is None:
             raise ConfigError(f"SNR {snr_label(snr)} requested but no noise source configured")
-        y_true = []
-        y_pred = []
+        y_true, y_pred, blocks = [], [], []
         for example in test_examples:
             spec = NoiseSpec(snr_db=snr, noise=noise,
                              seed=derive_seed(seed, example.clip_id, snr_label(snr)))
             mixed = mix_noise_at_snr(example.clip, spec)
-            x = _clip_blocks(model, mixed, stats)
+            x = {kind: split_blocks(feature_matrix(mixed, kind), kind, stats=stats[kind])
+                 for kind in model.kinds}
             if per_block:
-                with no_grad():
-                    out = model.forward(x).data
-                predictions = [decide(model.head.kind, out[i : i + 1])
-                               for i in range(len(out))]
+                blocks.append(x)
+                y_true.extend([example.label] * len(x[model.kinds[0]]))
             else:
-                predictions = [predict_clip(model, x)]
-            y_true.extend([example.label] * len(predictions))
-            y_pred.extend(_decision(p, task) for p in predictions)
+                y_true.append(example.label)
+                y_pred.append(predict_clip(model, _model_batch(model, x, slice(None))).decision)
+        if per_block:
+            x = {kind: np.concatenate([b[kind] for b in blocks], dtype=model.dtype)
+                 for kind in model.kinds}
+            y_pred = head.decide(_forward_chunks(model, x))
         results[snr_label(snr)] = _score(task, y_true, y_pred)
     return results
-
-
-def _decision(prediction, task: str):
-    if task == "regression":
-        return prediction.value
-    return prediction.label
 
 
 def _score(task: str, y_true, y_pred) -> dict:
@@ -373,15 +370,14 @@ def parse_feature_set(spec: str) -> tuple[FeatureKind, ...]:
 
 
 def build_cell_model(arch: str, kinds: tuple[FeatureKind, ...], cfg: ExperimentConfig,
-                     data: FoldData, fold_index: int, log_sink: list | None = None,
+                     data: FoldData, fold_index: int,
                      raw_logs: list | None = None) -> NetworkGraph:
     """Build and train the model for one (arch, features, fold) cell.
 
     Fusion cells pretrain each branch on its own feature, then fine-tune the
-    fused network end to end. ``log_sink`` collects JSON-safe stage summaries;
-    ``raw_logs`` collects the TrainingLog objects (including best_state).
+    fused network end to end. ``raw_logs`` collects each stage's TrainingLog.
     """
-    head = HEAD_FOR_TASK[cfg.task]
+    head = HeadKind(cfg.task)
     dtype = np.dtype(cfg.dtype)
     pretrain_epochs = cfg.pretrain_epochs or cfg.epochs
     finetune_epochs = cfg.finetune_epochs or cfg.epochs
@@ -407,8 +403,7 @@ def build_cell_model(arch: str, kinds: tuple[FeatureKind, ...], cfg: ExperimentC
         sub_val = {kind: data.val_x[kind]}
         log = train_model(model, None, settings, train_x=sub_x, train_y=data.train_y,
                           val_x=sub_val, val_y=data.val_y)
-        if log_sink is not None:
-            log_sink.append({"stage": tag, "fold": fold_index, **log.summary()})
+        log.stage, log.fold = tag, fold_index
         if raw_logs is not None:
             raw_logs.append(log)
         return model
@@ -424,8 +419,7 @@ def build_cell_model(arch: str, kinds: tuple[FeatureKind, ...], cfg: ExperimentC
                              shuffle_seed=derive_seed(cfg.seed, "shuffle.fusion", fold_index),
                              **common)
     log = train_model(fusion, data, settings)
-    if log_sink is not None:
-        log_sink.append({"stage": "fusion", "fold": fold_index, **log.summary()})
+    log.stage, log.fold = "fusion", fold_index
     if raw_logs is not None:
         raw_logs.append(log)
     return fusion

@@ -58,6 +58,16 @@ class HeadKind(Enum):
             return LossKind.CROSS_ENTROPY
         return LossKind.MEAN_SQUARED_ERROR
 
+    def decide(self, rows: np.ndarray) -> np.ndarray:
+        """The decision rule, one decision per (n, outputs) row: a binary
+        probability above 0.5 is a shout (1), four-class takes the first
+        argmax (ties go to the lowest index), regression is clamped into [1, 7]."""
+        if self is HeadKind.BINARY:
+            return (rows[:, 0] > 0.5).astype(np.int64)
+        if self is HeadKind.FOUR_CLASS:
+            return rows.argmax(axis=1)
+        return np.clip(rows[:, 0], 1.0, 7.0)
+
 
 def parse_arch(name: str) -> Arch:
     try:
@@ -460,16 +470,18 @@ def build_fusion_model(left: SingleFeatureModel, right: SingleFeatureModel,
     return FusionModel(left, right, seed=seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClipPrediction:
-    """Clip-level decision from averaged block outputs."""
+    """A clip's mean block output row and the decision ``HeadKind.decide``
+    makes on it: 0/1 (binary), a class index (four-class) or an intensity in
+    [1, 7] (regression)."""
 
-    head: HeadKind
-    label: int | None = None          # 1 = shout for binary; class index for 4-way
-    value: float | None = None        # regression output in [1, 7]
-    probability: float | None = None  # binary mean probability
-    probabilities: np.ndarray | None = None
-    tie: bool = False
+    mean: np.ndarray
+    decision: int | float
+
+    @property
+    def label(self) -> int:
+        return int(self.decision)
 
 
 def predict_clip(model: NetworkGraph, x) -> ClipPrediction:
@@ -481,25 +493,8 @@ def predict_clip(model: NetworkGraph, x) -> ClipPrediction:
     if len(x[0] if isinstance(x, tuple) else x) == 0:
         raise DegenerateInputError("predict_clip needs at least one feature block")
     with no_grad():
-        out = model.forward(x).data
-    return decide(model.head.kind, out)
-
-
-def decide(head: HeadKind, out: np.ndarray) -> ClipPrediction:
-    """The decision rule: average the (n, outputs) rows, then threshold a
-    binary mean at 0.5, take the four-class argmax (ties to the lowest index),
-    or clamp a regression mean into [1, 7]."""
-    if head is HeadKind.BINARY:
-        p = float(out.mean())
-        return ClipPrediction(head=head, label=int(p > 0.5), probability=p)
-    if head is HeadKind.FOUR_CLASS:
-        probs = out.mean(axis=0)
-        top = probs.max()
-        tie = int((probs == top).sum()) > 1
-        return ClipPrediction(head=head, label=int(probs.argmax()),
-                              probabilities=probs, tie=tie)
-    value = float(np.clip(out.mean(), 1.0, 7.0))
-    return ClipPrediction(head=head, value=value)
+        mean = model.forward(x).data.mean(axis=0)
+    return ClipPrediction(mean=mean, decision=model.head.kind.decide(mean[None]).item())
 
 
 # -- descriptor + checkpoint persistence -----------------------------------------

@@ -35,14 +35,7 @@ def recurrent_uniform(rng: np.random.Generator, shape, hidden: int, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class Layer:
-    """Base: a named collection of parameters plus a forward definition."""
-
-    def parameters(self) -> dict[str, Tensor]:
-        raise NotImplementedError
-
-
-class Dense(Layer):
+class Dense:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, dtype=np.float64):
         self.n_in = n_in
         self.n_out = n_out
@@ -59,7 +52,7 @@ class Dense(Layer):
         return {"weight": self.weight, "bias": self.bias}
 
 
-class Conv2d(Layer):
+class Conv2d:
     """2-D convolution, stride 1, symmetric zero padding, bias per channel."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -184,7 +177,7 @@ def _correlate(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int):
     return out, cols
 
 
-class MaxPool2d(Layer):
+class MaxPool2d:
     """Non-overlapping max pooling along the height (feature) axis; trailing
     rows beyond a full window are dropped (output H = floor(H / kernel))."""
 
@@ -294,7 +287,7 @@ def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
                         backward)
 
 
-class BiGRU(Layer):
+class BiGRU:
     """Bidirectional GRU over (N, T, F): one ``gru_sequence`` node per direction,
     per-step outputs concatenated."""
 

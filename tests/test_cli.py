@@ -241,13 +241,19 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     ("width_scale", "-2", "width_scale"),
     ("dtype", "int8", "'int8'"),
     ("dtype", "float16", "'float16'"),
+    ("usage", ["mix", "{wav}", "{out}", "--snr", "-inf"], "--snr"),
+    ("usage", ["train"], "--output"),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
-        "width-scale-negative", "dtype-int8", "dtype-float16"])
+        "width-scale-negative", "dtype-int8", "dtype-float16",
+        "usage-snr-spaced-minus-inf", "usage-train-without-output"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"
-    if key == "snr":
-        wav = next((corpus_dir / "wav").glob("*.wav"))
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    if key == "usage":
+        # an argparse usage error is one config-error line too, not usage text
+        argv = [a.format(wav=wav, out=out) for a in value]
+    elif key == "snr":
         argv = ["mix", str(wav), str(out), f"--snr={value}"]
     else:
         model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
@@ -261,3 +267,11 @@ def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsy
     assert err.startswith("config error:") and err.count("\n") == 1
     assert mentioned in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]], ids=["top", "subcommand"])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -18,6 +18,8 @@ from shoutkit.experiments import (ExperimentConfig, TrainSettings, binary_f1,
                                   run_suite, snr_label, split_train_validation,
                                   train_model, validate_report, weighted_f1,
                                   write_synth_corpus)
+from shoutkit import neural
+from shoutkit.experiments import training
 from shoutkit.experiments.training import ClipExample, evaluate_loss
 from shoutkit.features import FeatureKind
 from shoutkit.models import build_single_model
@@ -342,15 +344,55 @@ class TestTraining:
                                   cfg.snrs_db, noise, seed=3, per_block=True)
         assert 0.0 <= by_block["clean"]["metric"] <= 1.0
         assert 0.0 <= by_clip["clean"]["metric"] <= 1.0
-        # one forward per (clip, SNR), each block decided from its own row
-        assert len(outputs) == len(clips) * len(cfg.snrs_db)
-        assert all(rows.size == 2 for rows in outputs)
-        for i, snr in enumerate(cfg.snrs_db):
-            truth, pred = [], []
-            for e, rows in zip(clips, outputs[i * len(clips):]):
-                truth.extend([e.label] * rows.size)
-                pred.extend(int(v > 0.5) for v in rows)
+        # one forward per SNR over every clip's blocks, each block decided from its own row
+        assert len(outputs) == len(cfg.snrs_db)
+        assert all(rows.size == 2 * len(clips) for rows in outputs)
+        truth = [e.label for e in clips for _ in range(2)]
+        for snr, rows in zip(cfg.snrs_db, outputs):
+            pred = [int(v > 0.5) for v in rows]
             assert by_block[snr_label(snr)]["metric"] == tally_binary_f1(truth, pred)
+
+    def test_scoring_forwards_are_chunked(self, fold_setup, monkeypatch):
+        _, cfg, _, data = fold_setup
+        model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",
+                                   seed=0, dtype=np.float64)
+        train_model(model, data, TrainSettings(epochs=4, batch_size=20,
+                                               learning_rate=1e-3, shuffle_seed=1))
+        noise = load_noise(cfg.noise)
+        kind = FeatureKind.MEL_SPECTROGRAM
+        y = data.train_y.astype(np.float64).reshape(-1, 1)
+        with neural.no_grad():
+            whole = neural.loss(model.forward(data.train_x[kind]), y,
+                                model.head.kind.loss_kind).item()
+        rows = []
+        forward = model.forward
+
+        def spy(x):
+            out = forward(x)
+            rows.append(out.data.copy())
+            return out
+
+        model.forward = spy
+        # 8 two-block clips: 16 blocks per SNR
+        clips = synth_examples(n_clips=8, n_speakers=2, seed=4, clip_seconds=(1.4, 1.9))
+        unchunked = evaluate_model(model, clips, data.stats, "binary", cfg.snrs_db,
+                                   noise, seed=3, per_block=True)
+        assert len(rows) == len(cfg.snrs_db)
+        decisions = model.head.kind.decide(np.concatenate(rows))
+        rows.clear()
+
+        monkeypatch.setattr(training, "FORWARD_CHUNK", 3)
+        chunked = evaluate_model(model, clips, data.stats, "binary", cfg.snrs_db,
+                                 noise, seed=3, per_block=True)
+        assert len(rows) == 6 * len(cfg.snrs_db)  # ceil(16 / 3) per SNR
+        assert all(len(r) <= 3 for r in rows)
+        assert np.array_equal(model.head.kind.decide(np.concatenate(rows)), decisions)
+        assert chunked == unchunked
+        rows.clear()
+        chunked_loss = evaluate_loss(model, data.train_x, y, model.head.kind.loss_kind)
+        n = len(data.train_y)
+        assert n > 3 and len(rows) == -(-n // 3)
+        assert chunked_loss == pytest.approx(whole, rel=1e-12, abs=0)
 
     def test_fold_blocks_stored_in_cfg_dtype(self, fold_setup):
         examples, cfg, plan, data = fold_setup

@@ -145,12 +145,12 @@ class TestPredictClip:
         model = StubModel(HeadKind.BINARY, [[0.7]])
         pred = predict_clip(model, blocks_for(FeatureKind.MEL_SPECTROGRAM, 1))
         assert pred.label == 1
-        assert pred.probability == pytest.approx(0.7)
+        assert pred.mean[0] == pytest.approx(0.7)
 
     def test_two_blocks_average_crosses_threshold(self):
         model = StubModel(HeadKind.BINARY, [[0.4], [0.8]])
         pred = predict_clip(model, blocks_for(FeatureKind.MEL_SPECTROGRAM, 2))
-        assert pred.probability == pytest.approx(0.6)
+        assert pred.mean[0] == pytest.approx(0.6)
         assert pred.label == 1
 
     def test_exactly_half_is_not_shout(self):
@@ -162,18 +162,18 @@ class TestPredictClip:
         model = StubModel(HeadKind.FOUR_CLASS, [[0.25, 0.25, 0.25, 0.25]])
         pred = predict_clip(model, blocks_for(FeatureKind.MEL_SPECTROGRAM, 1))
         assert pred.label == 0
-        assert pred.tie is True
+        assert np.all(pred.mean == pred.mean.max())
 
     def test_four_class_argmax(self):
         model = StubModel(HeadKind.FOUR_CLASS, [[0.1, 0.2, 0.6, 0.1], [0.1, 0.6, 0.2, 0.1]])
         pred = predict_clip(model, blocks_for(FeatureKind.MEL_SPECTROGRAM, 2))
-        assert pred.label in (1, 2)  # equal means tie to the lowest index
-        assert pred.tie is True and pred.label == 1
+        assert pred.mean[1] == pred.mean[2]
+        assert pred.label == 1  # equal means tie to the lowest index
 
     def test_regression_mean_clamped(self):
         model = StubModel(HeadKind.REGRESSION, [[2.0], [5.0]])
         pred = predict_clip(model, blocks_for(FeatureKind.MEL_SPECTROGRAM, 2))
-        assert pred.value == pytest.approx(3.5)
+        assert pred.decision == pytest.approx(3.5)
 
     def test_empty_blocks_rejected(self):
         model = StubModel(HeadKind.BINARY, [[0.5]])
@@ -185,7 +185,23 @@ class TestPredictClip:
                                seed=3, width_scale=4)
         pred = predict_clip(m, blocks_for(FeatureKind.MEL_SPECTROGRAM, 3, seed=5))
         assert pred.label in (0, 1)
-        assert 0.0 < pred.probability < 1.0
+        assert 0.0 < pred.mean[0] < 1.0
+
+
+@pytest.mark.parametrize("head, rows, decisions", [
+    (HeadKind.BINARY, [[0.5], [0.50001], [0.2], [0.9]], [0, 1, 0, 1]),
+    (HeadKind.FOUR_CLASS, [[0.25, 0.25, 0.25, 0.25], [0.1, 0.4, 0.4, 0.1],
+                           [0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.3, 0.2]], [0, 1, 3, 1]),
+    (HeadKind.REGRESSION, [[0.2], [1.0], [3.5], [7.0], [9.3]], [1.0, 1.0, 3.5, 7.0, 7.0]),
+], ids=["binary", "four_class", "regression"])
+def test_head_decide_is_the_one_decision_rule(head, rows, decisions):
+    # binary: exactly 0.5 is not a shout; four-class: ties go to the lowest
+    # index; regression: clamped into [1, 7]
+    rows = np.asarray(rows)
+    assert head.decide(rows).tolist() == decisions
+    pred = predict_clip(StubModel(head, rows), blocks_for(FeatureKind.MEL_SPECTROGRAM, len(rows)))
+    assert np.array_equal(pred.mean, rows.mean(axis=0))
+    assert pred.decision == head.decide(rows.mean(axis=0)[None])[0]
 
 
 class TestFusionWiring:

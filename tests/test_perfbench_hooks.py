@@ -1,0 +1,77 @@
+"""perfbench's span tracer still finds every hook it wraps in shoutkit.
+
+``perfbench/run.py --trace 1`` swaps module attributes (``predict_clip``,
+``feature_matrix``, ...) for timing wrappers and divides by the call count of
+``models.predict_clip``. A hook that moves or a clip path that stops calling
+``predict_clip`` breaks the traced benchmark; this test catches both without
+running it. It only reads ``perfbench/``.
+"""
+
+import importlib.util
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import shoutkit as sk
+from shoutkit.audio_io import CLEAN, pink_noise
+from shoutkit.experiments import make_classification_corpus
+from shoutkit.experiments.training import ClipExample
+from shoutkit.features import FeatureKind, FeatureStats, feature_matrix
+from shoutkit.models import build_fusion_model, build_single_model
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def scoring_setup():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        synth = make_classification_corpus(n_clips=4, n_speakers=2, n_classes=2, seed=3,
+                                           clip_seconds=(1.4, 1.9))
+    examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id, clip=s.clip,
+                            label=s.class_index) for s in synth]
+    kinds = (FeatureKind.MEL_SPECTROGRAM, FeatureKind.TMFCC)
+    stats = {kind: FeatureStats.fit([feature_matrix(e.clip, kind) for e in examples])
+             for kind in kinds}
+    left, right = (build_single_model("cnn", kind, "binary", seed=i, dtype=np.float32,
+                                      width_scale=4) for i, kind in enumerate(kinds))
+    model = build_fusion_model(left, right, seed=2)
+    return examples, stats, model, pink_noise(2 * 16000, 16000, seed=5)
+
+
+def test_every_span_point_resolves():
+    spans = load_spans()
+    for owner, attr, name, _ in spans._span_points(sk):
+        assert attr in vars(owner), f"{name}: {owner!r} has no attribute {attr!r}"
+
+
+@pytest.mark.parametrize("per_block", [False, True], ids=["per-clip", "per-block"])
+def test_tracer_records_scoring(scoring_setup, per_block):
+    spans = load_spans()
+    examples, stats, model, noise = scoring_setup
+    snrs = (CLEAN, 0.0)
+    tracer = spans.Tracer()
+    with spans.installed(tracer, sk):
+        tracer.phase = "pass"
+        scores = sk.experiments.evaluate_model(model, examples, stats, "binary", snrs,
+                                               noise, seed=1, per_block=per_block)
+    assert set(scores) == {"clean", "0"}
+    summary = tracer.summary()
+    assert summary["experiments.evaluate_model"]["calls"] == 1
+    assert summary["models.forward"]["calls"] >= len(snrs)
+    assert summary["audio_io.mix_noise_at_snr"]["calls"] == len(examples) * len(snrs)
+    assert summary["features.feature_matrix"]["calls"] == 2 * len(examples) * len(snrs)
+    if not per_block:
+        # run.py divides by this count: the clip path must call predict_clip
+        assert summary["models.predict_clip"]["calls"] == len(examples) * len(snrs)
+    # the wrappers are gone again afterwards
+    assert sk.experiments.training.predict_clip is sk.models.predict_clip
