@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -233,7 +234,17 @@ def cmd_synth(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are config errors: one line on stderr, exit 2. Subparsers
-    are built from the same class."""
+    are built from the same class.
+
+    ``-inf``, ``-infinity`` and ``-nan`` count as negative numbers, as ``-5``
+    does, so ``--snr -inf`` reaches the value check instead of reading as an
+    option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+$|^-\d*\.\d+$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

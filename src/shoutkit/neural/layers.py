@@ -251,11 +251,15 @@ def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
     # from, gates[s] its r, z, n and h Wh_n + bh_n side by side
     states = np.zeros((steps + 1, n, k), dtype=gi.dtype)
     gates = np.empty((steps, n, 4 * k), dtype=gi.dtype)
+
+    def gate_views(s):  # gates[s] as four views, no copies
+        return [gates[s, :, i * k : (i + 1) * k] for i in range(4)]
+
     for s, t in enumerate(order):
         gh = states[s] @ w_hidden.data + b_hidden.data
         gates[s, :, : 2 * k] = T.logistic(gi[t, :, : 2 * k] + gh[:, : 2 * k])
         gates[s, :, 3 * k :] = gh[:, 2 * k :]
-        r, z, cand, hn = np.split(gates[s], 4, axis=1)
+        r, z, cand, hn = gate_views(s)
         cand[...] = np.tanh(gi[t, :, 2 * k :] + r * hn)
         states[s + 1] = (1 - z) * cand + z * states[s]
 
@@ -266,7 +270,7 @@ def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
         for s in reversed(range(steps)):
             t = order[s]
             d_h = d_h + g[:, t]
-            r, z, cand, hn = np.split(gates[s], 4, axis=1)
+            r, z, cand, hn = gate_views(s)
             d_n = d_h * (1 - z) * (1 - cand * cand)
             d_gi[t, :, 2 * k :] = d_n
             d_gi[t, :, :k] = d_n * hn * r * (1 - r)

@@ -43,24 +43,48 @@ class Adam:
             p.zero_grad()
 
     def step(self):
+        """Update every parameter that has a gradient.
+
+        Every gradient is checked first: one of the wrong shape or with a
+        non-finite value is refused before the step count, the moments or any
+        parameter change.
+        """
         s = self.state
-        s.step_count += 1
-        correct1 = 1.0 - s.beta1 ** s.step_count
-        correct2 = 1.0 - s.beta2 ** s.step_count
+        grads = {}
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            if not np.all(np.isfinite(g)):
+            if not _all_finite(g):
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
+            grads[name] = g
+        s.step_count += 1
+        correct1 = 1.0 - s.beta1 ** s.step_count
+        correct2 = 1.0 - s.beta2 ** s.step_count
+        for name, g in grads.items():
             m = s.first_moment[name]
             v = s.second_moment[name]
+            scratch = np.empty_like(g)  # the one temporary, freed before the next
             m *= s.beta1
-            m += (1.0 - s.beta1) * g
+            m += np.multiply(g, 1.0 - s.beta1, out=scratch)
             v *= s.beta2
-            v += (1.0 - s.beta2) * (g * g)
-            m_hat = m / correct1
-            v_hat = v / correct2
-            p.data -= s.lr * m_hat / (np.sqrt(v_hat) + s.epsilon)
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - s.beta2
+            v += scratch
+            np.divide(v, correct2, out=scratch)     # v_hat
+            np.sqrt(scratch, out=scratch)
+            scratch += s.epsilon
+            np.divide(m, scratch, out=scratch)
+            scratch *= s.lr / correct1              # lr * m_hat / (sqrt(v_hat) + eps)
+            self.params[name].data -= scratch
+            del scratch
+
+
+def _all_finite(g: np.ndarray) -> bool:
+    """One reduction decides the common case; a non-finite sum is checked
+    element-wise, so a finite float32 gradient whose sum overflows passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = g.sum()
+    return bool(np.isfinite(total)) or bool(np.all(np.isfinite(g)))

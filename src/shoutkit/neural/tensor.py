@@ -285,12 +285,15 @@ def relu(t: Tensor) -> Tensor:
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """Elementwise sigmoid; each sign takes the form whose exp cannot overflow."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
+    """Elementwise sigmoid as 0.5 * (1 + tanh(x / 2)), computed in one array.
+
+    tanh saturates at +-1 instead of overflowing, so every input takes the
+    same branch-free path, and logistic(0) is exactly 0.5.
+    """
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 

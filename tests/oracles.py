@@ -88,6 +88,28 @@ def adam_descent_oracle(w0, lr, steps, grad_fn, beta1=0.9, beta2=0.999, eps=1e-8
     return trajectory
 
 
+def adam_textbook(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam in float64 over a list of per-step {name: gradient} dicts, one fresh
+    array per intermediate, exactly as the update is written down."""
+    w = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in w.items()}
+    v = {name: np.zeros_like(p) for name, p in w.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        for name, g in grads.items():
+            g = np.asarray(g, dtype=np.float64)
+            m[name] = beta1 * m[name] + (1 - beta1) * g
+            v[name] = beta2 * v[name] + (1 - beta2) * g * g
+            m_hat = m[name] / (1 - beta1 ** t)
+            v_hat = v[name] / (1 - beta2 ** t)
+            w[name] = w[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return w
+
+
+def naive_logistic(x):
+    """1 / (1 + exp(-x)) in float64; no overflow for |x| <= 700."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
 def tally_binary_f1(y_true, y_pred, positive=1):
     tp = fp = fn = 0
     for t, p in zip(y_true, y_pred):

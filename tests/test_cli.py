@@ -241,11 +241,17 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     ("width_scale", "-2", "width_scale"),
     ("dtype", "int8", "'int8'"),
     ("dtype", "float16", "'float16'"),
-    ("usage", ["mix", "{wav}", "{out}", "--snr", "-inf"], "--snr"),
+    # a spaced negative non-number still reaches parse_snr, which names it
+    ("usage", ["mix", "{wav}", "{out}", "--snr", "-inf"], "'-inf'"),
+    ("usage", ["mix", "{wav}", "{out}", "--snr", "-infinity"], "'-infinity'"),
+    ("usage", ["mix", "{wav}", "{out}", "--snr", "-nan"], "'-nan'"),
+    ("usage", ["mix", "{wav}", "{out}", "--snr", "-INF"], "'-inf'"),
     ("usage", ["train"], "--output"),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
         "width-scale-negative", "dtype-int8", "dtype-float16",
-        "usage-snr-spaced-minus-inf", "usage-train-without-output"])
+        "usage-snr-spaced-minus-inf", "usage-snr-spaced-minus-infinity",
+        "usage-snr-spaced-minus-nan", "usage-snr-spaced-minus-inf-upper",
+        "usage-train-without-output"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"

@@ -13,8 +13,9 @@ from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Te
 from shoutkit.neural import layers
 from shoutkit.neural import tensor as T
 
-from oracles import (adam_descent_oracle, count_graph_nodes, finite_difference_check,
-                     full_batch_conv_weight_grad, naive_conv2d, scalar_gru_step)
+from oracles import (adam_descent_oracle, adam_textbook, count_graph_nodes,
+                     finite_difference_check, full_batch_conv_weight_grad, naive_conv2d,
+                     naive_logistic, scalar_gru_step)
 
 
 def rng_of(seed):
@@ -107,6 +108,21 @@ class TestSoftmax:
         a = T.softmax(Tensor(z), axis=1).data
         b = T.softmax(Tensor(z + 123.4), axis=1).data
         assert np.allclose(a, b, atol=1e-12)
+
+
+class TestLogistic:
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 2e-7), (np.float64, 1e-15)])
+    def test_matches_float64_oracle(self, dtype, tol):
+        x = np.linspace(-100, 100, 200_001).astype(dtype)
+        out = T.logistic(x)
+        assert out.dtype == dtype
+        assert np.max(np.abs(out - naive_logistic(x))) <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturates_without_warning(self, dtype):
+        with np.errstate(all="raise"):
+            out = T.logistic(np.array([-1e4, 0.0, 1e4], dtype=dtype))
+        assert out.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestConv:
@@ -542,6 +558,75 @@ class TestAdam:
         p.grad = np.array([np.nan])
         with pytest.raises(NumericError):
             opt.step()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_textbook_update(self, dtype):
+        rng = rng_of(61)
+        shapes = {"w": (3, 4), "b": (5,), "s": ()}
+        params = {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                  for name, shape in shapes.items()}
+        start = {name: p.data.copy() for name, p in params.items()}
+        grad_steps = [{name: rng.standard_normal(shape).astype(dtype)
+                       for name, shape in shapes.items()} for _ in range(5)]
+        opt = Adam(params, lr=0.01)
+        for grads in grad_steps:
+            for name, g in grads.items():
+                params[name].grad = g
+            opt.step()
+        want = adam_textbook(start, grad_steps, lr=0.01)
+        # same arithmetic in another order, and float32 moments for float32
+        tol = 16 * np.finfo(dtype).eps
+        for name, p in params.items():
+            assert p.data.dtype == dtype and p.data.shape == shapes[name]
+            np.testing.assert_allclose(p.data, want[name], rtol=tol, atol=tol)
+        assert opt.state.step_count == 5
+
+    def test_overflowing_gradient_sum_is_not_refused(self):
+        p = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        opt = Adam({"p": p}, lr=0.01)
+        p.grad = np.full(8, 3e38, dtype=np.float32)   # finite; the float32 sum is inf
+        with np.errstate(over="ignore"):              # so is g * g, as in the textbook form
+            opt.step()
+        assert opt.state.step_count == 1
+        assert np.all(np.isfinite(p.data))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 7, 14], ids=["first", "middle", "last"])
+    def test_refused_step_changes_nothing(self, bad, at):
+        rng = rng_of(62)
+        params = {name: Tensor(rng.standard_normal(15), requires_grad=True)
+                  for name in ("a", "b", "c")}
+        opt = Adam(params, lr=0.01)
+        for p in params.values():
+            p.grad = rng.standard_normal(15)
+        opt.step()
+        for p in params.values():
+            p.grad = rng.standard_normal(15)
+        params["b"].grad[at] = bad        # "a" comes first and would move first
+        before = {name: (p.data.copy(), opt.state.first_moment[name].copy(),
+                         opt.state.second_moment[name].copy()) for name, p in params.items()}
+        with pytest.raises(NumericError, match="'b'"):
+            opt.step()
+        assert opt.state.step_count == 1
+        for name, p in params.items():
+            data, m, v = before[name]
+            assert np.array_equal(p.data, data)
+            assert np.array_equal(opt.state.first_moment[name], m)
+            assert np.array_equal(opt.state.second_moment[name], v)
+
+    def test_warm_step_allocates_one_parameter_of_scratch(self):
+        rng = rng_of(63)
+        p = Tensor(rng.standard_normal((512, 1536)).astype(np.float32), requires_grad=True)
+        opt = Adam({"p": p})
+        p.grad = rng.standard_normal((512, 1536)).astype(np.float32)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.data.nbytes + 64 * 1024
 
 
 class TestDeterminism:

@@ -1,13 +1,17 @@
-"""perfbench's span tracer still finds every hook it wraps in shoutkit.
+"""perfbench's step clock and span tracer still find every hook they wrap in shoutkit.
 
-``perfbench/run.py --trace 1`` swaps module attributes (``predict_clip``,
-``feature_matrix``, ...) for timing wrappers and divides by the call count of
-``models.predict_clip``. A hook that moves or a clip path that stops calling
-``predict_clip`` breaks the traced benchmark; this test catches both without
-running it. It only reads ``perfbench/``.
+``perfbench/run.py`` times each training step by wrapping
+``NetworkGraph.zero_grad``, ``training.loss_fn`` and ``Adam.step``, and flags
+the optimiser's first step (``step_count == 1``) as warm-up; its end-to-end
+training metrics come from those records. ``--trace 1`` also swaps module
+attributes (``predict_clip``, ``feature_matrix``, ...) for timing wrappers and
+divides by the call count of ``models.predict_clip``. A hook that moves or a
+clip path that stops calling ``predict_clip`` breaks the benchmark; these tests
+catch both without running it. They only read ``perfbench/``.
 """
 
 import importlib.util
+import math
 import warnings
 from pathlib import Path
 
@@ -17,7 +21,7 @@ import pytest
 import shoutkit as sk
 from shoutkit.audio_io import CLEAN, pink_noise
 from shoutkit.experiments import make_classification_corpus
-from shoutkit.experiments.training import ClipExample
+from shoutkit.experiments.training import ClipExample, TrainSettings, train_model
 from shoutkit.features import FeatureKind, FeatureStats, feature_matrix
 from shoutkit.models import build_fusion_model, build_single_model
 
@@ -75,3 +79,25 @@ def test_tracer_records_scoring(scoring_setup, per_block):
         assert summary["models.predict_clip"]["calls"] == len(examples) * len(snrs)
     # the wrappers are gone again afterwards
     assert sk.experiments.training.predict_clip is sk.models.predict_clip
+
+
+def test_step_clock_records_every_training_step():
+    spans = load_spans()
+    kind = FeatureKind.TMFCC
+    model = build_single_model("gru", kind, "binary", seed=0, dtype=np.float32, width_scale=8)
+    rng = np.random.default_rng(4)
+    train_x = {kind: rng.standard_normal((8, kind.dim, 20)).astype(np.float32)}
+    train_y = np.array([0, 1] * 4)
+    settings = TrainSettings(epochs=2, batch_size=4, learning_rate=1e-3)
+    hooks = (sk.models.NetworkGraph.zero_grad, sk.experiments.training.loss_fn,
+             sk.neural.Adam.step)
+    with spans.installed(spans.StepClock(), sk) as clock:
+        train_model(model, None, settings, train_x=train_x, train_y=train_y)
+    # two mini-batches per epoch; only the optimiser's first step is warm-up
+    assert len(clock.steps) == 4
+    assert all(seconds > 0 and batch == 4 and math.isfinite(loss)
+               for seconds, batch, loss, _ in clock.steps)
+    assert [warmup for *_, warmup in clock.steps] == [True, False, False, False]
+    # the wrappers are gone again afterwards
+    assert (sk.models.NetworkGraph.zero_grad, sk.experiments.training.loss_fn,
+            sk.neural.Adam.step) == hooks
