@@ -71,7 +71,6 @@ class ExperimentConfig:
     validation_fraction: float = 0.2
     train_snr_augment: bool = False     # mix noise into training clips; off by default
     per_block_eval: bool = False        # score 20-frame blocks instead of clips
-    gru_concat_width: bool = True       # BiGRU width read as the concatenated size
     manifest: str = ""
     audio_root: str = ""
     noise: str = ""                     # WAV path, or "pink:<seed>:<seconds>"

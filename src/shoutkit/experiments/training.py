@@ -13,8 +13,8 @@ from ..corpus import ShoutClass, Style, UtteranceRecord
 from ..errors import ConfigError, DegenerateInputError, NumericError
 from ..features import (BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix,
                         parse_feature_kind, split_blocks)
-from ..models import (Arch, FusionModel, HeadKind, NetworkGraph, build_baseline_mlp,
-                      build_fusion_model, build_single_model, predict_clip)
+from ..models import (FusionModel, HeadKind, NetworkGraph, build_fusion_model,
+                      build_single_model, predict_clip)
 from ..neural import Adam, Tensor, loss as loss_fn, no_grad
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
@@ -364,8 +364,8 @@ def _score(task: str, y_true, y_pred) -> dict:
 
 def parse_feature_set(spec: str) -> tuple[FeatureKind, ...]:
     kinds = tuple(parse_feature_kind(part) for part in spec.split("+"))
-    if len(kinds) not in (1, 2):
-        raise ConfigError(f"a feature set holds one or two kinds, got {spec!r}")
+    if len(kinds) not in (1, 2) or len(set(kinds)) != len(kinds):
+        raise ConfigError(f"a feature set holds one kind or two different kinds, got {spec!r}")
     return kinds
 
 
@@ -386,23 +386,13 @@ def build_cell_model(arch: str, kinds: tuple[FeatureKind, ...], cfg: ExperimentC
                   early_stop_patience=cfg.early_stop_patience)
 
     def single(kind: FeatureKind, tag: str, epochs: int):
-        if arch == Arch.MLP_BASELINE.value:
-            if kind is not FeatureKind.MFCC_DELTA_DELTA:
-                raise ConfigError("the baseline MLP consumes mfcc_delta_delta features")
-            model = build_baseline_mlp(head, seed=derive_seed(cfg.seed, "model", tag, fold_index),
-                                       dtype=dtype, width_scale=cfg.width_scale)
-        else:
-            model = build_single_model(arch, kind, head,
-                                       seed=derive_seed(cfg.seed, "model", tag, fold_index),
-                                       dtype=dtype, width_scale=cfg.width_scale,
-                                       gru_concat_width=cfg.gru_concat_width)
+        model = build_single_model(arch, kind, head,
+                                   seed=derive_seed(cfg.seed, "model", tag, fold_index),
+                                   dtype=dtype, width_scale=cfg.width_scale)
         settings = TrainSettings(epochs=epochs,
                                  shuffle_seed=derive_seed(cfg.seed, "shuffle", tag, fold_index),
                                  **common)
-        sub_x = {kind: data.train_x[kind]}
-        sub_val = {kind: data.val_x[kind]}
-        log = train_model(model, None, settings, train_x=sub_x, train_y=data.train_y,
-                          val_x=sub_val, val_y=data.val_y)
+        log = train_model(model, data, settings)
         log.stage, log.fold = tag, fold_index
         if raw_logs is not None:
             raw_logs.append(log)

@@ -205,7 +205,9 @@ class NetworkGraph:
         return ledger
 
     def _probe_input(self):
-        raise NotImplementedError
+        """Zero blocks, one per kind: an array, or a (left, right) pair for fusion."""
+        blocks = tuple(np.zeros((1, k.dim, BLOCK_FRAMES), dtype=self.dtype) for k in self.kinds)
+        return blocks if len(blocks) == 2 else blocks[0]
 
     def _as_tensor(self, x) -> Tensor:
         if isinstance(x, Tensor):
@@ -215,7 +217,7 @@ class NetworkGraph:
 
 class SingleFeatureModel(NetworkGraph):
     def __init__(self, arch: Arch, kind: FeatureKind, head_kind: HeadKind, seed: int,
-                 dtype=np.float64, width_scale: int = 1, gru_concat_width: bool = True):
+                 dtype=np.float64, width_scale: int = 1):
         if arch not in (Arch.CNN, Arch.GRU, Arch.CNN_GRU):
             raise ConfigError(f"unknown single-feature architecture {arch}")
         self.arch = arch
@@ -224,7 +226,6 @@ class SingleFeatureModel(NetworkGraph):
         self.seed = seed
         self.dtype = np.dtype(dtype)
         self.width_scale = width_scale
-        self.gru_concat_width = gru_concat_width
         self.dims = dim_table_for_kind(kind).scaled(width_scale)
         d = self.dims
         rng = np.random.default_rng(seed)
@@ -249,7 +250,7 @@ class SingleFeatureModel(NetworkGraph):
             self.dense = Dense(flat, d.d5, rng, self.dtype)
             self.embedding_dim = d.d5
         elif arch is Arch.GRU:
-            per_direction = d.gru_d1 // 2 if gru_concat_width else d.gru_d1
+            per_direction = d.gru_d1 // 2
             self.bigru = BiGRU(d.d1, per_direction, rng, self.dtype)
             self.dense = Dense(2 * per_direction, d.gru_d2, rng, self.dtype)
             self.embedding_dim = d.gru_d2
@@ -260,9 +261,6 @@ class SingleFeatureModel(NetworkGraph):
             self.embedding_dim = d.d6
 
         self.head = TaskHead(head_kind, self.embedding_dim, rng, self.dtype)
-
-    def _probe_input(self):
-        return np.zeros((1, self.dims.d1, BLOCK_FRAMES), dtype=self.dtype)
 
     def _conv_stack(self, t: Tensor, ledger=None) -> Tensor:
         heights = []
@@ -359,9 +357,6 @@ class BaselineMlp(NetworkGraph):
         self.embedding_dim = hidden
         self.head = TaskHead(head_kind, hidden, rng, self.dtype)
 
-    def _probe_input(self):
-        return np.zeros((1, self.kind.dim, BLOCK_FRAMES), dtype=self.dtype)
-
     def embed(self, x, ledger=None) -> Tensor:
         t = self._as_tensor(x)
         if t.data.shape[1:] != (self.kind.dim, BLOCK_FRAMES):
@@ -391,6 +386,9 @@ class FusionModel(NetworkGraph):
 
     def __init__(self, left: SingleFeatureModel, right: SingleFeatureModel,
                  seed: int):
+        if not (isinstance(left, SingleFeatureModel) and isinstance(right, SingleFeatureModel)):
+            raise ConfigError("fusion branches must be cnn, gru or cnn_gru networks, got "
+                              f"{left.arch.value} and {right.arch.value}")
         if left.arch is not right.arch:
             raise ConfigError(f"fusion branches must share an architecture family, "
                               f"got {left.arch.value} and {right.arch.value}")
@@ -413,9 +411,6 @@ class FusionModel(NetworkGraph):
         rng = np.random.default_rng(seed)
         self.fusion_dense = Dense(self.concat_dim, self.concat_dim, rng, self.dtype)
         self.head = TaskHead(left.head.kind, self.concat_dim, rng, self.dtype)
-
-    def _probe_input(self):
-        return (self.left._probe_input(), self.right._probe_input())
 
     def embed(self, x, ledger=None) -> Tensor:
         if not isinstance(x, tuple) or len(x) != 2:
@@ -449,20 +444,24 @@ class FusionModel(NetworkGraph):
 
 
 def build_single_model(arch: Arch | str, kind: FeatureKind, head: HeadKind | str,
-                       seed: int = 0, dtype=np.float64, width_scale: int = 1,
-                       gru_concat_width: bool = True) -> SingleFeatureModel:
+                       seed: int = 0, dtype=np.float64, width_scale: int = 1) -> NetworkGraph:
+    """The builder of every single-feature network: a ``SingleFeatureModel`` for
+    cnn, gru and cnn_gru, the stand-in ``BaselineMlp`` for mlp_baseline_standin,
+    which consumes mfcc_delta_delta features only."""
     arch = parse_arch(arch) if isinstance(arch, str) else arch
     head = parse_head(head) if isinstance(head, str) else head
-    if arch is Arch.MLP_BASELINE:
-        raise ConfigError("use build_baseline_mlp for the stand-in baseline")
-    return SingleFeatureModel(arch, kind, head, seed=seed, dtype=dtype,
-                              width_scale=width_scale, gru_concat_width=gru_concat_width)
+    if arch is not Arch.MLP_BASELINE:
+        return SingleFeatureModel(arch, kind, head, seed=seed, dtype=dtype,
+                                  width_scale=width_scale)
+    if kind is not FeatureKind.MFCC_DELTA_DELTA:
+        raise ConfigError(f"the baseline MLP consumes mfcc_delta_delta features, got {kind.value}")
+    return BaselineMlp(head, seed=seed, dtype=dtype, width_scale=width_scale)
 
 
 def build_baseline_mlp(head: HeadKind | str, seed: int = 0, dtype=np.float64,
                        width_scale: int = 1) -> BaselineMlp:
-    head = parse_head(head) if isinstance(head, str) else head
-    return BaselineMlp(head, seed=seed, dtype=dtype, width_scale=width_scale)
+    return build_single_model(Arch.MLP_BASELINE, FeatureKind.MFCC_DELTA_DELTA, head,
+                              seed=seed, dtype=dtype, width_scale=width_scale)
 
 
 def build_fusion_model(left: SingleFeatureModel, right: SingleFeatureModel,
@@ -516,9 +515,6 @@ def save_model(model: NetworkGraph, directory, name: str) -> Path:
         f"width_scale = {model.width_scale}",
         f"checkpoint = {ckpt.name}",
     ]
-    if model.arch is Arch.GRU:
-        branch = model.left if isinstance(model, FusionModel) else model
-        lines.append(f"gru_concat_width = {branch.gru_concat_width}")
     if model.dims is not None:
         d = model.dims
         lines.append(f"variant = {d.variant}")
@@ -542,6 +538,9 @@ def load_model(descriptor_path) -> NetworkGraph:
     try:
         arch = Arch(fields["arch"])
         kinds = tuple(FeatureKind(k) for k in fields["features"].split("+"))
+        if len(kinds) not in (1, 2) or len(set(kinds)) != len(kinds):
+            raise ValueError("features must be one kind or two different kinds, "
+                             f"got {fields['features']!r}")
         head = HeadKind(fields["head"])
         seed = int(fields["seed"])
         if fields["dtype"] not in ("float32", "float64"):
@@ -550,21 +549,12 @@ def load_model(descriptor_path) -> NetworkGraph:
         width_scale = int(fields.get("width_scale", "1"))
         if width_scale < 1:
             raise ValueError(f"width_scale must be an integer >= 1, got {width_scale}")
+        checkpoint = descriptor_path.parent / fields["checkpoint"]
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad model descriptor {descriptor_path}: {exc}") from exc
-    if arch is Arch.MLP_BASELINE:
-        model: NetworkGraph = build_baseline_mlp(head, seed=seed, dtype=dtype,
-                                                 width_scale=width_scale)
-    elif len(kinds) == 2:
-        concat = fields.get("gru_concat_width", "True") == "True"
-        left = build_single_model(arch, kinds[0], head, seed=seed, dtype=dtype,
-                                  width_scale=width_scale, gru_concat_width=concat)
-        right = build_single_model(arch, kinds[1], head, seed=seed + 1, dtype=dtype,
-                                   width_scale=width_scale, gru_concat_width=concat)
-        model = build_fusion_model(left, right, seed=seed)
-    else:
-        concat = fields.get("gru_concat_width", "True") == "True"
-        model = build_single_model(arch, kinds[0], head, seed=seed, dtype=dtype,
-                                   width_scale=width_scale, gru_concat_width=concat)
-    model.load_state_dict(load_checkpoint(descriptor_path.parent / fields["checkpoint"]))
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad model descriptor {descriptor_path}: {reason}") from exc
+    branches = [build_single_model(arch, kind, head, seed=seed + i, dtype=dtype,
+                                   width_scale=width_scale) for i, kind in enumerate(kinds)]
+    model = branches[0] if len(branches) == 1 else build_fusion_model(*branches, seed=seed)
+    model.load_state_dict(load_checkpoint(checkpoint))
     return model

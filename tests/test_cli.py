@@ -241,32 +241,41 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     ("width_scale", "-2", "width_scale"),
     ("dtype", "int8", "'int8'"),
     ("dtype", "float16", "'float16'"),
+    ("checkpoint", None, "'checkpoint'"),
+    ("features", "tmfcc+mel_spectrogram+tmfcc", "'tmfcc+mel_spectrogram+tmfcc'"),
+    ("arch", "mlp_baseline_standin", "mfcc_delta_delta"),
     # a spaced negative non-number still reaches parse_snr, which names it
-    ("usage", ["mix", "{wav}", "{out}", "--snr", "-inf"], "'-inf'"),
-    ("usage", ["mix", "{wav}", "{out}", "--snr", "-infinity"], "'-infinity'"),
-    ("usage", ["mix", "{wav}", "{out}", "--snr", "-nan"], "'-nan'"),
-    ("usage", ["mix", "{wav}", "{out}", "--snr", "-INF"], "'-inf'"),
-    ("usage", ["train"], "--output"),
+    ("argv", ["mix", "{wav}", "{out}", "--snr", "-inf"], "'-inf'"),
+    ("argv", ["mix", "{wav}", "{out}", "--snr", "-infinity"], "'-infinity'"),
+    ("argv", ["mix", "{wav}", "{out}", "--snr", "-nan"], "'-nan'"),
+    ("argv", ["mix", "{wav}", "{out}", "--snr", "-INF"], "'-inf'"),
+    ("argv", ["train"], "--output"),
+    # refused before the corpus is read, so no manifest is needed
+    ("argv", ["train", "--set", "features=tmfcc+tmfcc", "--output", "{out}"], "'tmfcc+tmfcc'"),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
-        "width-scale-negative", "dtype-int8", "dtype-float16",
+        "width-scale-negative", "dtype-int8", "dtype-float16", "descriptor-no-checkpoint",
+        "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
         "usage-snr-spaced-minus-inf", "usage-snr-spaced-minus-infinity",
         "usage-snr-spaced-minus-nan", "usage-snr-spaced-minus-inf-upper",
-        "usage-train-without-output"])
+        "usage-train-without-output", "train-duplicate-feature-kind"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"
     wav = next((corpus_dir / "wav").glob("*.wav"))
-    if key == "usage":
+    if key == "argv":
         # an argparse usage error is one config-error line too, not usage text
         argv = [a.format(wav=wav, out=out) for a in value]
     elif key == "snr":
         argv = ["mix", str(wav), str(out), f"--snr={value}"]
     else:
+        # replace the descriptor's `key` line with `value`, or drop it for None
         model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
         descriptor = save_model(model, tmp_path, "m")
-        lines = descriptor.read_text().splitlines()
-        descriptor.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =")
-                                        else line for line in lines) + "\n")
+        lines = [line for line in descriptor.read_text().splitlines()
+                 if not line.startswith(f"{key} =")]
+        if value is not None:
+            lines.append(f"{key} = {value}")
+        descriptor.write_text("\n".join(lines) + "\n")
         argv = ["evaluate", "--model", str(descriptor)]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -22,7 +22,7 @@ from shoutkit import neural
 from shoutkit.experiments import training
 from shoutkit.experiments.training import ClipExample, evaluate_loss
 from shoutkit.features import FeatureKind
-from shoutkit.models import build_single_model
+from shoutkit.models import Arch, build_baseline_mlp, build_single_model
 from shoutkit.corpus import parse_manifest, validate_manifest
 
 from oracles import tally_binary_f1, tally_confusion, tally_rmse, tally_weighted_f1
@@ -283,6 +283,32 @@ class TestTraining:
             return {k: v.tobytes() for k, v in model.state_dict().items()}
 
         assert run() == run()
+
+    def test_baseline_mlp_cell(self):
+        # the cell is the builder plus train_model, with the cell's derived seeds
+        examples = synth_examples(n_clips=16, n_speakers=4)
+        cfg = ExperimentConfig(task="binary", epochs=2, batch_size=8, learning_rate=1e-3,
+                               dtype="float64", n_folds=2, width_scale=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=1, n_folds=2)
+        kinds = (FeatureKind.MFCC_DELTA_DELTA,)
+        data = build_fold_data(examples, plan.folds[0], kinds, cfg)
+        logs = []
+        model = training.build_cell_model("mlp_baseline_standin", kinds, cfg, data, 0,
+                                          raw_logs=logs)
+        assert model.arch is Arch.MLP_BASELINE and model.kinds == kinds
+        assert [(log.stage, len(log.epochs)) for log in logs] == [("mfcc_delta_delta", 2)]
+        assert all(np.isfinite(e["val_loss"]) for e in logs[0].epochs)
+        expected = build_baseline_mlp(
+            "binary", seed=derive_seed(cfg.seed, "model", "mfcc_delta_delta", 0), width_scale=4)
+        train_model(expected, data, TrainSettings(
+            epochs=2, batch_size=8, learning_rate=1e-3,
+            shuffle_seed=derive_seed(cfg.seed, "shuffle", "mfcc_delta_delta", 0)))
+        state = model.state_dict()
+        assert all(np.array_equal(state[k], v) for k, v in expected.state_dict().items())
+        with pytest.raises(ConfigError, match="mfcc_delta_delta"):
+            training.build_cell_model("mlp_baseline_standin", (FeatureKind.TMFCC,), cfg, data, 0)
 
     def test_non_finite_loss_raises_numeric_error(self, fold_setup):
         _, _, _, data = fold_setup

@@ -113,6 +113,16 @@ class TestBuildErrors:
         with pytest.raises(ConfigError):
             build_fusion_model(left, right)
 
+    @pytest.mark.parametrize("kind", HIGH + LOW, ids=lambda k: k.value)
+    def test_baseline_mlp_needs_mfcc_delta_delta(self, kind):
+        with pytest.raises(ConfigError, match="mfcc_delta_delta"):
+            build_single_model("mlp_baseline_standin", kind, "binary")
+
+    def test_baseline_mlps_cannot_fuse(self):
+        with pytest.raises(ConfigError, match="mlp_baseline_standin"):
+            build_fusion_model(build_baseline_mlp("binary", seed=0),
+                               build_baseline_mlp("binary", seed=1))
+
 
 class TestRegressionHead:
     def test_bounded_for_arbitrary_parameters(self):
@@ -257,18 +267,19 @@ class TestPersistence:
         assert np.allclose(restored.forward(x).data, expected, atol=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("concat", [True, False])
-    @pytest.mark.parametrize("fused", [False, True], ids=["single", "fusion"])
-    @pytest.mark.parametrize("arch", ["cnn", "gru", "cnn_gru"])
-    def test_round_trip_every_build(self, tmp_path, arch, fused, concat, dtype):
+    @pytest.mark.parametrize("head", [h.value for h in HeadKind])
+    @pytest.mark.parametrize("arch, fused", [
+        *((arch, fused) for arch in ("cnn", "gru", "cnn_gru") for fused in ("single", "fusion")),
+        ("mlp_baseline_standin", "single")])
+    def test_round_trip_every_build(self, tmp_path, arch, fused, head, dtype):
         def build(kind, seed):
-            return build_single_model(arch, kind, "binary", seed=seed, dtype=dtype,
-                                      width_scale=2, gru_concat_width=concat)
+            return build_single_model(arch, kind, head, seed=seed, dtype=dtype, width_scale=2)
 
-        model = build(LOW[0], 5)
+        kind = FeatureKind.MFCC_DELTA_DELTA if arch == "mlp_baseline_standin" else LOW[0]
+        model = build(kind, 5)
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 30, 20)).astype(dtype)
-        if fused:
+        x = rng.standard_normal((3, kind.dim, 20)).astype(dtype)
+        if fused == "fusion":
             model = build_fusion_model(model, build(LOW[1], 9), seed=7)
             x = (x, rng.standard_normal((3, 30, 20)).astype(dtype))
         restored = load_model(save_model(model, tmp_path, "m"))
@@ -278,6 +289,21 @@ class TestPersistence:
             assert back[name].dtype == value.dtype
             assert np.array_equal(back[name], value)
         assert np.array_equal(restored.forward(x).data, model.forward(x).data)
+
+    def test_old_gru_concat_width_line(self, tmp_path):
+        # older descriptors name the BiGRU width; `True` is the only width
+        # built now and loads as before, while a `False` descriptor comes with
+        # a wider checkpoint, which the shape check refuses
+        m = build_single_model("gru", FeatureKind.TMFCC, "binary", seed=3, width_scale=2)
+        descriptor = save_model(m, tmp_path, "m")
+        with descriptor.open("a") as fh:
+            fh.write("gru_concat_width = True\n")
+        restored = load_model(descriptor)
+        assert all(np.array_equal(restored.state_dict()[k], v) for k, v in m.state_dict().items())
+        wide = build_single_model("gru", FeatureKind.TMFCC, "binary", seed=3, width_scale=1)
+        neural.save_checkpoint(wide.state_dict(), tmp_path / "m.ckpt")
+        with pytest.raises(ShapeError):
+            load_model(descriptor)
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         m = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)

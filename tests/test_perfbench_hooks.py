@@ -5,9 +5,11 @@
 the optimiser's first step (``step_count == 1``) as warm-up; its end-to-end
 training metrics come from those records. ``--trace 1`` also swaps module
 attributes (``predict_clip``, ``feature_matrix``, ...) for timing wrappers and
-divides by the call count of ``models.predict_clip``. A hook that moves or a
-clip path that stops calling ``predict_clip`` breaks the benchmark; these tests
-catch both without running it. They only read ``perfbench/``.
+divides by the call count of ``models.predict_clip``, and measures every build
+that ``tables._builds`` makes. A hook that moves, a clip path that stops
+calling ``predict_clip`` or a builder that changes its signature breaks the
+benchmark; these tests catch all three without running it. They only read
+``perfbench/``.
 """
 
 import importlib.util
@@ -25,11 +27,11 @@ from shoutkit.experiments.training import ClipExample, TrainSettings, train_mode
 from shoutkit.features import FeatureKind, FeatureStats, feature_matrix
 from shoutkit.models import build_fusion_model, build_single_model
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -53,14 +55,24 @@ def scoring_setup():
 
 
 def test_every_span_point_resolves():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for owner, attr, name, _ in spans._span_points(sk):
         assert attr in vars(owner), f"{name}: {owner!r} has no attribute {attr!r}"
 
 
+def test_every_benchmark_build_builds():
+    tables = load_perfbench("tables")
+    builds = list(tables._builds(sk, 0))
+    assert len(builds) == 9
+    for prefix, model in builds:
+        assert model.parameters(), prefix
+        assert model.kinds and all(isinstance(k, FeatureKind) for k in model.kinds), prefix
+        assert prefix.startswith(f"models.{model.arch.value}."), prefix
+
+
 @pytest.mark.parametrize("per_block", [False, True], ids=["per-clip", "per-block"])
 def test_tracer_records_scoring(scoring_setup, per_block):
-    spans = load_spans()
+    spans = load_perfbench("spans")
     examples, stats, model, noise = scoring_setup
     snrs = (CLEAN, 0.0)
     tracer = spans.Tracer()
@@ -82,7 +94,7 @@ def test_tracer_records_scoring(scoring_setup, per_block):
 
 
 def test_step_clock_records_every_training_step():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     kind = FeatureKind.TMFCC
     model = build_single_model("gru", kind, "binary", seed=0, dtype=np.float32, width_scale=8)
     rng = np.random.default_rng(4)
