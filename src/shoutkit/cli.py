@@ -30,7 +30,7 @@ from .experiments import (ExperimentConfig, apply_overrides, build_fold_data,
                           snr_label, write_synth_corpus)
 from .experiments.training import build_cell_model
 from .features import FeatureStats, assemble_blocks, parse_feature_kind, save_blocks, write_blocks_csv
-from .models import load_model, save_model
+from .models import check_cell, load_model, save_model
 from .neural import save_checkpoint
 
 EXIT_OK = 0
@@ -115,6 +115,7 @@ def cmd_train(args) -> int:
     if len(cfg.archs) != 1 or len(cfg.features) != 1:
         raise ConfigError("train runs a single cell; give one arch and one feature set")
     kinds = parse_feature_set(cfg.features[0])
+    check_cell(cfg.archs[0], kinds)
     examples, fold = _corpus_and_fold(cfg, args.fold)
     data = build_fold_data(examples, fold, kinds, cfg, noise=load_noise(cfg.noise))
     raw_logs: list = []

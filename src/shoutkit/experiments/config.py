@@ -74,7 +74,6 @@ class ExperimentConfig:
     manifest: str = ""
     audio_root: str = ""
     noise: str = ""                     # WAV path, or "pink:<seed>:<seconds>"
-    workers: int = 1
 
     def __post_init__(self):
         tasks = tuple(head.value for head in HeadKind)

@@ -31,24 +31,34 @@ def binary_f1(y_true, y_pred, positive=1) -> float:
 
 def weighted_f1(y_true, y_pred, n_classes: int) -> float:
     """Per-class F1 averaged with weights equal to class support."""
-    y_true, y_pred = _check_lengths(y_true, y_pred)
-    _check_range(y_true, n_classes)
-    _check_range(y_pred, n_classes)
-    total = y_true.size
+    counts = _counts(y_true, y_pred, n_classes)
+    total = int(counts.sum())
     if total == 0:
         raise ShapeError("cannot score empty label vectors")
     score = 0.0
-    for c in range(n_classes):
-        support = int(np.sum(y_true == c))
-        if support == 0:
-            continue
-        score += support * binary_f1(y_true, y_pred, positive=c)
+    # 2tp + fp + fn is support + predicted, an exact integer; summed in class
+    # order as Python floats, so the score is the float a per-class
+    # binary_f1 loop returns
+    for tp, support, predicted in zip(np.diag(counts).tolist(), counts.sum(axis=1).tolist(),
+                                      counts.sum(axis=0).tolist()):
+        if support:
+            score += support * (2.0 * tp / (support + predicted))
     return score / total
 
 
 def _check_range(labels, n_classes):
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise RangeError(f"labels outside 0..{n_classes - 1}")
+
+
+def _counts(y_true, y_pred, n_classes: int) -> np.ndarray:
+    """The (n_classes, n_classes) count matrix, rows = true class."""
+    y_true, y_pred = _check_lengths(y_true, y_pred)
+    _check_range(y_true, n_classes)
+    _check_range(y_pred, n_classes)
+    # empty label lists arrive as float64, which bincount refuses
+    index = y_true * n_classes + y_pred if y_true.size else np.zeros(0, dtype=np.int64)
+    return np.bincount(index, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def rmse(actual, predicted) -> float:
@@ -62,12 +72,7 @@ def confusion_matrix(y_true, y_pred, n_classes: int = 4):
 
     Rows with no support get all-zero percentages.
     """
-    y_true, y_pred = _check_lengths(y_true, y_pred)
-    _check_range(y_true, n_classes)
-    _check_range(y_pred, n_classes)
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        counts[t, p] += 1
+    counts = _counts(y_true, y_pred, n_classes)
     row_sums = counts.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         percentages = np.where(row_sums > 0, 100.0 * counts / row_sums, 0.0)

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..corpus import parse_manifest
 from ..errors import ConfigError, ShoutKitError
+from ..models import check_cell
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import FoldPlan, plan_folds
 from .metrics import MetricsReport, validate_report
@@ -44,6 +45,7 @@ def cell_name(arch: str, features: str) -> str:
 def run_cell(cfg: ExperimentConfig, arch: str, features: str,
              plan: FoldPlan, examples: list[ClipExample], noise) -> MetricsReport:
     kinds = parse_feature_set(features)
+    check_cell(arch, kinds)  # refuse a mismatched cell before any fold data
     report = MetricsReport(task=cfg.task, arch=arch, features=features,
                            numeric_mode=cfg.dtype, seed=cfg.seed,
                            config_echo=cfg.echo())
@@ -73,28 +75,6 @@ def run_cell(cfg: ExperimentConfig, arch: str, features: str,
     return report
 
 
-def _cell_job(args):
-    cfg, arch, features, plan, examples, noise = args
-    try:
-        return run_cell(cfg, arch, features, plan, examples, noise)
-    except ShoutKitError as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
-    except Exception as exc:  # keep the suite alive, record the cell
-        return {"error": f"{type(exc).__name__}: {exc}", "trace": traceback.format_exc()}
-
-
-def _run_cells(cfg, cells, plan, examples, noise):
-    """Run grid cells, optionally on a process pool; order is preserved so the
-    report bundle is identical either way."""
-    jobs = [(cfg, arch, features, plan, examples, noise) for arch, features in cells]
-    if cfg.workers <= 1 or len(jobs) <= 1:
-        return [_cell_job(job) for job in jobs]
-    import multiprocessing
-
-    with multiprocessing.get_context("spawn").Pool(min(cfg.workers, len(jobs))) as pool:
-        return pool.map(_cell_job, jobs)
-
-
 def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None = None
               ) -> SuiteResult:
     """Run the whole grid; one report per cell, aggregate table at the end."""
@@ -113,18 +93,22 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
     noise = load_noise(cfg.noise)
 
     result = SuiteResult(out_dir=out_dir)
-    cells = [(arch, features) for arch in cfg.archs for features in cfg.features]
-    outcomes = _run_cells(cfg, cells, plan, examples, noise)
-    for (arch, features), outcome in zip(cells, outcomes):
-        name = cell_name(arch, features)
-        if isinstance(outcome, dict):  # failure record
-            result.failures.append({"cell": name, **outcome})
-            continue
-        payload = outcome.to_dict()
-        validate_report(payload)
-        (out_dir / f"{name}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True))
-        result.reports.append(payload)
+    for arch in cfg.archs:
+        for features in cfg.features:
+            name = cell_name(arch, features)
+            try:
+                report = run_cell(cfg, arch, features, plan, examples, noise)
+            except ShoutKitError as exc:
+                result.failures.append({"cell": name, "error": f"{type(exc).__name__}: {exc}"})
+            except Exception as exc:  # keep the suite alive, record the cell
+                result.failures.append({"cell": name, "error": f"{type(exc).__name__}: {exc}",
+                                        "trace": traceback.format_exc()})
+            else:
+                payload = report.to_dict()
+                validate_report(payload)
+                (out_dir / f"{name}.json").write_text(
+                    json.dumps(payload, indent=2, sort_keys=True))
+                result.reports.append(payload)
 
     write_aggregate_table(result.reports, cfg, out_dir / "aggregate.csv")
     (out_dir / "suite_meta.json").write_text(json.dumps({

@@ -11,10 +11,9 @@ from ..audio_io import (CLEAN, AudioClip, NoiseSpec, load_wav, mix_noise_at_snr,
                         peak_normalize, pink_noise, resample_to_16k)
 from ..corpus import ShoutClass, Style, UtteranceRecord
 from ..errors import ConfigError, DegenerateInputError, NumericError
-from ..features import (BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix,
-                        parse_feature_kind, split_blocks)
+from ..features import BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix, split_blocks
 from ..models import (FusionModel, HeadKind, NetworkGraph, build_fusion_model,
-                      build_single_model, predict_clip)
+                      build_single_model, parse_feature_set, predict_clip)
 from ..neural import Adam, Tensor, loss as loss_fn, no_grad
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
@@ -360,13 +359,6 @@ def _score(task: str, y_true, y_pred) -> dict:
 
 
 # -- model construction for a grid cell --------------------------------------------------
-
-
-def parse_feature_set(spec: str) -> tuple[FeatureKind, ...]:
-    kinds = tuple(parse_feature_kind(part) for part in spec.split("+"))
-    if len(kinds) not in (1, 2) or len(set(kinds)) != len(kinds):
-        raise ConfigError(f"a feature set holds one kind or two different kinds, got {spec!r}")
-    return kinds
 
 
 def build_cell_model(arch: str, kinds: tuple[FeatureKind, ...], cfg: ExperimentConfig,

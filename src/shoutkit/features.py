@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip
-from .errors import DegenerateInputError, FormatError, NumericError, ShapeError, UnsupportedError
+from .errors import (ConfigError, DegenerateInputError, FormatError, NumericError, ShapeError,
+                     UnsupportedError)
 
 FRAME_LENGTH = 1024
 HOP_LENGTH = 512
@@ -77,7 +78,7 @@ def parse_feature_kind(name: str) -> FeatureKind:
         return FeatureKind(name.strip().lower())
     except ValueError:
         valid = ", ".join(k.value for k in FeatureKind)
-        raise UnsupportedError(f"unknown feature kind {name!r}; expected one of: {valid}")
+        raise ConfigError(f"unknown feature kind {name!r}; expected one of: {valid}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .features import BLOCK_FRAMES, FeatureKind
+from .features import BLOCK_FRAMES, FeatureKind, parse_feature_kind
 from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor,
                      load_checkpoint, no_grad, save_checkpoint)
 from .neural import tensor as T
@@ -128,6 +128,29 @@ def dim_table_for_kind(kind: FeatureKind) -> ModelDimTable:
                       "it is served by the baseline MLP")
 
 
+def parse_feature_set(spec: str) -> tuple[FeatureKind, ...]:
+    kinds = tuple(parse_feature_kind(part) for part in spec.split("+"))
+    if len(kinds) not in (1, 2) or len(set(kinds)) != len(kinds):
+        raise ConfigError(f"a feature set holds one kind or two different kinds, got {spec!r}")
+    return kinds
+
+
+def check_cell(arch: Arch | str, kinds: tuple[FeatureKind, ...]) -> Arch:
+    """The arch/kind rules every build keeps, checked without building
+    anything: the baseline MLP consumes mfcc_delta_delta features only, cnn,
+    gru and cnn_gru every other kind, and a fusion pair joins two kinds of
+    one width table. Returns the parsed arch."""
+    arch = parse_arch(arch) if isinstance(arch, str) else arch
+    if arch is Arch.MLP_BASELINE:
+        for kind in kinds:
+            if kind is not FeatureKind.MFCC_DELTA_DELTA:
+                raise ConfigError(f"the baseline MLP consumes mfcc_delta_delta features, "
+                                  f"got {kind.value}")
+    elif len({dim_table_for_kind(kind).variant for kind in kinds}) > 1:
+        raise ConfigError("cannot fuse a high-dimensional branch with a low-dimensional one")
+    return arch
+
+
 class TaskHead:
     """Final dense layer plus the task-specific output mapping."""
 
@@ -152,9 +175,8 @@ class TaskHead:
 class NetworkGraph:
     """A built architecture instance: layers, dimension ledger, task head.
 
-    Instances are single-writer during forward/backward; a trained model is
-    immutable under inference calls and can be shared across evaluation
-    workers.
+    A backward pass writes the parameters' gradients and an optimiser step
+    their values; inference calls leave a trained model unchanged.
     """
 
     arch: Arch
@@ -395,9 +417,7 @@ class FusionModel(NetworkGraph):
         if left.head.kind is not right.head.kind:
             raise ConfigError(f"fusion branches must share a task head, got "
                               f"{left.head.kind.value} and {right.head.kind.value}")
-        if left.dims.variant != right.dims.variant:
-            raise ConfigError("cannot fuse a high-dimensional branch with a "
-                              "low-dimensional one")
+        check_cell(left.arch, (left.kind, right.kind))
         self.arch = left.arch
         self.left = left
         self.right = right
@@ -448,13 +468,11 @@ def build_single_model(arch: Arch | str, kind: FeatureKind, head: HeadKind | str
     """The builder of every single-feature network: a ``SingleFeatureModel`` for
     cnn, gru and cnn_gru, the stand-in ``BaselineMlp`` for mlp_baseline_standin,
     which consumes mfcc_delta_delta features only."""
-    arch = parse_arch(arch) if isinstance(arch, str) else arch
+    arch = check_cell(arch, (kind,))
     head = parse_head(head) if isinstance(head, str) else head
     if arch is not Arch.MLP_BASELINE:
         return SingleFeatureModel(arch, kind, head, seed=seed, dtype=dtype,
                                   width_scale=width_scale)
-    if kind is not FeatureKind.MFCC_DELTA_DELTA:
-        raise ConfigError(f"the baseline MLP consumes mfcc_delta_delta features, got {kind.value}")
     return BaselineMlp(head, seed=seed, dtype=dtype, width_scale=width_scale)
 
 
@@ -537,10 +555,7 @@ def load_model(descriptor_path) -> NetworkGraph:
         fields[key.strip()] = value.strip()
     try:
         arch = Arch(fields["arch"])
-        kinds = tuple(FeatureKind(k) for k in fields["features"].split("+"))
-        if len(kinds) not in (1, 2) or len(set(kinds)) != len(kinds):
-            raise ValueError("features must be one kind or two different kinds, "
-                             f"got {fields['features']!r}")
+        kinds = parse_feature_set(fields["features"])
         head = HeadKind(fields["head"])
         seed = int(fields["seed"])
         if fields["dtype"] not in ("float32", "float64"):
@@ -550,7 +565,7 @@ def load_model(descriptor_path) -> NetworkGraph:
         if width_scale < 1:
             raise ValueError(f"width_scale must be an integer >= 1, got {width_scale}")
         checkpoint = descriptor_path.parent / fields["checkpoint"]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"bad model descriptor {descriptor_path}: {reason}") from exc
     branches = [build_single_model(arch, kind, head, seed=seed + i, dtype=dtype,

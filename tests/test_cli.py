@@ -156,11 +156,11 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n")
     assert main(["corpus", "validate", str(bad)]) == 3
-    # data error: missing feature kind
+    # config error: unknown feature kind
     wav = tmp_path / "t.wav"
     from shoutkit.audio_io import AudioClip, write_wav
     write_wav(AudioClip(np.zeros(2000) + 0.1, 16000, "t"), wav)
-    assert main(["extract", str(wav), str(tmp_path / "o.fbk"), "--kind", "mystery"]) == 3
+    assert main(["extract", str(wav), str(tmp_path / "o.fbk"), "--kind", "mystery"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -252,12 +252,22 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     ("argv", ["train"], "--output"),
     # refused before the corpus is read, so no manifest is needed
     ("argv", ["train", "--set", "features=tmfcc+tmfcc", "--output", "{out}"], "'tmfcc+tmfcc'"),
+    ("argv", ["train", "--set", "features=spectrogram+mel_spectrogram", "--output", "{out}"],
+     "cannot fuse"),
+    ("argv", ["train", "--set", "archs=mlp_baseline_standin",
+              "--set", "features=mfcc_delta_delta+tmfcc", "--output", "{out}"], "got tmfcc"),
+    # an unknown feature kind is a config error wherever it is named
+    ("argv", ["extract", "{wav}", "{out}", "--kind", "mystery"], "'mystery'"),
+    ("argv", ["train", "--set", "features=spectrogram+foo", "--output", "{out}"], "'foo'"),
+    ("argv", ["suite", "--set", "workers=2", "--output", "{out}"], "'workers'"),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
         "width-scale-negative", "dtype-int8", "dtype-float16", "descriptor-no-checkpoint",
         "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
         "usage-snr-spaced-minus-inf", "usage-snr-spaced-minus-infinity",
         "usage-snr-spaced-minus-nan", "usage-snr-spaced-minus-inf-upper",
-        "usage-train-without-output", "train-duplicate-feature-kind"])
+        "usage-train-without-output", "train-duplicate-feature-kind",
+        "train-high-low-fusion", "train-mlp-fusion", "extract-unknown-kind",
+        "train-unknown-kind", "suite-workers-key"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"

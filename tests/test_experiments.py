@@ -19,7 +19,7 @@ from shoutkit.experiments import (ExperimentConfig, TrainSettings, binary_f1,
                                   train_model, validate_report, weighted_f1,
                                   write_synth_corpus)
 from shoutkit import neural
-from shoutkit.experiments import training
+from shoutkit.experiments import suite, training
 from shoutkit.experiments.training import ClipExample, evaluate_loss
 from shoutkit.features import FeatureKind
 from shoutkit.models import Arch, build_baseline_mlp, build_single_model
@@ -165,6 +165,9 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("learning_rte = 0.1")
+        # cells run one after another; there is no worker pool to size
+        with pytest.raises(ConfigError, match="'workers'"):
+            parse_config_text("workers = 2")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -525,19 +528,44 @@ class TestSuite:
         written = export_plot_csvs(result.reports[0], tmp_path / "plots")
         assert any("confusion" in p.name for p in written)
 
-    def test_parallel_workers_match_sequential(self, tmp_path):
-        examples = synth_examples(n_clips=16, n_speakers=4)
-        base = self.make_cfg(epochs=2, batch_size=8,
-                             features=("mel_spectrogram", "tmfcc"))
-        parallel = self.make_cfg(epochs=2, batch_size=8,
-                                 features=("mel_spectrogram", "tmfcc"), workers=2)
+    @pytest.mark.parametrize("arch, features, error", [
+        ("mlp_baseline_standin", "mfcc_delta_delta+tmfcc",
+         "ConfigError: the baseline MLP consumes mfcc_delta_delta features, got tmfcc"),
+        ("cnn", "spectrogram+mel_spectrogram",
+         "ConfigError: cannot fuse a high-dimensional branch with a low-dimensional one"),
+    ], ids=["mlp-fusion", "high-low-fusion"])
+    def test_mismatched_cell_refused_before_fold_data(self, tmp_path, monkeypatch,
+                                                      arch, features, error):
+        calls = []
+        monkeypatch.setattr(suite, "build_fold_data", lambda *a, **k: calls.append(a))
+        cfg = self.make_cfg(archs=(arch,), features=(features,))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            seq = run_suite(base, tmp_path / "seq", examples=examples)
-            par = run_suite(parallel, tmp_path / "par", examples=examples)
-        assert seq.exit_code == par.exit_code == 0
-        for a, b in zip(seq.reports, par.reports):
-            assert a["snr_means"] == b["snr_means"]
+            result = run_suite(cfg, tmp_path / "out", examples=synth_examples(n_clips=16))
+        assert calls == []
+        assert result.reports == []
+        assert result.failures == [{"cell": cell_name(arch, features), "error": error}]
+        meta = json.loads((tmp_path / "out" / "suite_meta.json").read_text())
+        assert meta["failures"] == result.failures
+
+    def test_unexpected_cell_error_recorded_with_trace(self, tmp_path, monkeypatch):
+        build = suite.build_fold_data
+
+        def build_or_fail(examples, fold, kinds, cfg, noise=None):
+            if FeatureKind.TMFCC in kinds:
+                raise ValueError("boom")
+            return build(examples, fold, kinds, cfg, noise=noise)
+
+        monkeypatch.setattr(suite, "build_fold_data", build_or_fail)
+        cfg = self.make_cfg(features=("tmfcc", "mel_spectrogram"), epochs=2, batch_size=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_suite(cfg, tmp_path / "out", examples=synth_examples(n_clips=16))
+        assert [r["features"] for r in result.reports] == ["mel_spectrogram"]
+        [failure] = result.failures
+        assert failure["cell"] == cell_name("cnn", "tmfcc")
+        assert failure["error"] == "ValueError: boom"
+        assert "ValueError: boom" in failure["trace"]
 
     def test_report_schema_rejects_garbage(self):
         from shoutkit.errors import FormatError

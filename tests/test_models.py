@@ -266,14 +266,19 @@ class TestPersistence:
         restored = load_model(descriptor)
         assert np.allclose(restored.forward(x).data, expected, atol=0)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # width 2 cases keep their plain dtype ids, so their names stay stable;
+    # widths 1 and 4 add "-w<scale>"
+    @pytest.mark.parametrize("dtype, width_scale", [
+        pytest.param(dtype, scale, id=np.dtype(dtype).name + ("" if scale == 2 else f"-w{scale}"))
+        for scale in (1, 2, 4) for dtype in (np.float32, np.float64)])
     @pytest.mark.parametrize("head", [h.value for h in HeadKind])
     @pytest.mark.parametrize("arch, fused", [
         *((arch, fused) for arch in ("cnn", "gru", "cnn_gru") for fused in ("single", "fusion")),
         ("mlp_baseline_standin", "single")])
-    def test_round_trip_every_build(self, tmp_path, arch, fused, head, dtype):
+    def test_round_trip_every_build(self, tmp_path, arch, fused, head, dtype, width_scale):
         def build(kind, seed):
-            return build_single_model(arch, kind, head, seed=seed, dtype=dtype, width_scale=2)
+            return build_single_model(arch, kind, head, seed=seed, dtype=dtype,
+                                      width_scale=width_scale)
 
         kind = FeatureKind.MFCC_DELTA_DELTA if arch == "mlp_baseline_standin" else LOW[0]
         model = build(kind, 5)
