@@ -61,7 +61,7 @@ def cmd_extract(args) -> int:
     clip = audio_io.load_wav(args.input)
     if clip.sample_rate == 48000:
         clip = audio_io.resample_to_16k(clip)
-    stats = FeatureStats.load(args.stats) if args.stats else None
+    stats = FeatureStats.load(args.stats, kind) if args.stats else None
     blocks = assemble_blocks(clip, kind, stats=stats)
     save_blocks(blocks, kind, args.output)
     if args.csv:
@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
         # best-validation parameters are kept alongside
         save_checkpoint(raw_logs[-1].best_state, out_dir / f"{args.name}.best.ckpt")
     for kind in kinds:
-        data.stats[kind].save(out_dir / f"{args.name}.stats.{kind.value}.json")
+        data.stats[kind].save(out_dir / f"{args.name}.stats.{kind.value}.json", kind)
     stages = [{**log.summary(), "curve": log.epochs} for log in raw_logs]
     (out_dir / f"{args.name}.training.json").write_text(json.dumps({
         "config": cfg.echo(), "fold": args.fold, "stages": stages}, indent=2, sort_keys=True))
@@ -138,12 +138,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     model = load_model(args.model)
-    examples, fold = _corpus_and_fold(cfg, args.fold)
-    test = [e for e in examples if e.speaker_id in fold.test_speakers]
     stats_dir = Path(args.model).parent
     name = Path(args.model).stem.replace(".descriptor", "")
-    stats = {kind: FeatureStats.load(stats_dir / f"{name}.stats.{kind.value}.json")
+    stats = {kind: FeatureStats.load(stats_dir / f"{name}.stats.{kind.value}.json", kind)
              for kind in model.kinds}
+    examples, fold = _corpus_and_fold(cfg, args.fold)
+    test = [e for e in examples if e.speaker_id in fold.test_speakers]
     noise = load_noise(cfg.noise)
     scores = evaluate_model(model, test, stats, cfg.task, cfg.snrs_db, noise,
                             seed=derive_seed(cfg.seed, "noise", args.fold),

@@ -81,6 +81,14 @@ class ExperimentConfig:
             raise ConfigError(f"task must be one of {tasks}, got {self.task!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.n_folds < 1:
             raise ConfigError("epochs, batch_size and n_folds must be positive")
+        if self.width_scale < 1:
+            raise ConfigError(f"width_scale must be an integer >= 1, got {self.width_scale}")
+        if min(self.pretrain_epochs, self.finetune_epochs, self.early_stop_patience) < 0:
+            raise ConfigError("pretrain_epochs, finetune_epochs and early_stop_patience "
+                              "must not be negative")
+        if not 0 < self.validation_fraction < 1:
+            raise ConfigError("validation_fraction must lie in (0, 1), "
+                              f"got {self.validation_fraction}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         for snr in self.snrs_db:

@@ -47,7 +47,11 @@ def weighted_f1(y_true, y_pred, n_classes: int) -> float:
 
 
 def _check_range(labels, n_classes):
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if not labels.size:
+        return
+    if labels.dtype.kind not in "biu":
+        raise RangeError(f"labels must be integer class indices, got {labels.dtype} values")
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise RangeError(f"labels outside 0..{n_classes - 1}")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from ..audio_io import (CLEAN, AudioClip, NoiseSpec, load_wav, mix_noise_at_snr,
                         peak_normalize, pink_noise, resample_to_16k)
 from ..corpus import ShoutClass, Style, UtteranceRecord
-from ..errors import ConfigError, DegenerateInputError, NumericError
+from ..errors import ConfigError, NumericError
 from ..features import BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix, split_blocks
 from ..models import (FusionModel, HeadKind, NetworkGraph, build_fusion_model,
                       build_single_model, parse_feature_set, predict_clip)
@@ -146,32 +146,30 @@ def build_fold_data(examples: list[ClipExample], fold: Fold,
         train = [_augment_training_clip(e, cfg, noise) for e in train]
         val = [_augment_training_clip(e, cfg, noise) for e in val]
 
-    matrices = {kind: {e.clip_id: feature_matrix(e.clip, kind) for e in train + val}
-                for kind in kinds}
-    stats = {kind: FeatureStats.fit([matrices[kind][e.clip_id] for e in train])
-             for kind in kinds}
-
-    dtype = np.dtype(cfg.dtype)
-
-    def stack(split):
-        xs: dict = {kind: [] for kind in kinds}
-        ys = []
-        for e in split:
-            for kind in kinds:
-                xs[kind].append(split_blocks(matrices[kind][e.clip_id], kind,
-                                             stats=stats[kind]))
-            n_blocks = len(xs[kinds[0]][-1])
-            if any(len(xs[kind][-1]) != n_blocks for kind in kinds):
-                raise DegenerateInputError(f"block count mismatch across kinds for {e.clip_id}")
-            ys.extend([e.label] * n_blocks)
-        x_arrays = {kind: np.concatenate(xs[kind], dtype=dtype) if xs[kind] else
-                    np.zeros((0, kind.dim, BLOCK_FRAMES), dtype=dtype) for kind in kinds}
-        return x_arrays, np.asarray(ys)
-
-    train_x, train_y = stack(train)
-    val_x, val_y = stack(val)
+    # a kind's train matrices are dropped before its validation ones exist;
+    # every kind is cut from the same frames, so any kind's block counts serve
+    stats, train_x, val_x = {}, {}, {}
+    for kind in kinds:
+        matrices = [feature_matrix(e.clip, kind) for e in train]
+        stats[kind] = FeatureStats.fit(matrices)
+        train_x[kind], train_counts = _write_blocks(matrices, kind, stats[kind], cfg.dtype)
+        del matrices
+        val_x[kind], val_counts = _write_blocks([feature_matrix(e.clip, kind) for e in val],
+                                                kind, stats[kind], cfg.dtype)
+    train_y = np.repeat(np.asarray([e.label for e in train]), train_counts)
+    val_y = np.repeat(np.asarray([e.label for e in val]), val_counts)
     return FoldData(kinds=kinds, stats=stats, train_x=train_x, train_y=train_y,
                     val_x=val_x, val_y=val_y, test_examples=test, train_examples=train)
+
+
+def _write_blocks(matrices: list[np.ndarray], kind: FeatureKind, stats: FeatureStats,
+                  dtype: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every (D, T) matrix's z-scored blocks in one (N, D, 20) array, and its block counts."""
+    counts = np.array([m.shape[1] // BLOCK_FRAMES for m in matrices], dtype=np.int64)
+    out = np.empty((int(counts.sum()), kind.dim, BLOCK_FRAMES), dtype=dtype)
+    for m, start, n in zip(matrices, np.cumsum(counts) - counts, counts):
+        out[start:start + n] = split_blocks(m, kind, stats=stats)
+    return out, counts
 
 
 # -- training loop -----------------------------------------------------------------

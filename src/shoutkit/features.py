@@ -149,8 +149,10 @@ def cepstrum_full(power_full: np.ndarray) -> np.ndarray:
 
 
 def cepstrum(power_full: np.ndarray) -> np.ndarray:
-    """Real cepstrum truncated to quefrencies 0..511 (one per spectrogram bin)."""
-    return cepstrum_full(power_full)[..., :512]
+    """Real cepstrum truncated to quefrencies 0..511 (one per spectrogram bin).
+
+    A copy, so a kept cepstrogram does not hold the 1024-point transform too."""
+    return cepstrum_full(power_full)[..., :512].copy()
 
 
 def hz_to_mel(f):
@@ -268,12 +270,15 @@ class FeatureStats:
     def apply(self, data: np.ndarray) -> np.ndarray:
         return (data - self.mean[:, None]) / self.std[:, None]
 
-    def save(self, path) -> None:
-        payload = {"mean": self.mean.tolist(), "std": self.std.tolist()}
+    def save(self, path, kind: FeatureKind) -> None:
+        """Write the stats as JSON, with the feature kind they were fitted on."""
+        payload = {"kind": kind.value, "mean": self.mean.tolist(), "std": self.std.tolist()}
         Path(path).write_text(json.dumps(payload))
 
     @classmethod
-    def load(cls, path) -> "FeatureStats":
+    def load(cls, path, kind: FeatureKind) -> "FeatureStats":
+        """Read stats that ``save`` wrote for ``kind``; a file of another kind,
+        or one that records no kind, is refused."""
         try:
             payload = json.loads(Path(path).read_text())
             mean, std = (np.asarray(payload[key], dtype=np.float64) for key in ("mean", "std"))
@@ -281,6 +286,9 @@ class FeatureStats:
             raise FormatError(f"{path}: not a feature stats file ({exc!r})") from None
         if mean.ndim != 1 or mean.shape != std.shape:
             raise FormatError(f"{path}: mean {mean.shape} and std {std.shape} are not one length")
+        fitted = payload.get("kind") or "an unrecorded kind"
+        if fitted != kind.value:
+            raise FormatError(f"{path}: stats fitted on {fitted}, not {kind.value}")
         return cls(mean=mean, std=std)
 
 

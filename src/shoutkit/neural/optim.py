@@ -45,9 +45,10 @@ class Adam:
     def step(self):
         """Update every parameter that has a gradient.
 
-        Every gradient is checked first: one of the wrong shape or with a
-        non-finite value is refused before the step count, the moments or any
-        parameter change.
+        Every gradient is checked first: one of the wrong shape, with a
+        non-finite value or with a square that overflows its dtype (it would
+        leave the second moment at inf for good) is refused before the step
+        count, the moments or any parameter change.
         """
         s = self.state
         grads = {}
@@ -57,8 +58,9 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            if not _all_finite(g):
-                raise NumericError(f"non-finite gradient in parameter {name!r}")
+            if not _squares_finite(g):
+                raise NumericError(f"non-finite gradient, or one whose square overflows "
+                                   f"{g.dtype}, in parameter {name!r}")
             grads[name] = g
         s.step_count += 1
         correct1 = 1.0 - s.beta1 ** s.step_count
@@ -82,9 +84,11 @@ class Adam:
             del scratch
 
 
-def _all_finite(g: np.ndarray) -> bool:
-    """One reduction decides the common case; a non-finite sum is checked
-    element-wise, so a finite float32 gradient whose sum overflows passes."""
+def _squares_finite(g: np.ndarray) -> bool:
+    """Whether every element of ``g`` and its square are finite. One dot
+    product decides the common case; a non-finite one is checked
+    element-wise, so a gradient whose sum of squares overflows but whose
+    every square fits passes."""
+    flat = g.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        total = g.sum()
-    return bool(np.isfinite(total)) or bool(np.all(np.isfinite(g)))
+        return bool(np.isfinite(np.dot(flat, flat))) or bool(np.isfinite(np.square(g)).all())

@@ -195,3 +195,34 @@ def count_graph_nodes(root):
             seen.add(id(node))
             stack.extend(node._parents)
     return len(seen)
+
+
+def stacked_fold_blocks(train, val, kinds, matrix_fn, dtype):
+    """Fold data stacked clip by clip: every kind's (D, T) matrices held at
+    once, z-score statistics pooled over the train matrices, each clip's
+    20-frame blocks cut on their own and joined with one ``np.concatenate``,
+    and each clip's label repeated once per block.
+
+    ``train`` and ``val`` are lists of (clip, label); ``matrix_fn(clip, kind)``
+    gives a clip's (D, T) feature matrix. Returns ``(stats, x, y)``: stats maps
+    kind to (mean, std), x maps split name to {kind: blocks}, y maps split
+    name to labels.
+    """
+    matrices = {kind: {split: [matrix_fn(clip, kind) for clip, _ in clips]
+                       for split, clips in (("train", train), ("val", val))}
+                for kind in kinds}
+    stats, x, y = {}, {"train": {}, "val": {}}, {}
+    for kind in kinds:
+        pooled = np.concatenate(matrices[kind]["train"], axis=1)
+        mean, std = pooled.mean(axis=1), np.maximum(pooled.std(axis=1), 1e-8)
+        stats[kind] = (mean, std)
+        for split, clips in (("train", train), ("val", val)):
+            per_clip, labels = [], []
+            for m, (_, label) in zip(matrices[kind][split], clips):
+                n = m.shape[1] // 20
+                z = (m[:, : n * 20] - mean[:, None]) / std[:, None]
+                per_clip.append(z.reshape(len(mean), n, 20).transpose(1, 0, 2))
+                labels.extend([label] * n)
+            x[split][kind] = np.concatenate(per_clip, dtype=dtype)
+            y[split] = np.asarray(labels)
+    return stats, x, y

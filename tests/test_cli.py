@@ -211,11 +211,44 @@ def test_malformed_file_is_data_error(corpus_dir, tmp_path, capsys, case):
 def test_stats_of_another_kind_is_data_error(corpus_dir, tmp_path, capsys):
     wav = next((corpus_dir / "wav").glob("*.wav"))
     stats = tmp_path / "spectrogram.json"
-    FeatureStats.fit([feature_matrix(load_wav(wav), FeatureKind.SPECTROGRAM)]).save(stats)
+    FeatureStats.fit([feature_matrix(load_wav(wav), FeatureKind.SPECTROGRAM)]).save(
+        stats, FeatureKind.SPECTROGRAM)
     out = tmp_path / "o.fbk"
     assert main(["extract", str(wav), str(out), "--kind", "tmfcc",
                  "--stats", str(stats)]) == 3
     assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [
+    ("extract", FeatureKind.MEL_SPECTROGRAM, "fitted on mel_spectrogram, not tmfcc"),
+    ("extract", None, "fitted on an unrecorded kind, not tmfcc"),
+    ("evaluate", FeatureKind.MEL_SPECTROGRAM, "fitted on mel_spectrogram, not tmfcc"),
+], ids=["extract-same-width-kind", "extract-kind-less", "evaluate-swapped-stats"])
+def test_stats_file_of_another_or_no_kind_is_data_error(corpus_dir, tmp_path, capsys, case):
+    # mel_spectrogram and tmfcc are both 30-d, so only the recorded kind tells them apart
+    command, saved_kind, mentioned = case
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    stats_path = tmp_path / "m.stats.tmfcc.json"
+    stats = FeatureStats.fit([feature_matrix(load_wav(wav), saved_kind or FeatureKind.TMFCC)])
+    if saved_kind is None:
+        # the format before stats files recorded their kind
+        stats_path.write_text(json.dumps({"mean": stats.mean.tolist(),
+                                          "std": stats.std.tolist()}))
+    else:
+        stats.save(stats_path, saved_kind)
+    out = tmp_path / "o.fbk"
+    if command == "extract":
+        argv = ["extract", str(wav), str(out), "--kind", "tmfcc", "--stats", str(stats_path)]
+    else:
+        # refused before the corpus is read, so no manifest is needed
+        model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
+        argv = ["evaluate", "--model", str(save_model(model, tmp_path, "m")),
+                "--output", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert mentioned in err
     assert not out.exists()
 
 
@@ -224,7 +257,7 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
     descriptor = save_model(model, tmp_path, "m")
     FeatureStats.fit([feature_matrix(load_wav(wav), FeatureKind.TMFCC)]).save(
-        tmp_path / "m.stats.tmfcc.json")
+        tmp_path / "m.stats.tmfcc.json", FeatureKind.TMFCC)
     settings = ["task=four_class", "n_folds=2", "snrs_db=clean",
                 f"manifest={corpus_dir / 'manifest.csv'}", f"audio_root={corpus_dir}"]
     args = [a for s in settings for a in ("--set", s)]
@@ -260,6 +293,19 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     ("argv", ["extract", "{wav}", "{out}", "--kind", "mystery"], "'mystery'"),
     ("argv", ["train", "--set", "features=spectrogram+foo", "--output", "{out}"], "'foo'"),
     ("argv", ["suite", "--set", "workers=2", "--output", "{out}"], "'workers'"),
+    # config values no build can use are refused before any work
+    ("argv", ["train", "--set", "width_scale=0", "--output", "{out}"], "width_scale"),
+    ("argv", ["train", "--set", "width_scale=-2", "--output", "{out}"], "width_scale"),
+    ("argv", ["train", "--set", "pretrain_epochs=-1", "--output", "{out}"], "pretrain_epochs"),
+    ("argv", ["train", "--set", "finetune_epochs=-1", "--output", "{out}"], "finetune_epochs"),
+    ("argv", ["train", "--set", "early_stop_patience=-1", "--output", "{out}"],
+     "early_stop_patience"),
+    ("argv", ["train", "--set", "validation_fraction=2", "--output", "{out}"],
+     "validation_fraction"),
+    ("argv", ["train", "--set", "validation_fraction=0", "--output", "{out}"],
+     "validation_fraction"),
+    ("argv", ["train", "--set", "validation_fraction=1", "--output", "{out}"],
+     "validation_fraction"),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
         "width-scale-negative", "dtype-int8", "dtype-float16", "descriptor-no-checkpoint",
         "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
@@ -267,7 +313,11 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
         "usage-snr-spaced-minus-nan", "usage-snr-spaced-minus-inf-upper",
         "usage-train-without-output", "train-duplicate-feature-kind",
         "train-high-low-fusion", "train-mlp-fusion", "extract-unknown-kind",
-        "train-unknown-kind", "suite-workers-key"])
+        "train-unknown-kind", "suite-workers-key", "train-width-scale-zero",
+        "train-width-scale-negative", "train-pretrain-epochs-negative",
+        "train-finetune-epochs-negative", "train-early-stop-patience-negative",
+        "train-validation-fraction-two", "train-validation-fraction-zero",
+        "train-validation-fraction-one"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"

@@ -1,6 +1,7 @@
 """experiments: folds, metrics, config, synthetic corpora, training, suites."""
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -21,11 +22,12 @@ from shoutkit.experiments import (ExperimentConfig, TrainSettings, binary_f1,
 from shoutkit import neural
 from shoutkit.experiments import suite, training
 from shoutkit.experiments.training import ClipExample, evaluate_loss
-from shoutkit.features import FeatureKind
+from shoutkit.features import FeatureKind, feature_matrix
 from shoutkit.models import Arch, build_baseline_mlp, build_single_model
 from shoutkit.corpus import parse_manifest, validate_manifest
 
-from oracles import tally_binary_f1, tally_confusion, tally_rmse, tally_weighted_f1
+from oracles import (stacked_fold_blocks, tally_binary_f1, tally_confusion, tally_rmse,
+                     tally_weighted_f1)
 
 
 def synth_examples(n_clips=40, n_speakers=4, n_classes=2, seed=1, clip_seconds=(0.72, 0.85)):
@@ -121,6 +123,24 @@ class TestMetrics:
     def test_unknown_label_rejected(self):
         with pytest.raises(RangeError):
             confusion_matrix(np.array([0, 4]), np.array([0, 0]), 4)
+
+    @pytest.mark.parametrize("score", [confusion_matrix, weighted_f1],
+                             ids=["confusion", "weighted-f1"])
+    @pytest.mark.parametrize("which", ["true", "pred"])
+    def test_float_labels_rejected(self, score, which):
+        ints, floats = np.array([1, 0]), np.array([1.0, 0.0])
+        args = (floats, ints) if which == "true" else (ints, floats)
+        with pytest.raises(RangeError, match="integer class indices"):
+            score(*args, 2)
+
+    def test_bool_and_empty_labels_keep_their_scores(self):
+        y_true, y_pred = np.array([True, True, False]), np.array([True, False, False])
+        counts, _ = confusion_matrix(y_true, y_pred, 2)
+        assert counts.tolist() == [[1, 0], [1, 1]]
+        assert weighted_f1(y_true, y_pred, 2) == weighted_f1(y_true.astype(int),
+                                                             y_pred.astype(int), 2)
+        counts, percent = confusion_matrix([], [], 4)
+        assert not counts.any() and not percent.any()
 
     def test_random_vectors_match_tallies(self):
         rng = np.random.default_rng(5)
@@ -477,6 +497,60 @@ class TestTraining:
         again = build_fold_data(examples, plan.folds[0],
                                 (FeatureKind.MEL_SPECTROGRAM,), noisy_cfg, noise=noise)
         assert np.array_equal(b, again.train_x[FeatureKind.MEL_SPECTROGRAM])
+
+    @pytest.mark.parametrize("task, dtype, kinds", [
+        ("binary", "float32", (FeatureKind.SPECTROGRAM, FeatureKind.CEPSTROGRAM)),
+        ("regression", "float64", (FeatureKind.MFCC_DELTA_DELTA,)),
+    ], ids=["float32-binary-fusion", "float64-regression"])
+    def test_fold_data_equals_clip_by_clip_stacking(self, task, dtype, kinds):
+        if task == "regression":
+            examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id, clip=s.clip,
+                                    label=s.intensity)
+                        for s in make_intensity_corpus(n_clips=16, n_speakers=4, seed=2,
+                                                       clip_seconds=(1.3, 1.9))]
+        else:
+            examples = synth_examples(n_clips=16, n_speakers=4, clip_seconds=(1.3, 1.9))
+        cfg = ExperimentConfig(task=task, dtype=dtype, n_folds=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=4, n_folds=2)
+        data = build_fold_data(examples, plan.folds[0], kinds, cfg)
+        train_speakers, val_speakers = split_train_validation(
+            plan.folds[0], seed=derive_seed(cfg.seed, "validation"))
+        train, val = ([(e.clip, e.label) for e in examples if e.speaker_id in speakers]
+                      for speakers in (train_speakers, val_speakers))
+        stats, x, y = stacked_fold_blocks(train, val, kinds, feature_matrix, dtype)
+
+        def same(got, want):
+            return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(
+                got, want)
+
+        for kind in kinds:
+            assert same(data.stats[kind].mean, stats[kind][0])
+            assert same(data.stats[kind].std, stats[kind][1])
+            assert same(data.train_x[kind], x["train"][kind])
+            assert same(data.val_x[kind], x["val"][kind])
+        assert same(data.train_y, y["train"]) and same(data.val_y, y["val"])
+        # several blocks per clip, so the labels really are repeated per block
+        assert len(data.train_y) > len(train) and len(data.val_y) > len(val)
+
+    def test_fold_data_peak_is_bounded_by_its_blocks(self):
+        # spectrogram + cepstrogram are the two 512-d kinds, the largest fold data
+        examples = synth_examples()
+        cfg = ExperimentConfig(task="binary", dtype="float32", n_folds=2)
+        kinds = (FeatureKind.SPECTROGRAM, FeatureKind.CEPSTROGRAM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plan = plan_folds(sorted({e.speaker_id for e in examples}),
+                              seed=derive_seed(cfg.seed, "folds"), n_folds=2)
+        tracemalloc.start()
+        try:
+            data = build_fold_data(examples, plan.folds[0], kinds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (*data.train_x.values(), *data.val_x.values()))
+        assert kept and peak <= 4 * kept
 
 
 class TestSuite:

@@ -122,6 +122,12 @@ class TestCepstrum:
     def test_512_values(self):
         assert cepstrum(np.ones(513)).shape == (512,)
 
+    def test_cepstrogram_keeps_only_its_512_quefrencies(self):
+        # fold data holds every train cepstrogram at once
+        matrix = feature_matrix(clip_with_frames(25), FeatureKind.CEPSTROGRAM)
+        owner = matrix if matrix.base is None else matrix.base
+        assert owner.nbytes == matrix.nbytes == 512 * 25 * 8
+
 
 class TestMel:
     def test_zero_spectrum_floors(self):
@@ -350,7 +356,7 @@ def test_stats_round_trip(tmp_path):
     matrix = feature_matrix(clip_with_frames(25), FeatureKind.MEL_SPECTROGRAM)
     stats = FeatureStats.fit([matrix])
     path = tmp_path / "stats.json"
-    stats.save(path)
-    back = FeatureStats.load(path)
+    stats.save(path, FeatureKind.MEL_SPECTROGRAM)
+    back = FeatureStats.load(path, FeatureKind.MEL_SPECTROGRAM)
     assert np.allclose(stats.mean, back.mean)
     assert np.allclose(stats.std, back.std)

@@ -581,14 +581,25 @@ class TestAdam:
             np.testing.assert_allclose(p.data, want[name], rtol=tol, atol=tol)
         assert opt.state.step_count == 5
 
-    def test_overflowing_gradient_sum_is_not_refused(self):
+    def test_overflowing_squared_gradient_is_refused(self):
         p = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
         opt = Adam({"p": p}, lr=0.01)
-        p.grad = np.full(8, 3e38, dtype=np.float32)   # finite; the float32 sum is inf
-        with np.errstate(over="ignore"):              # so is g * g, as in the textbook form
+        p.grad = np.full(8, 3e38, dtype=np.float32)   # finite, but g * g is inf in float32
+        with pytest.raises(NumericError, match="'p'"):
             opt.step()
+        assert opt.state.step_count == 0
+        assert not p.data.any()
+        assert not opt.state.first_moment["p"].any()
+        assert not opt.state.second_moment["p"].any()
+
+    def test_overflowing_sum_of_squares_is_not_refused(self):
+        p = Tensor(np.zeros(4_000_000, dtype=np.float32), requires_grad=True)
+        opt = Adam({"p": p}, lr=0.01)
+        p.grad = np.full(p.data.shape, 1e16, dtype=np.float32)  # each square is 1e32
+        opt.step()
         assert opt.state.step_count == 1
-        assert np.all(np.isfinite(p.data))
+        assert np.all(np.isfinite(opt.state.second_moment["p"]))
+        assert np.all(p.data < 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("at", [0, 7, 14], ids=["first", "middle", "last"])
