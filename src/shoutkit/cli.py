@@ -18,10 +18,7 @@ from .corpus import (aggregate_ratings_pipeline, attach_intensity, class_counts,
                      parse_manifest, read_ratings_csv, read_subsets_csv,
                      summarize_intensity, validate_manifest, write_intensity_summary,
                      write_manifest)
-from .errors import (ConfigError, DegenerateInputError, FormatError,
-                     InsufficientRatingsError, ManifestError, NumericError,
-                     RangeError, ShapeError, ShoutKitError, StateError,
-                     UnsupportedError)
+from .errors import ConfigError, NumericError, ShoutKitError
 from .experiments import (ExperimentConfig, apply_overrides, build_fold_data,
                           corpus_examples, derive_seed, evaluate_model,
                           export_plot_csvs, load_config, load_noise,
@@ -37,11 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-# OSError covers input files that are missing or unreadable
-_DATA_ERRORS = (FormatError, UnsupportedError, DegenerateInputError, ManifestError,
-                InsufficientRatingsError, RangeError, ShapeError, StateError, OSError)
-
 
 def _load_cfg(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
@@ -346,11 +338,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
+    # OSError covers input files that are missing or unreadable
+    except (ShoutKitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ShoutKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -12,8 +12,8 @@ from ..audio_io import (CLEAN, AudioClip, NoiseSpec, load_wav, mix_noise_at_snr,
 from ..corpus import ShoutClass, Style, UtteranceRecord
 from ..errors import ConfigError, NumericError
 from ..features import BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix, split_blocks
-from ..models import (FusionModel, HeadKind, NetworkGraph, build_fusion_model,
-                      build_single_model, parse_feature_set, predict_clip)
+from ..models import (HeadKind, NetworkGraph, build_fusion_model, build_single_model,
+                      parse_feature_set, predict_clip)
 from ..neural import Adam, Tensor, loss as loss_fn, no_grad
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
@@ -204,20 +204,12 @@ class TrainingLog:
                 "final_train_loss": self.epochs[-1]["train_loss"] if self.epochs else None}
 
 
-def _model_batch(model: NetworkGraph, x: dict, idx):
-    """Rows ``idx`` of the per-kind arrays, as the forward-pass input for this model."""
-    if isinstance(model, FusionModel):
-        left, right = model.kinds
-        return x[left][idx], x[right][idx]
-    return x[model.kinds[0]][idx]
-
-
 def _forward_chunks(model: NetworkGraph, x: dict) -> np.ndarray:
     """No-grad forward of per-kind block arrays, FORWARD_CHUNK blocks at a
     time; returns the (n, outputs) rows (an empty input is forwarded once)."""
     n = len(x[model.kinds[0]])
     with no_grad():
-        rows = [model.forward(_model_batch(model, x, slice(i, i + FORWARD_CHUNK))).data
+        rows = [model.forward(model.batch(x, slice(i, i + FORWARD_CHUNK))).data
                 for i in range(0, max(n, 1), FORWARD_CHUNK)]
     return np.concatenate(rows)
 
@@ -261,7 +253,7 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
         epoch_loss = 0.0
         for start in range(0, n, settings.batch_size):
             idx = order[start : start + settings.batch_size]
-            batch = _model_batch(model, train_x, idx)
+            batch = model.batch(train_x, idx)
             target = y_train[idx]
             model.zero_grad()
             out = model.forward(batch)
@@ -335,7 +327,7 @@ def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
                 y_true.extend([example.label] * len(x[model.kinds[0]]))
             else:
                 y_true.append(example.label)
-                y_pred.append(predict_clip(model, _model_batch(model, x, slice(None))).decision)
+                y_pred.append(predict_clip(model, model.batch(x)).decision)
         if per_block:
             x = {kind: np.concatenate([b[kind] for b in blocks], dtype=model.dtype)
                  for kind in model.kinds}

@@ -278,7 +278,8 @@ class FeatureStats:
     @classmethod
     def load(cls, path, kind: FeatureKind) -> "FeatureStats":
         """Read stats that ``save`` wrote for ``kind``; a file of another kind,
-        or one that records no kind, is refused."""
+        one that records no kind, or one with a non-finite value or a std
+        that is not positive is refused."""
         try:
             payload = json.loads(Path(path).read_text())
             mean, std = (np.asarray(payload[key], dtype=np.float64) for key in ("mean", "std"))
@@ -286,6 +287,8 @@ class FeatureStats:
             raise FormatError(f"{path}: not a feature stats file ({exc!r})") from None
         if mean.ndim != 1 or mean.shape != std.shape:
             raise FormatError(f"{path}: mean {mean.shape} and std {std.shape} are not one length")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise FormatError(f"{path}: mean and std must be finite, and std above 0")
         fitted = payload.get("kind") or "an unrecorded kind"
         if fitted != kind.value:
             raise FormatError(f"{path}: stats fitted on {fitted}, not {kind.value}")
@@ -361,11 +364,15 @@ def load_blocks(path) -> tuple[FeatureKind, np.ndarray]:
         raise UnsupportedError(f"unsupported container version {version}")
     if code not in _CODE_KINDS:
         raise FormatError(f"unknown feature kind code {code}")
+    kind = _CODE_KINDS[code]
+    if dim != kind.dim or frames != BLOCK_FRAMES:
+        raise FormatError(f"{kind.value} container header says {dim} x {frames} blocks, "
+                          f"not {kind.dim} x {BLOCK_FRAMES}: {path}")
     expected = _HEADER.size + 4 * dim * frames * count
     if len(raw) != expected:
         raise FormatError(f"container payload size mismatch: {len(raw)} != {expected}")
     payload = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    return _CODE_KINDS[code], payload.reshape(count, dim, frames)
+    return kind, payload.reshape(count, dim, frames)
 
 
 def write_blocks_csv(blocks: np.ndarray, path) -> None:

@@ -85,15 +85,11 @@ def parse_head(name: str) -> HeadKind:
 
 @dataclass(frozen=True)
 class ModelDimTable:
-    """Layer width table; d1..d4 are feature-axis sizes through the pools,
-    d5 the first dense width, (gru_d1, gru_d2) the BiGRU/dense widths of the
-    GRU model, d6 the dense width of the CNN-GRU model."""
+    """Layer width table: d5 the first dense width, (gru_d1, gru_d2) the
+    BiGRU/dense widths of the GRU model, d6 the dense width of the CNN-GRU
+    model. The input height is the feature kind's ``dim``; each of the three
+    conv stages floor-divides it by ``pool_kernel``."""
 
-    variant: str
-    d1: int
-    d2: int
-    d3: int
-    d4: int
     d5: int
     gru_d1: int
     gru_d2: int
@@ -107,16 +103,13 @@ class ModelDimTable:
             return self
         shrink = lambda v: max(1, v // factor)
         return ModelDimTable(
-            variant=self.variant, d1=self.d1, d2=self.d2, d3=self.d3, d4=self.d4,
             d5=shrink(self.d5), gru_d1=max(2, (self.gru_d1 // factor) // 2 * 2),
             gru_d2=shrink(self.gru_d2), d6=shrink(self.d6),
             pool_kernel=self.pool_kernel, channels=max(1, self.channels // factor))
 
 
-HIGH_DIM_TABLE = ModelDimTable(variant="high", d1=512, d2=102, d3=20, d4=4, d5=64,
-                               gru_d1=1024, gru_d2=64, d6=64, pool_kernel=5)
-LOW_DIM_TABLE = ModelDimTable(variant="low", d1=30, d2=10, d3=3, d4=1, d5=16,
-                              gru_d1=60, gru_d2=16, d6=16, pool_kernel=3)
+HIGH_DIM_TABLE = ModelDimTable(d5=64, gru_d1=1024, gru_d2=64, d6=64, pool_kernel=5)
+LOW_DIM_TABLE = ModelDimTable(d5=16, gru_d1=60, gru_d2=16, d6=16, pool_kernel=3)
 
 
 def dim_table_for_kind(kind: FeatureKind) -> ModelDimTable:
@@ -146,7 +139,7 @@ def check_cell(arch: Arch | str, kinds: tuple[FeatureKind, ...]) -> Arch:
             if kind is not FeatureKind.MFCC_DELTA_DELTA:
                 raise ConfigError(f"the baseline MLP consumes mfcc_delta_delta features, "
                                   f"got {kind.value}")
-    elif len({dim_table_for_kind(kind).variant for kind in kinds}) > 1:
+    elif len({dim_table_for_kind(kind) for kind in kinds}) > 1:
         raise ConfigError("cannot fuse a high-dimensional branch with a low-dimensional one")
     return arch
 
@@ -182,7 +175,6 @@ class NetworkGraph:
     arch: Arch
     kinds: tuple[FeatureKind, ...]
     head: TaskHead
-    dims: ModelDimTable
     dtype: np.dtype
     seed: int
     width_scale: int
@@ -219,17 +211,19 @@ class NetworkGraph:
                                  f"!= model shape {p.data.shape}")
             p.data = value.copy()
 
+    def batch(self, x_by_kind: dict, idx=slice(None)):
+        """Rows ``idx`` of per-kind block arrays as this model's forward
+        input: one array, or a (left, right) pair for a fusion model."""
+        rows = tuple(x_by_kind[kind][idx] for kind in self.kinds)
+        return rows if len(rows) == 2 else rows[0]
+
     def shape_ledger(self) -> dict[str, object]:
         """Realized intermediate sizes, from a probe forward pass."""
         ledger: dict[str, object] = {}
+        probe = {k: np.zeros((1, k.dim, BLOCK_FRAMES), dtype=self.dtype) for k in self.kinds}
         with no_grad():
-            self.embed(self._probe_input(), ledger=ledger)
+            self.embed(self.batch(probe), ledger=ledger)
         return ledger
-
-    def _probe_input(self):
-        """Zero blocks, one per kind: an array, or a (left, right) pair for fusion."""
-        blocks = tuple(np.zeros((1, k.dim, BLOCK_FRAMES), dtype=self.dtype) for k in self.kinds)
-        return blocks if len(blocks) == 2 else blocks[0]
 
     def _as_tensor(self, x) -> Tensor:
         if isinstance(x, Tensor):
@@ -261,80 +255,66 @@ class SingleFeatureModel(NetworkGraph):
                                          rng=rng, dtype=self.dtype))
                 self.pools.append(MaxPool2d(d.pool_kernel))
                 in_ch = d.channels
-            self.pooled_heights = []
-            h = d.d1
-            for _ in range(3):
-                h = h // d.pool_kernel
-                self.pooled_heights.append(h)
+            # conv output per frame: channels x the height after three pools
+            per_frame = d.channels * (kind.dim // d.pool_kernel ** 3)
 
         if arch is Arch.CNN:
-            flat = d.channels * self.pooled_heights[-1] * BLOCK_FRAMES
-            self.dense = Dense(flat, d.d5, rng, self.dtype)
+            self.dense = Dense(per_frame * BLOCK_FRAMES, d.d5, rng, self.dtype)
             self.embedding_dim = d.d5
         elif arch is Arch.GRU:
             per_direction = d.gru_d1 // 2
-            self.bigru = BiGRU(d.d1, per_direction, rng, self.dtype)
+            self.bigru = BiGRU(kind.dim, per_direction, rng, self.dtype)
             self.dense = Dense(2 * per_direction, d.gru_d2, rng, self.dtype)
             self.embedding_dim = d.gru_d2
         else:  # CNN_GRU
-            per_frame = d.channels * self.pooled_heights[-1]
             self.bigru = BiGRU(per_frame, max(1, d.d5 // 2), rng, self.dtype)
             self.dense = Dense(2 * max(1, d.d5 // 2), d.d6, rng, self.dtype)
             self.embedding_dim = d.d6
 
         self.head = TaskHead(head_kind, self.embedding_dim, rng, self.dtype)
 
-    def _conv_stack(self, t: Tensor, ledger=None) -> Tensor:
+    def _conv_stack(self, t: Tensor, ledger: dict) -> Tensor:
+        ledger["input_height"] = t.data.shape[2]
         heights = []
-        if ledger is not None:
-            ledger["input_height"] = t.data.shape[2]
         for conv, pool in zip(self.convs, self.pools):
             t = T.relu(pool(conv(t)))
             heights.append(t.data.shape[2])
-        if ledger is not None:
-            ledger["pooled_heights"] = heights
-            ledger["conv_output"] = list(t.data.shape[1:])
+        ledger["pooled_heights"] = heights
+        ledger["conv_output"] = list(t.data.shape[1:])
         return t
 
+    def _bigru_tail(self, t: Tensor, ledger: dict) -> Tensor:
+        """BiGRU over a (N, 20, per-frame) sequence; returns its final state."""
+        sequence, final = self.bigru(t)
+        ledger["bigru_sequence"] = list(sequence.data.shape[1:])
+        ledger["bigru_width"] = final.data.shape[1]
+        return final
+
     def embed(self, x, ledger=None) -> Tensor:
+        ledger = {} if ledger is None else ledger
         t = self._as_tensor(x)
-        if t.data.ndim != 3 or t.data.shape[1] != self.dims.d1 or t.data.shape[2] != BLOCK_FRAMES:
-            raise ShapeError(f"expected blocks of shape (N, {self.dims.d1}, {BLOCK_FRAMES}), "
+        dim = self.kind.dim
+        if t.data.ndim != 3 or t.data.shape[1] != dim or t.data.shape[2] != BLOCK_FRAMES:
+            raise ShapeError(f"expected blocks of shape (N, {dim}, {BLOCK_FRAMES}), "
                              f"got {t.data.shape}")
         n = t.data.shape[0]
 
-        if self.arch is Arch.CNN:
-            t = T.reshape(t, (n, 1, self.dims.d1, BLOCK_FRAMES))
-            t = self._conv_stack(t, ledger)
-            flat_dim = t.data.shape[1] * t.data.shape[2] * t.data.shape[3]
-            t = T.reshape(t, (n, flat_dim))
-            if ledger is not None:
-                ledger["flatten"] = flat_dim
-        elif self.arch is Arch.GRU:
-            t = T.transpose(t, (0, 2, 1))  # (N, 20, D)
-            sequence, final = self.bigru(t)
-            if ledger is not None:
-                ledger["bigru_sequence"] = list(sequence.data.shape[1:])
-                ledger["bigru_width"] = final.data.shape[1]
-            t = final
-        else:  # CNN_GRU
-            t = T.reshape(t, (n, 1, self.dims.d1, BLOCK_FRAMES))
-            t = self._conv_stack(t, ledger)
-            c, h, w = t.data.shape[1], t.data.shape[2], t.data.shape[3]
-            t = T.transpose(t, (0, 3, 1, 2))  # (N, 20, C, H)
-            t = T.reshape(t, (n, w, c * h))
-            if ledger is not None:
+        if self.arch is Arch.GRU:
+            t = self._bigru_tail(T.transpose(t, (0, 2, 1)), ledger)  # (N, 20, D)
+        else:
+            t = self._conv_stack(T.reshape(t, (n, 1, dim, BLOCK_FRAMES)), ledger)
+            c, h, w = t.data.shape[1:]
+            if self.arch is Arch.CNN:
+                ledger["flatten"] = c * h * w
+                t = T.reshape(t, (n, c * h * w))
+            else:  # CNN_GRU
                 ledger["per_frame_dim"] = c * h
-            sequence, final = self.bigru(t)
-            if ledger is not None:
-                ledger["bigru_sequence"] = list(sequence.data.shape[1:])
-                ledger["bigru_width"] = final.data.shape[1]
-            t = final
+                t = T.transpose(t, (0, 3, 1, 2))  # (N, 20, C, H)
+                t = self._bigru_tail(T.reshape(t, (n, w, c * h)), ledger)
 
         emb = T.relu(self.dense(t))
-        if ledger is not None:
-            ledger["dense"] = emb.data.shape[1]
-            ledger["embedding"] = self.embedding_dim
+        ledger["dense"] = emb.data.shape[1]
+        ledger["embedding"] = self.embedding_dim
         return emb
 
     def parameters(self) -> dict[str, Tensor]:
@@ -370,7 +350,6 @@ class BaselineMlp(NetworkGraph):
         self.seed = seed
         self.dtype = np.dtype(dtype)
         self.width_scale = width_scale
-        self.dims = None
         hidden = max(1, self.HIDDEN // width_scale)
         self.input_dim = self.kind.dim * BLOCK_FRAMES
         rng = np.random.default_rng(seed)
@@ -380,18 +359,17 @@ class BaselineMlp(NetworkGraph):
         self.head = TaskHead(head_kind, hidden, rng, self.dtype)
 
     def embed(self, x, ledger=None) -> Tensor:
+        ledger = {} if ledger is None else ledger
         t = self._as_tensor(x)
         if t.data.shape[1:] != (self.kind.dim, BLOCK_FRAMES):
             raise ShapeError(f"expected (N, {self.kind.dim}, {BLOCK_FRAMES}), got {t.data.shape}")
         n = t.data.shape[0]
         t = T.reshape(t, (n, self.input_dim))
-        if ledger is not None:
-            ledger["flatten"] = self.input_dim
+        ledger["flatten"] = self.input_dim
         t = T.relu(self.dense1(t))
         emb = T.relu(self.dense2(t))
-        if ledger is not None:
-            ledger["dense"] = emb.data.shape[1]
-            ledger["embedding"] = self.embedding_dim
+        ledger["dense"] = emb.data.shape[1]
+        ledger["embedding"] = self.embedding_dim
         return emb
 
     def parameters(self) -> dict[str, Tensor]:
@@ -425,7 +403,6 @@ class FusionModel(NetworkGraph):
         self.seed = seed
         self.dtype = left.dtype
         self.width_scale = left.width_scale
-        self.dims = left.dims
         self.concat_dim = left.embedding_dim + right.embedding_dim
         self.embedding_dim = self.concat_dim
         rng = np.random.default_rng(seed)
@@ -433,20 +410,16 @@ class FusionModel(NetworkGraph):
         self.head = TaskHead(left.head.kind, self.concat_dim, rng, self.dtype)
 
     def embed(self, x, ledger=None) -> Tensor:
+        ledger = {} if ledger is None else ledger
         if not isinstance(x, tuple) or len(x) != 2:
             raise ShapeError("fusion model expects a (left_blocks, right_blocks) pair")
-        left_ledger = {} if ledger is not None else None
-        right_ledger = {} if ledger is not None else None
-        emb_left = self.left.embed(x[0], left_ledger)
-        emb_right = self.right.embed(x[1], right_ledger)
+        ledger["left"], ledger["right"] = {}, {}
+        emb_left = self.left.embed(x[0], ledger["left"])
+        emb_right = self.right.embed(x[1], ledger["right"])
         joined = T.concat([emb_left, emb_right], axis=1)
-        if ledger is not None:
-            ledger["left"] = left_ledger
-            ledger["right"] = right_ledger
-            ledger["concat"] = joined.data.shape[1]
+        ledger["concat"] = joined.data.shape[1]
         emb = T.relu(self.fusion_dense(joined))
-        if ledger is not None:
-            ledger["dense"] = emb.data.shape[1]
+        ledger["dense"] = emb.data.shape[1]
         return emb
 
     def parameters(self) -> dict[str, Tensor]:
@@ -533,12 +506,6 @@ def save_model(model: NetworkGraph, directory, name: str) -> Path:
         f"width_scale = {model.width_scale}",
         f"checkpoint = {ckpt.name}",
     ]
-    if model.dims is not None:
-        d = model.dims
-        lines.append(f"variant = {d.variant}")
-        lines.append(f"dims = {d.d1},{d.d2},{d.d3},{d.d4},{d.d5} "
-                     f"gru={d.gru_d1},{d.gru_d2} d6={d.d6} "
-                     f"pool={d.pool_kernel} channels={d.channels}")
     descriptor = directory / f"{name}.descriptor"
     descriptor.write_text("\n".join(lines) + "\n")
     return descriptor

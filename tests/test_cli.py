@@ -224,13 +224,19 @@ def test_stats_of_another_kind_is_data_error(corpus_dir, tmp_path, capsys):
     ("extract", FeatureKind.MEL_SPECTROGRAM, "fitted on mel_spectrogram, not tmfcc"),
     ("extract", None, "fitted on an unrecorded kind, not tmfcc"),
     ("evaluate", FeatureKind.MEL_SPECTROGRAM, "fitted on mel_spectrogram, not tmfcc"),
-], ids=["extract-same-width-kind", "extract-kind-less", "evaluate-swapped-stats"])
+    *(("extract", FeatureKind.TMFCC, "must be finite, and std above 0", bad)
+      for bad in (0.0, -1.0, float("nan"))),
+], ids=["extract-same-width-kind", "extract-kind-less", "evaluate-swapped-stats",
+        "extract-zero-std", "extract-negative-std", "extract-nan-std"])
 def test_stats_file_of_another_or_no_kind_is_data_error(corpus_dir, tmp_path, capsys, case):
-    # mel_spectrogram and tmfcc are both 30-d, so only the recorded kind tells them apart
-    command, saved_kind, mentioned = case
+    # mel_spectrogram and tmfcc are both 30-d, so only the recorded kind tells them apart;
+    # a fourth entry is a std value that no fitted file holds
+    command, saved_kind, mentioned, *bad_std = case
     wav = next((corpus_dir / "wav").glob("*.wav"))
     stats_path = tmp_path / "m.stats.tmfcc.json"
     stats = FeatureStats.fit([feature_matrix(load_wav(wav), saved_kind or FeatureKind.TMFCC)])
+    if bad_std:
+        stats.std[0] = bad_std[0]
     if saved_kind is None:
         # the format before stats files recorded their kind
         stats_path.write_text(json.dumps({"mean": stats.mean.tolist(),

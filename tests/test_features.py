@@ -330,6 +330,15 @@ class TestContainer:
         with pytest.raises(FormatError):
             load_blocks(path)
 
+    @pytest.mark.parametrize("dim, frames", [(30, 7), (30, 20), (512, 7)])
+    def test_header_that_does_not_fit_its_kind_rejected(self, tmp_path, dim, frames):
+        # a well-sized payload whose header disagrees with the spectrogram's 512 x 20
+        path = tmp_path / "blocks.fbk"
+        path.write_bytes(struct.pack("<4sHBIII", b"SKFB", 1, 1, dim, frames, 2)
+                         + np.zeros(2 * dim * frames, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="spectrogram"):
+            load_blocks(path)
+
     def test_csv_dump(self, tmp_path):
         blocks = assemble_blocks(clip_with_frames(20), FeatureKind.TMFCC)
         path = tmp_path / "blocks.csv"

@@ -86,6 +86,72 @@ class TestShapeLedger:
         assert ledger["dense"] == 512
 
 
+CNN_HIGH = {"input_height": 512, "pooled_heights": [102, 20, 4], "conv_output": [16, 4, 20],
+            "flatten": 1280, "dense": 64, "embedding": 64}
+CNN_LOW = {"input_height": 30, "pooled_heights": [10, 3, 1], "conv_output": [16, 1, 20],
+           "flatten": 320, "dense": 16, "embedding": 16}
+FULL_LEDGERS = {
+    ("cnn", HIGH): CNN_HIGH,
+    ("cnn", LOW): CNN_LOW,
+    ("gru", HIGH): {"bigru_sequence": [20, 1024], "bigru_width": 1024, "dense": 64,
+                    "embedding": 64},
+    ("gru", LOW): {"bigru_sequence": [20, 60], "bigru_width": 60, "dense": 16, "embedding": 16},
+    ("cnn_gru", HIGH): {"input_height": 512, "pooled_heights": [102, 20, 4],
+                        "conv_output": [16, 4, 20], "per_frame_dim": 64,
+                        "bigru_sequence": [20, 64], "bigru_width": 64, "dense": 64,
+                        "embedding": 64},
+    ("cnn_gru", LOW): {"input_height": 30, "pooled_heights": [10, 3, 1],
+                       "conv_output": [16, 1, 20], "per_frame_dim": 16,
+                       "bigru_sequence": [20, 16], "bigru_width": 16, "dense": 16,
+                       "embedding": 16},
+}
+
+
+@pytest.mark.parametrize("arch, family, kind", [
+    pytest.param(arch, family, kind, id=f"{arch}-{kind.value}")
+    for arch in ("cnn", "gru", "cnn_gru") for family in (HIGH, LOW) for kind in family])
+def test_full_shape_ledger(arch, family, kind):
+    # every key, in the order the forward pass writes them
+    ledger = build_single_model(arch, kind, "binary", seed=0).shape_ledger()
+    expected = FULL_LEDGERS[arch, family]
+    assert ledger == expected and list(ledger) == list(expected)
+
+
+@pytest.mark.parametrize("family, branch, width", [(HIGH, CNN_HIGH, 128), (LOW, CNN_LOW, 32)],
+                         ids=["high", "low"])
+def test_full_fusion_shape_ledger(family, branch, width):
+    fusion = build_fusion_model(build_single_model("cnn", family[0], "binary", seed=0),
+                                build_single_model("cnn", family[1], "binary", seed=1), seed=2)
+    expected = {"left": branch, "right": branch, "concat": width, "dense": width}
+    ledger = fusion.shape_ledger()
+    assert ledger == expected and list(ledger) == list(expected)
+
+
+def test_full_baseline_mlp_shape_ledger():
+    ledger = build_baseline_mlp("binary", seed=0).shape_ledger()
+    assert list(ledger.items()) == [("flatten", 1200), ("dense", 512), ("embedding", 512)]
+
+
+class TestModelBatch:
+    def test_single_model_takes_one_array(self):
+        m = build_single_model("cnn", LOW[0], "binary", seed=0, width_scale=4)
+        x = {LOW[0]: blocks_for(LOW[0], 5), LOW[1]: blocks_for(LOW[1], 5, seed=1)}
+        idx = np.array([3, 0, 4])
+        assert np.array_equal(m.batch(x, idx), x[LOW[0]][idx])
+        assert np.array_equal(m.batch(x), x[LOW[0]])
+
+    def test_fusion_model_takes_a_left_right_pair(self):
+        fusion = build_fusion_model(
+            build_single_model("cnn", LOW[0], "binary", seed=0, width_scale=4),
+            build_single_model("cnn", LOW[1], "binary", seed=1, width_scale=4), seed=2)
+        x = {LOW[1]: blocks_for(LOW[1], 5, seed=1), LOW[0]: blocks_for(LOW[0], 5)}
+        idx = slice(1, 4)
+        batch = fusion.batch(x, idx)
+        assert isinstance(batch, tuple) and len(batch) == 2
+        assert np.array_equal(batch[0], x[LOW[0]][idx])
+        assert np.array_equal(batch[1], x[LOW[1]][idx])
+
+
 class TestBuildErrors:
     def test_mfcc_dd_has_no_single_architecture(self):
         with pytest.raises(ConfigError):
@@ -309,6 +375,24 @@ class TestPersistence:
         neural.save_checkpoint(wide.state_dict(), tmp_path / "m.ckpt")
         with pytest.raises(ShapeError):
             load_model(descriptor)
+
+    def test_descriptor_holds_exactly_the_keys_load_model_reads(self, tmp_path):
+        for model in (build_single_model("cnn", HIGH[0], "binary", seed=0, width_scale=4),
+                      build_baseline_mlp("binary", seed=0, width_scale=4)):
+            lines = save_model(model, tmp_path, "m").read_text().splitlines()
+            assert {line.partition("=")[0].strip() for line in lines} == {
+                "arch", "features", "head", "seed", "dtype", "width_scale", "checkpoint"}
+
+    def test_old_variant_and_dims_lines_are_ignored(self, tmp_path):
+        m = build_single_model("cnn", HIGH[1], "regression", seed=3, width_scale=4)
+        descriptor = save_model(m, tmp_path, "m")
+        with descriptor.open("a") as fh:
+            fh.write("variant = high\n"
+                     "dims = 512,102,20,4,16 gru=256,16 d6=16 pool=5 channels=4\n")
+        back = load_model(descriptor).state_dict()
+        state = m.state_dict()
+        assert set(back) == set(state)
+        assert all(np.array_equal(back[k], v) for k, v in state.items())
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         m = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
