@@ -23,8 +23,8 @@ from .experiments import (ExperimentConfig, apply_overrides, build_fold_data,
                           corpus_examples, derive_seed, evaluate_model,
                           export_plot_csvs, load_config, load_noise,
                           make_classification_corpus, make_intensity_corpus,
-                          parse_feature_set, parse_snr, plan_folds, run_suite,
-                          snr_label, write_synth_corpus)
+                          parse_feature_set, parse_snr, plan_folds, prepare_clip,
+                          run_suite, snr_label, write_synth_corpus)
 from .experiments.training import build_cell_model
 from .features import FeatureStats, assemble_blocks, parse_feature_kind, save_blocks, write_blocks_csv
 from .models import check_cell, load_model, save_model
@@ -50,10 +50,8 @@ def _load_cfg(args) -> ExperimentConfig:
 
 def cmd_extract(args) -> int:
     kind = parse_feature_kind(args.kind)
-    clip = audio_io.load_wav(args.input)
-    if clip.sample_rate == 48000:
-        clip = audio_io.resample_to_16k(clip)
     stats = FeatureStats.load(args.stats, kind) if args.stats else None
+    clip = prepare_clip(audio_io.load_wav(args.input))
     blocks = assemble_blocks(clip, kind, stats=stats)
     save_blocks(blocks, kind, args.output)
     if args.csv:

@@ -48,6 +48,22 @@ def parse_snr(text: str) -> float:
     return value
 
 
+def parse_pink_spec(spec: str, sample_rate: int = 16000) -> tuple[int, int]:
+    """``pink:<seed>:<seconds>`` as (seed, samples at ``sample_rate``); seconds
+    that are not finite or give fewer than 2 samples are refused."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"pink noise spec must be pink:<seed>:<seconds>, got {spec!r}")
+    try:
+        seed, samples = int(parts[1]), float(parts[2]) * sample_rate
+    except ValueError:
+        raise ConfigError(f"bad pink noise spec {spec!r}")
+    if not math.isfinite(samples) or samples < 2:
+        raise ConfigError(f"bad pink noise spec {spec!r}: seconds must be finite "
+                          "and give at least 2 samples")
+    return seed, int(samples)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str = "binary"
@@ -94,6 +110,8 @@ class ExperimentConfig:
         for snr in self.snrs_db:
             if snr != CLEAN and not math.isfinite(snr):
                 raise ConfigError(f"SNR values must be finite or clean, got {snr}")
+        if self.noise.startswith("pink:"):
+            parse_pink_spec(self.noise)
 
     def echo(self) -> dict:
         """JSON-safe dump of every setting, for report embedding."""

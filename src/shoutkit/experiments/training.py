@@ -15,7 +15,7 @@ from ..features import BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix, 
 from ..models import (HeadKind, NetworkGraph, build_fusion_model, build_single_model,
                       parse_feature_set, predict_clip)
 from ..neural import Adam, Tensor, loss as loss_fn, no_grad
-from .config import ExperimentConfig, derive_seed, snr_label
+from .config import ExperimentConfig, derive_seed, parse_pink_spec, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
 from .metrics import binary_f1, confusion_matrix, rmse, weighted_f1
 
@@ -82,14 +82,8 @@ def load_noise(spec: str, sample_rate: int = 16000) -> AudioClip | None:
     if not spec:
         return None
     if spec.startswith("pink:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"pink noise spec must be pink:<seed>:<seconds>, got {spec!r}")
-        try:
-            seed, seconds = int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ConfigError(f"bad pink noise spec {spec!r}")
-        return pink_noise(int(seconds * sample_rate), sample_rate, seed=seed)
+        seed, samples = parse_pink_spec(spec, sample_rate)
+        return pink_noise(samples, sample_rate, seed=seed)
     clip = load_wav(spec)
     if clip.sample_rate != sample_rate:
         clip = resample_to_16k(clip)

@@ -368,6 +368,8 @@ def load_blocks(path) -> tuple[FeatureKind, np.ndarray]:
     if dim != kind.dim or frames != BLOCK_FRAMES:
         raise FormatError(f"{kind.value} container header says {dim} x {frames} blocks, "
                           f"not {kind.dim} x {BLOCK_FRAMES}: {path}")
+    if count == 0:
+        raise FormatError(f"block container holds no blocks: {path}")
     expected = _HEADER.size + 4 * dim * frames * count
     if len(raw) != expected:
         raise FormatError(f"container payload size mismatch: {len(raw)} != {expected}")

@@ -161,23 +161,25 @@ class TaskHead:
         # everywhere: 1 + 6 * sigmoid(z).
         return 1.0 + 6.0 * T.sigmoid(z)
 
-    def parameters(self):
-        return {f"head.{k}": v for k, v in self.dense.parameters().items()}
-
 
 class NetworkGraph:
     """A built architecture instance: layers, dimension ledger, task head.
 
-    A backward pass writes the parameters' gradients and an optimiser step
-    their values; inference calls leave a trained model unchanged.
+    Each subclass lists its trainable layers once, in ``layers`` (name ->
+    ``Conv2d`` / ``BiGRU`` / ``Dense``, in parameter order), and sets ``head``;
+    ``parameters`` derives every parameter name from them. A backward pass
+    writes the parameters' gradients and an optimiser step their values;
+    inference calls leave a trained model unchanged.
     """
 
-    arch: Arch
-    kinds: tuple[FeatureKind, ...]
-    head: TaskHead
-    dtype: np.dtype
-    seed: int
-    width_scale: int
+    def __init__(self, arch: Arch, kinds: tuple[FeatureKind, ...], seed: int, dtype,
+                 width_scale: int):
+        self.arch = arch
+        self.kinds = kinds
+        self.seed = seed
+        self.dtype = np.dtype(dtype)
+        self.width_scale = width_scale
+        self.layers: dict[str, Conv2d | BiGRU | Dense] = {}
 
     def embed(self, x, ledger=None) -> Tensor:
         raise NotImplementedError
@@ -188,7 +190,10 @@ class NetworkGraph:
     __call__ = forward
 
     def parameters(self) -> dict[str, Tensor]:
-        raise NotImplementedError
+        """``<layer>.<tensor>`` for each entry of ``layers``, then ``head.<tensor>``."""
+        named = dict(self.layers, head=self.head.dense)
+        return {f"{name}.{tensor}": p for name, layer in named.items()
+                for tensor, p in layer.parameters().items()}
 
     def zero_grad(self):
         for p in self.parameters().values():
@@ -236,41 +241,35 @@ class SingleFeatureModel(NetworkGraph):
                  dtype=np.float64, width_scale: int = 1):
         if arch not in (Arch.CNN, Arch.GRU, Arch.CNN_GRU):
             raise ConfigError(f"unknown single-feature architecture {arch}")
-        self.arch = arch
+        super().__init__(arch, (kind,), seed, dtype, width_scale)
         self.kind = kind
-        self.kinds = (kind,)
-        self.seed = seed
-        self.dtype = np.dtype(dtype)
-        self.width_scale = width_scale
-        self.dims = dim_table_for_kind(kind).scaled(width_scale)
-        d = self.dims
+        self.dims = d = dim_table_for_kind(kind).scaled(width_scale)
         rng = np.random.default_rng(seed)
+        layers = self.layers
 
         if arch in (Arch.CNN, Arch.CNN_GRU):
-            self.convs = []
-            self.pools = []
             in_ch = 1
-            for _ in range(3):
-                self.convs.append(Conv2d(in_ch, d.channels, kernel=5, padding=2,
-                                         rng=rng, dtype=self.dtype))
-                self.pools.append(MaxPool2d(d.pool_kernel))
+            for i in range(3):
+                layers[f"conv{i + 1}"] = Conv2d(in_ch, d.channels, kernel=5, padding=2,
+                                                rng=rng, dtype=self.dtype)
                 in_ch = d.channels
+            self.convs = list(layers.values())
+            self.pools = [MaxPool2d(d.pool_kernel) for _ in self.convs]
             # conv output per frame: channels x the height after three pools
             per_frame = d.channels * (kind.dim // d.pool_kernel ** 3)
 
         if arch is Arch.CNN:
-            self.dense = Dense(per_frame * BLOCK_FRAMES, d.d5, rng, self.dtype)
-            self.embedding_dim = d.d5
+            layers["dense"] = Dense(per_frame * BLOCK_FRAMES, d.d5, rng, self.dtype)
         elif arch is Arch.GRU:
             per_direction = d.gru_d1 // 2
-            self.bigru = BiGRU(kind.dim, per_direction, rng, self.dtype)
-            self.dense = Dense(2 * per_direction, d.gru_d2, rng, self.dtype)
-            self.embedding_dim = d.gru_d2
+            layers["bigru"] = BiGRU(kind.dim, per_direction, rng, self.dtype)
+            layers["dense"] = Dense(2 * per_direction, d.gru_d2, rng, self.dtype)
         else:  # CNN_GRU
-            self.bigru = BiGRU(per_frame, max(1, d.d5 // 2), rng, self.dtype)
-            self.dense = Dense(2 * max(1, d.d5 // 2), d.d6, rng, self.dtype)
-            self.embedding_dim = d.d6
-
+            layers["bigru"] = BiGRU(per_frame, max(1, d.d5 // 2), rng, self.dtype)
+            layers["dense"] = Dense(2 * max(1, d.d5 // 2), d.d6, rng, self.dtype)
+        self.bigru = layers.get("bigru")  # None for cnn
+        self.dense = layers["dense"]
+        self.embedding_dim = self.dense.n_out
         self.head = TaskHead(head_kind, self.embedding_dim, rng, self.dtype)
 
     def _conv_stack(self, t: Tensor, ledger: dict) -> Tensor:
@@ -317,20 +316,6 @@ class SingleFeatureModel(NetworkGraph):
         ledger["embedding"] = self.embedding_dim
         return emb
 
-    def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        if self.arch in (Arch.CNN, Arch.CNN_GRU):
-            for i, conv in enumerate(self.convs):
-                for name, p in conv.parameters().items():
-                    params[f"conv{i + 1}.{name}"] = p
-        if self.arch in (Arch.GRU, Arch.CNN_GRU):
-            for name, p in self.bigru.parameters().items():
-                params[f"bigru.{name}"] = p
-        for name, p in self.dense.parameters().items():
-            params[f"dense.{name}"] = p
-        params.update(self.head.parameters())
-        return params
-
 
 class BaselineMlp(NetworkGraph):
     """Stand-in multilayer perceptron for the MFCC+second-derivative baseline.
@@ -344,17 +329,13 @@ class BaselineMlp(NetworkGraph):
 
     def __init__(self, head_kind: HeadKind, seed: int, dtype=np.float64,
                  width_scale: int = 1):
-        self.arch = Arch.MLP_BASELINE
         self.kind = FeatureKind.MFCC_DELTA_DELTA
-        self.kinds = (self.kind,)
-        self.seed = seed
-        self.dtype = np.dtype(dtype)
-        self.width_scale = width_scale
+        super().__init__(Arch.MLP_BASELINE, (self.kind,), seed, dtype, width_scale)
         hidden = max(1, self.HIDDEN // width_scale)
         self.input_dim = self.kind.dim * BLOCK_FRAMES
         rng = np.random.default_rng(seed)
-        self.dense1 = Dense(self.input_dim, hidden, rng, self.dtype)
-        self.dense2 = Dense(hidden, hidden, rng, self.dtype)
+        self.layers["dense1"] = Dense(self.input_dim, hidden, rng, self.dtype)
+        self.layers["dense2"] = Dense(hidden, hidden, rng, self.dtype)
         self.embedding_dim = hidden
         self.head = TaskHead(head_kind, hidden, rng, self.dtype)
 
@@ -366,19 +347,11 @@ class BaselineMlp(NetworkGraph):
         n = t.data.shape[0]
         t = T.reshape(t, (n, self.input_dim))
         ledger["flatten"] = self.input_dim
-        t = T.relu(self.dense1(t))
-        emb = T.relu(self.dense2(t))
-        ledger["dense"] = emb.data.shape[1]
+        for dense in self.layers.values():
+            t = T.relu(dense(t))
+        ledger["dense"] = t.data.shape[1]
         ledger["embedding"] = self.embedding_dim
-        return emb
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = {}
-        for tag, layer in (("dense1", self.dense1), ("dense2", self.dense2)):
-            for name, p in layer.parameters().items():
-                params[f"{tag}.{name}"] = p
-        params.update(self.head.parameters())
-        return params
+        return t
 
 
 class FusionModel(NetworkGraph):
@@ -396,17 +369,18 @@ class FusionModel(NetworkGraph):
             raise ConfigError(f"fusion branches must share a task head, got "
                               f"{left.head.kind.value} and {right.head.kind.value}")
         check_cell(left.arch, (left.kind, right.kind))
-        self.arch = left.arch
+        super().__init__(left.arch, (left.kind, right.kind), seed, left.dtype, left.width_scale)
         self.left = left
         self.right = right
-        self.kinds = (left.kind, right.kind)
-        self.seed = seed
-        self.dtype = left.dtype
-        self.width_scale = left.width_scale
         self.concat_dim = left.embedding_dim + right.embedding_dim
         self.embedding_dim = self.concat_dim
         rng = np.random.default_rng(seed)
         self.fusion_dense = Dense(self.concat_dim, self.concat_dim, rng, self.dtype)
+        # the branch heads are not layers: the fusion head replaces them
+        self.layers = {f"{side}.{name}": layer
+                       for side, branch in (("left", left), ("right", right))
+                       for name, layer in branch.layers.items()}
+        self.layers["fusion"] = self.fusion_dense
         self.head = TaskHead(left.head.kind, self.concat_dim, rng, self.dtype)
 
     def embed(self, x, ledger=None) -> Tensor:
@@ -421,19 +395,6 @@ class FusionModel(NetworkGraph):
         emb = T.relu(self.fusion_dense(joined))
         ledger["dense"] = emb.data.shape[1]
         return emb
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = {}
-        for name, p in self.left.parameters().items():
-            params[f"left.{name}"] = p
-        for name, p in self.right.parameters().items():
-            params[f"right.{name}"] = p
-        for name, p in self.fusion_dense.parameters().items():
-            params[f"fusion.{name}"] = p
-        # the branch heads stay out: the fusion head replaces them
-        params = {k: v for k, v in params.items() if ".head." not in k}
-        params.update(self.head.parameters())
-        return params
 
 
 def build_single_model(arch: Arch | str, kind: FeatureKind, head: HeadKind | str,

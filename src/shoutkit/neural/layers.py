@@ -187,9 +187,6 @@ class MaxPool2d:
     def __call__(self, x: Tensor) -> Tensor:
         return maxpool2d(x, self.kernel)
 
-    def parameters(self):
-        return {}
-
 
 def maxpool2d(x: Tensor, kernel: int) -> Tensor:
     """Max over non-overlapping windows of ``kernel`` rows of (N, C, H, W).

@@ -8,8 +8,10 @@ import pytest
 from shoutkit.cli import main
 from shoutkit.corpus import (RatingRecord, make_rating_subsets, write_ratings_csv,
                              write_subsets_csv)
-from shoutkit.audio_io import load_wav
-from shoutkit.features import FeatureKind, FeatureStats, feature_matrix, load_blocks
+from shoutkit.audio_io import AudioClip, load_wav, write_wav
+from shoutkit.experiments import prepare_clip
+from shoutkit.features import (FeatureKind, FeatureStats, assemble_blocks, feature_matrix,
+                               load_blocks)
 from shoutkit.models import build_single_model, save_model
 
 
@@ -45,6 +47,28 @@ def test_extract_and_csv(corpus_dir, tmp_path):
     assert kind is FeatureKind.MEL_SPECTROGRAM
     assert len(blocks) and blocks.shape[1:] == (30, 20)
     assert csv_path.exists()
+
+
+def test_extract_ingests_a_clip_as_training_does(tmp_path):
+    # a quarter-peak clip: training peak-normalizes it before framing
+    rng = np.random.default_rng(4)
+    samples = rng.uniform(-1.0, 1.0, 16000)
+    wav = tmp_path / "quiet.wav"
+    write_wav(AudioClip(0.25 * samples / np.abs(samples).max(), 16000, "quiet"), wav)
+    out = tmp_path / "o.fbk"
+    assert main(["extract", str(wav), str(out), "--kind", "spectrogram"]) == 0
+    expected = assemble_blocks(prepare_clip(load_wav(wav)), FeatureKind.SPECTROGRAM)
+    assert np.array_equal(load_blocks(out)[1], expected.astype(np.float32))
+
+
+def test_extract_refuses_a_silent_clip_as_training_does(tmp_path, capsys):
+    wav = tmp_path / "silent.wav"
+    write_wav(AudioClip(np.zeros(16000), 16000, "silent"), wav)
+    out = tmp_path / "o.fbk"
+    assert main(["extract", str(wav), str(out), "--kind", "tmfcc"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_mix_subcommand(corpus_dir, tmp_path):
@@ -158,7 +182,6 @@ def test_exit_codes(tmp_path):
     assert main(["corpus", "validate", str(bad)]) == 3
     # config error: unknown feature kind
     wav = tmp_path / "t.wav"
-    from shoutkit.audio_io import AudioClip, write_wav
     write_wav(AudioClip(np.zeros(2000) + 0.1, 16000, "t"), wav)
     assert main(["extract", str(wav), str(tmp_path / "o.fbk"), "--kind", "mystery"]) == 2
 
@@ -312,6 +335,9 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
      "validation_fraction"),
     ("argv", ["train", "--set", "validation_fraction=1", "--output", "{out}"],
      "validation_fraction"),
+    # a pink noise spec too short or not finite is refused before the corpus is read
+    *(("argv", ["train", "--set", f"noise=pink:1:{seconds}", "--output", "{out}"],
+       "pink noise spec") for seconds in ("nan", "inf", "0", "-3")),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
         "width-scale-negative", "dtype-int8", "dtype-float16", "descriptor-no-checkpoint",
         "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
@@ -323,7 +349,8 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
         "train-width-scale-negative", "train-pretrain-epochs-negative",
         "train-finetune-epochs-negative", "train-early-stop-patience-negative",
         "train-validation-fraction-two", "train-validation-fraction-zero",
-        "train-validation-fraction-one"])
+        "train-validation-fraction-one", "train-pink-nan-seconds", "train-pink-inf-seconds",
+        "train-pink-zero-seconds", "train-pink-negative-seconds"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"

@@ -679,3 +679,14 @@ def test_load_noise_specs(tmp_path):
     with pytest.raises(ConfigError):
         load_noise("pink:3")
     assert load_noise("") is None
+
+
+@pytest.mark.parametrize("spec", ["pink:1:nan", "pink:1:inf", "pink:1:1e400", "pink:1:0",
+                                  "pink:1:-3", "pink:1:1e-4"])
+def test_pink_spec_not_finite_or_under_two_samples_refused(spec):
+    # one parser: the config refuses the spec before any corpus is read, and
+    # load_noise refuses it the same way
+    with pytest.raises(ConfigError, match="pink noise spec"):
+        ExperimentConfig(noise=spec)
+    with pytest.raises(ConfigError, match="pink noise spec"):
+        load_noise(spec)

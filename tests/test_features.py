@@ -339,6 +339,13 @@ class TestContainer:
         with pytest.raises(FormatError, match="spectrogram"):
             load_blocks(path)
 
+    def test_header_with_no_blocks_rejected(self, tmp_path):
+        # save_blocks never writes a count of 0, so no such container reads back
+        path = tmp_path / "blocks.fbk"
+        path.write_bytes(struct.pack("<4sHBIII", b"SKFB", 1, 1, 512, 20, 0))
+        with pytest.raises(FormatError, match="no blocks"):
+            load_blocks(path)
+
     def test_csv_dump(self, tmp_path):
         blocks = assemble_blocks(clip_with_frames(20), FeatureKind.TMFCC)
         path = tmp_path / "blocks.csv"

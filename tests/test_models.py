@@ -309,6 +309,67 @@ class TestFusionWiring:
         assert np.allclose(fused, alone, atol=1e-12)
 
 
+CONV_NAMES = ["conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias",
+              "conv3.weight", "conv3.bias"]
+BIGRU_NAMES = ["bigru.fwd.w_input", "bigru.fwd.w_hidden", "bigru.fwd.b_input",
+               "bigru.fwd.b_hidden", "bigru.bwd.w_input", "bigru.bwd.w_hidden",
+               "bigru.bwd.b_input", "bigru.bwd.b_hidden"]
+DENSE_HEAD_NAMES = ["dense.weight", "dense.bias", "head.weight", "head.bias"]
+PARAMETER_NAMES = {
+    "cnn": CONV_NAMES + DENSE_HEAD_NAMES,
+    "gru": BIGRU_NAMES + DENSE_HEAD_NAMES,
+    "cnn_gru": CONV_NAMES + BIGRU_NAMES + DENSE_HEAD_NAMES,
+}
+FUSION_PARAMETER_NAMES = {
+    "cnn": [
+        "left.conv1.weight", "left.conv1.bias", "left.conv2.weight", "left.conv2.bias",
+        "left.conv3.weight", "left.conv3.bias", "left.dense.weight", "left.dense.bias",
+        "right.conv1.weight", "right.conv1.bias", "right.conv2.weight", "right.conv2.bias",
+        "right.conv3.weight", "right.conv3.bias", "right.dense.weight", "right.dense.bias",
+        "fusion.weight", "fusion.bias", "head.weight", "head.bias"],
+    "cnn_gru": [
+        "left.conv1.weight", "left.conv1.bias", "left.conv2.weight", "left.conv2.bias",
+        "left.conv3.weight", "left.conv3.bias",
+        "left.bigru.fwd.w_input", "left.bigru.fwd.w_hidden", "left.bigru.fwd.b_input",
+        "left.bigru.fwd.b_hidden", "left.bigru.bwd.w_input", "left.bigru.bwd.w_hidden",
+        "left.bigru.bwd.b_input", "left.bigru.bwd.b_hidden",
+        "left.dense.weight", "left.dense.bias",
+        "right.conv1.weight", "right.conv1.bias", "right.conv2.weight", "right.conv2.bias",
+        "right.conv3.weight", "right.conv3.bias",
+        "right.bigru.fwd.w_input", "right.bigru.fwd.w_hidden", "right.bigru.fwd.b_input",
+        "right.bigru.fwd.b_hidden", "right.bigru.bwd.w_input", "right.bigru.bwd.w_hidden",
+        "right.bigru.bwd.b_input", "right.bigru.bwd.b_hidden",
+        "right.dense.weight", "right.dense.bias",
+        "fusion.weight", "fusion.bias", "head.weight", "head.bias"],
+}
+
+
+class TestParameterNames:
+    """Checkpoints are keyed by these names, in this order: a renamed or
+    reordered entry makes every saved checkpoint fail to load."""
+
+    @staticmethod
+    def assert_names(model, expected):
+        assert list(model.parameters()) == expected
+        assert list(model.state_dict()) == expected
+
+    @pytest.mark.parametrize("arch", ["cnn", "gru", "cnn_gru"])
+    def test_single_feature_models(self, arch):
+        model = build_single_model(arch, LOW[1], "binary", seed=0, width_scale=4)
+        self.assert_names(model, PARAMETER_NAMES[arch])
+
+    @pytest.mark.parametrize("arch", ["cnn", "cnn_gru"])
+    def test_fusion_pairs_keep_only_the_fusion_head(self, arch):
+        left = build_single_model(arch, LOW[0], "binary", seed=0, width_scale=4)
+        right = build_single_model(arch, LOW[1], "binary", seed=1, width_scale=4)
+        self.assert_names(build_fusion_model(left, right, seed=2), FUSION_PARAMETER_NAMES[arch])
+
+    def test_baseline_mlp(self):
+        self.assert_names(build_baseline_mlp("binary", seed=0, width_scale=4),
+                          ["dense1.weight", "dense1.bias", "dense2.weight", "dense2.bias",
+                           "head.weight", "head.bias"])
+
+
 class TestPersistence:
     def test_single_model_round_trip(self, tmp_path):
         m = build_single_model("cnn_gru", FeatureKind.TMFCC, "four_class",
