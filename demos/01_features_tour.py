@@ -23,8 +23,8 @@ print(f"clip: {clip.samples.size} samples at {clip.sample_rate} Hz, "
 
 # 1024-point Hamming frames, 512-point hop: floor((16000-1024)/512)+1 frames.
 frames = features.frame_signal(clip)
-print(f"frames: {frames.frames.shape} (frame length {frames.frame_length}, "
-      f"hop {frames.hop})")
+print(f"frames: {frames.frames.shape} (frame length {features.FRAME_LENGTH}, "
+      f"hop {features.HOP_LENGTH})")
 
 # Per-frame power spectrum: transform bins 1..512 (the DC bin is dropped).
 power = features.power_spectrum(frames.frames)

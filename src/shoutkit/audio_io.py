@@ -23,6 +23,12 @@ SWEEP_SNRS_DB = (CLEAN, 20.0, 10.0, 5.0, 0.0, -5.0, -10.0, -20.0)
 # Corpus amplitude convention: peaks normalized to 30000 on the int16 grid.
 DEFAULT_TARGET_PEAK = 30000.0 / 32768.0
 
+# The rate every clip is resampled to before features, noise or synthesis.
+SAMPLE_RATE = 16000
+
+# Peak of a synthesized pink-noise clip.
+_PINK_PEAK = 0.9
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -138,7 +144,7 @@ def resample_to_16k(clip: AudioClip) -> AudioClip:
     alignment (group delay compensated), so the output holds every third
     sample of the filtered signal: length = ceil(len/3).
     """
-    if clip.sample_rate == 16000:
+    if clip.sample_rate == SAMPLE_RATE:
         return clip
     if clip.sample_rate != 48000:
         raise UnsupportedError(
@@ -149,7 +155,7 @@ def resample_to_16k(clip: AudioClip) -> AudioClip:
     out = filtered[::3]
     # Sinc ringing can overshoot the [-1, 1] envelope by a hair; clamp it.
     np.clip(out, -1.0, 1.0, out=out)
-    return AudioClip(samples=out, sample_rate=16000, source_id=clip.source_id)
+    return AudioClip(samples=out, sample_rate=SAMPLE_RATE, source_id=clip.source_id)
 
 
 def peak_normalize(clip: AudioClip, target_peak: float = DEFAULT_TARGET_PEAK) -> AudioClip:
@@ -199,7 +205,7 @@ def mix_noise_at_snr(speech: AudioClip, spec: NoiseSpec) -> AudioClip:
     return AudioClip(samples=mixed, sample_rate=speech.sample_rate, source_id=speech.source_id)
 
 
-def pink_noise(n_samples: int, sample_rate: int, seed: int, peak: float = 0.9) -> AudioClip:
+def pink_noise(n_samples: int, sample_rate: int, seed: int) -> AudioClip:
     """Synthesize a pink (1/f) noise clip, deterministic under seed.
 
     Shaped in the frequency domain: white Gaussian spectrum scaled by
@@ -215,5 +221,5 @@ def pink_noise(n_samples: int, sample_rate: int, seed: int, peak: float = 0.9) -
     spectrum /= np.sqrt(freqs)
     spectrum[0] = 0.0
     samples = np.fft.irfft(spectrum, n=n_samples)
-    samples *= peak / np.max(np.abs(samples))
+    samples *= _PINK_PEAK / np.max(np.abs(samples))
     return AudioClip(samples=samples, sample_rate=sample_rate, source_id=f"pink:{seed}")

@@ -18,13 +18,13 @@ from .corpus import (aggregate_ratings_pipeline, attach_intensity, class_counts,
                      parse_manifest, read_ratings_csv, read_subsets_csv,
                      summarize_intensity, validate_manifest, write_intensity_summary,
                      write_manifest)
-from .errors import ConfigError, NumericError, ShoutKitError
+from .errors import ConfigError, FormatError, NumericError, ShoutKitError
 from .experiments import (ExperimentConfig, apply_overrides, build_fold_data,
                           corpus_examples, derive_seed, evaluate_model,
                           export_plot_csvs, load_config, load_noise,
                           make_classification_corpus, make_intensity_corpus,
                           parse_feature_set, parse_snr, plan_folds, prepare_clip,
-                          run_suite, snr_label, write_synth_corpus)
+                          run_suite, snr_label, validate_report, write_synth_corpus)
 from .experiments.training import build_cell_model
 from .features import FeatureStats, assemble_blocks, parse_feature_kind, save_blocks, write_blocks_csv
 from .models import check_cell, load_model, save_model
@@ -193,18 +193,28 @@ def cmd_corpus_summarize(args) -> int:
 
 def cmd_report(args) -> int:
     suite_dir = Path(args.suite_dir)
-    reports = sorted(suite_dir.glob("*.json"))
-    reports = [p for p in reports if p.name != "suite_meta.json"]
-    if not reports:
+    paths = [p for p in sorted(suite_dir.glob("*.json")) if p.name != "suite_meta.json"]
+    if not paths:
         raise ConfigError(f"no cell reports found in {suite_dir}")
+    # every file is read and checked before the first CSV is written
+    reports = []
+    for path in paths:
+        try:
+            report = json.loads(path.read_text())
+            validate_report(report)
+        except (ValueError, FormatError) as exc:
+            raise FormatError(f"{path} is not a cell report: {exc}") from None
+        reports.append(report)
     written = []
-    for path in reports:
-        written.extend(export_plot_csvs(json.loads(path.read_text()), args.output))
+    for report in reports:
+        written.extend(export_plot_csvs(report, args.output))
     print(f"exported {len(written)} plot CSV(s) to {args.output}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
+    # checked, as a config's pink spec is, before any file is written; 0 is no noise
+    noise = load_noise(f"pink:{args.seed + 1}:{args.noise_seconds}") if args.noise_seconds else None
     if args.task == "regression":
         examples = make_intensity_corpus(n_clips=args.clips, n_speakers=args.speakers,
                                          seed=args.seed)
@@ -213,9 +223,7 @@ def cmd_synth(args) -> int:
         examples = make_classification_corpus(n_clips=args.clips, n_speakers=args.speakers,
                                               n_classes=n_classes, seed=args.seed)
     manifest = write_synth_corpus(examples, args.output)
-    if args.noise_seconds > 0:
-        noise = audio_io.pink_noise(int(args.noise_seconds * 16000), 16000,
-                                    seed=args.seed + 1)
+    if noise is not None:
         audio_io.write_wav(noise, Path(args.output) / "noise.wav")
     records = parse_manifest(manifest)
     print(f"wrote {len(records)} clips to {args.output} "

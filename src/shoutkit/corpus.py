@@ -134,6 +134,8 @@ def parse_manifest(path) -> list[UtteranceRecord]:
     Raises ManifestError with the offending row number on any invariant
     violation (style/class inconsistency, band mismatch, bad intensity).
     """
+    if not path:
+        raise ConfigError("no manifest given")
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -2,7 +2,9 @@
 
 A config file is a flat, human-readable document: one ``key = value`` pair
 per line, ``#`` comments, lists comma-separated. The clean SNR condition is
-spelled ``clean``. Every training constant can be overridden here.
+spelled ``clean``. The paper's fixed recipe is not configurable: Adam's betas
+(0.9 / 0.999) and epsilon (1e-8), and the 0.2 share of each fold's train
+speakers held out for validation. A key naming one of them is an unknown key.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio_io import CLEAN, SWEEP_SNRS_DB
+from ..audio_io import CLEAN, SAMPLE_RATE, SWEEP_SNRS_DB
 from ..corpus import stable_key
 from ..errors import ConfigError
 from ..models import HeadKind
@@ -48,14 +50,14 @@ def parse_snr(text: str) -> float:
     return value
 
 
-def parse_pink_spec(spec: str, sample_rate: int = 16000) -> tuple[int, int]:
-    """``pink:<seed>:<seconds>`` as (seed, samples at ``sample_rate``); seconds
-    that are not finite or give fewer than 2 samples are refused."""
+def parse_pink_spec(spec: str) -> tuple[int, int]:
+    """``pink:<seed>:<seconds>`` as (seed, samples at 16 kHz); seconds that
+    are not finite or give fewer than 2 samples are refused."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"pink noise spec must be pink:<seed>:<seconds>, got {spec!r}")
     try:
-        seed, samples = int(parts[1]), float(parts[2]) * sample_rate
+        seed, samples = int(parts[1]), float(parts[2]) * SAMPLE_RATE
     except ValueError:
         raise ConfigError(f"bad pink noise spec {spec!r}")
     if not math.isfinite(samples) or samples < 2:
@@ -74,9 +76,6 @@ class ExperimentConfig:
     epochs: int = 100
     batch_size: int = 256
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     n_folds: int = 5
     seed: int = 7
     dtype: str = "float64"
@@ -84,7 +83,6 @@ class ExperimentConfig:
     pretrain_epochs: int = 0            # 0: use `epochs` for fusion branch pretraining
     finetune_epochs: int = 0            # 0: use `epochs` for fusion fine-tuning
     early_stop_patience: int = 0        # 0: fixed-epoch training
-    validation_fraction: float = 0.2
     train_snr_augment: bool = False     # mix noise into training clips; off by default
     per_block_eval: bool = False        # score 20-frame blocks instead of clips
     manifest: str = ""
@@ -102,9 +100,6 @@ class ExperimentConfig:
         if min(self.pretrain_epochs, self.finetune_epochs, self.early_stop_patience) < 0:
             raise ConfigError("pretrain_epochs, finetune_epochs and early_stop_patience "
                               "must not be negative")
-        if not 0 < self.validation_fraction < 1:
-            raise ConfigError("validation_fraction must lie in (0, 1), "
-                              f"got {self.validation_fraction}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         for snr in self.snrs_db:
@@ -184,13 +179,10 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
 
 def config_to_text(config: ExperimentConfig) -> str:
     lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name == "snrs_db":
-            value = ", ".join(snr_label(v) for v in value)
-        elif isinstance(value, tuple):
+    for key, value in config.echo().items():
+        if isinstance(value, list):
             value = ", ".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,9 @@ import numpy as np
 
 from ..errors import ConfigError
 
+# Share of a fold's train speakers held out for validation: 40 -> 32 / 8.
+VALIDATION_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class Fold:
@@ -30,6 +33,8 @@ def plan_folds(speakers: list[str], seed: int, n_folds: int = 5) -> FoldPlan:
     Other counts are split as evenly as possible and flagged non-conforming.
     """
     speakers = list(speakers)
+    if n_folds < 1:
+        raise ConfigError(f"n_folds must be at least 1, got {n_folds}")
     if len(set(speakers)) != len(speakers):
         raise ConfigError("duplicate speaker ids in fold planning")
     if len(speakers) < n_folds:
@@ -62,18 +67,16 @@ def check_speaker_independence(fold: Fold) -> None:
         raise ConfigError(f"speakers {sorted(overlap)} appear in both train and test")
 
 
-def split_train_validation(fold: Fold, seed: int,
-                           validation_fraction: float = 0.2) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def split_train_validation(fold: Fold, seed: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split the 40 train-verification speakers into train and validation,
-    by speaker, seeded. The default fraction gives 32 train / 8 validation."""
+    by speaker, seeded: 32 train / 8 validation."""
     speakers = list(fold.train_validation_speakers)
     if len(speakers) < 2:
         raise ConfigError("need at least two speakers to carve out validation")
     rng = np.random.default_rng(seed)
     order = [speakers[i] for i in rng.permutation(len(speakers))]
-    n_val = max(1, round(validation_fraction * len(speakers)))
-    if n_val >= len(speakers):
-        n_val = len(speakers) - 1
+    # round(0.2 * n) < n for every n >= 2, so training keeps a speaker too
+    n_val = max(1, round(VALIDATION_FRACTION * len(speakers)))
     validation = tuple(sorted(order[:n_val]))
     train = tuple(sorted(order[n_val:]))
     return train, validation

@@ -6,7 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import RangeError, ShapeError
+from ..errors import FormatError, RangeError, ShapeError
+
+# The positive label of the binary task.
+_SHOUT = 1
 
 
 def _check_lengths(y_true, y_pred):
@@ -18,12 +21,12 @@ def _check_lengths(y_true, y_pred):
     return y_true, y_pred
 
 
-def binary_f1(y_true, y_pred, positive=1) -> float:
-    """F1 with the shout class as positive; 0 when precision+recall is 0."""
+def binary_f1(y_true, y_pred) -> float:
+    """F1 with the shout class (label 1) as positive; 0 when precision+recall is 0."""
     y_true, y_pred = _check_lengths(y_true, y_pred)
-    tp = int(np.sum((y_pred == positive) & (y_true == positive)))
-    fp = int(np.sum((y_pred == positive) & (y_true != positive)))
-    fn = int(np.sum((y_pred != positive) & (y_true == positive)))
+    tp = int(np.sum((y_pred == _SHOUT) & (y_true == _SHOUT)))
+    fp = int(np.sum((y_pred == _SHOUT) & (y_true != _SHOUT)))
+    fn = int(np.sum((y_pred != _SHOUT) & (y_true == _SHOUT)))
     if 2 * tp + fp + fn == 0:
         return 0.0
     return 2.0 * tp / (2 * tp + fp + fn)
@@ -130,8 +133,8 @@ REPORT_REQUIRED_KEYS = {
 
 def validate_report(report: dict) -> None:
     """Check a serialized report against the declared schema."""
-    from ..errors import FormatError
-
+    if not isinstance(report, dict):
+        raise FormatError(f"a report is a JSON object, not a {type(report).__name__}")
     if report.get("schema") != "shoutkit.report.v1":
         raise FormatError(f"unknown report schema {report.get('schema')!r}")
     for key, expected in REPORT_REQUIRED_KEYS.items():

@@ -80,11 +80,7 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
     """Run the whole grid; one report per cell, aggregate table at the end."""
     if not cfg.archs or not cfg.features:
         raise ConfigError("suite needs at least one architecture and one feature set")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if examples is None:
-        if not cfg.manifest:
-            raise ConfigError("no manifest configured and no in-memory examples given")
         records = parse_manifest(cfg.manifest)
         examples = corpus_examples(records, cfg.audio_root or Path(cfg.manifest).parent,
                                    cfg.task)
@@ -92,6 +88,9 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
     plan = plan_folds(speakers, seed=derive_seed(cfg.seed, "folds"), n_folds=cfg.n_folds)
     noise = load_noise(cfg.noise)
 
+    # nothing is written until the corpus, folds and noise have all loaded
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = SuiteResult(out_dir=out_dir)
     for arch in cfg.archs:
         for features in cfg.features:

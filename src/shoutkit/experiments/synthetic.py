@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio_io import DEFAULT_TARGET_PEAK, AudioClip, write_wav
+from ..audio_io import DEFAULT_TARGET_PEAK, SAMPLE_RATE, AudioClip, write_wav
 from ..corpus import ShoutClass, Style, UtteranceRecord, class_for_sentence, write_manifest
 from ..errors import ConfigError
 
@@ -61,20 +61,20 @@ def _speaker_eq(rng: np.random.Generator):
 
 
 def _synth_clip(rng: np.random.Generator, tilt_db_oct: float, env_rate: float,
-                eq, n_samples: int, sample_rate: int) -> np.ndarray:
+                eq, n_samples: int) -> np.ndarray:
     n_bins = n_samples // 2 + 1
-    freqs = np.arange(n_bins) * sample_rate / n_samples
+    freqs = np.arange(n_bins) * SAMPLE_RATE / n_samples
     spectrum = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
     octaves = np.log2(np.maximum(freqs, 62.5) / 250.0)
     gain_db = tilt_db_oct * octaves
     amplitudes, phases = eq
-    u = np.log(np.maximum(freqs, 1.0)) / np.log(sample_rate / 2.0)
+    u = np.log(np.maximum(freqs, 1.0)) / np.log(SAMPLE_RATE / 2.0)
     for k, (a, phi) in enumerate(zip(amplitudes, phases), start=1):
         gain_db = gain_db + a * np.cos(k * np.pi * u + phi)
     spectrum *= 10.0 ** (gain_db / 20.0)
     spectrum[0] = 0.0
     x = np.fft.irfft(spectrum, n=n_samples)
-    t = np.arange(n_samples) / sample_rate
+    t = np.arange(n_samples) / SAMPLE_RATE
     envelope = 0.3 + 0.7 * (0.5 + 0.5 * np.cos(2 * np.pi * env_rate * t
                                                + rng.uniform(0, 2 * np.pi)))
     x *= envelope
@@ -84,7 +84,6 @@ def _synth_clip(rng: np.random.Generator, tilt_db_oct: float, env_rate: float,
 
 def make_classification_corpus(n_clips: int = 200, n_speakers: int = 10,
                                n_classes: int = 2, seed: int = 0,
-                               sample_rate: int = 16000,
                                clip_seconds: tuple[float, float] = (0.72, 0.85)
                                ) -> list[SynthExample]:
     """Balanced synthetic corpus; class 0 plays the role of normal speech."""
@@ -94,9 +93,9 @@ def make_classification_corpus(n_clips: int = 200, n_speakers: int = 10,
         tilts, rates = FOUR_CLASS_TILTS, FOUR_CLASS_ENV_RATES
     else:
         raise ConfigError(f"synthetic corpus supports 2 or 4 classes, got {n_classes}")
-    if n_clips % (n_speakers * n_classes) != 0:
-        raise ConfigError(f"{n_clips} clips do not divide evenly over "
-                          f"{n_speakers} speakers x {n_classes} classes")
+    if n_clips < 1 or n_speakers < 1 or n_clips % (n_speakers * n_classes) != 0:
+        raise ConfigError(f"{n_clips} clips must divide evenly over {n_speakers} speakers "
+                          f"x {n_classes} classes, and clips and speakers must be positive")
     rng = np.random.default_rng(seed)
     roster = _speaker_roster(n_speakers)
     eqs = {speaker: _speaker_eq(rng) for speaker, _ in roster}
@@ -105,9 +104,9 @@ def make_classification_corpus(n_clips: int = 200, n_speakers: int = 10,
     for speaker, sex in roster:
         for class_index in range(n_classes):
             for j in range(per_cell):
-                n = int(rng.uniform(*clip_seconds) * sample_rate)
+                n = int(rng.uniform(*clip_seconds) * SAMPLE_RATE)
                 samples = _synth_clip(rng, tilts[class_index], rates[class_index],
-                                      eqs[speaker], n, sample_rate)
+                                      eqs[speaker], n)
                 style = Style.NORMAL if class_index == 0 else Style.SHOUT
                 if n_classes == 4:
                     band = _CLASS_SENTENCE_BANDS[class_index]
@@ -118,7 +117,7 @@ def make_classification_corpus(n_clips: int = 200, n_speakers: int = 10,
                 sentence_id = int(rng.choice(list(band)))
                 label = class_for_sentence(style, sentence_id)
                 clip_id = f"{speaker}_s{sentence_id:02d}_{style.value}_{j}"
-                clip = AudioClip(samples=samples, sample_rate=sample_rate,
+                clip = AudioClip(samples=samples, sample_rate=SAMPLE_RATE,
                                  source_id=clip_id)
                 examples.append(SynthExample(
                     clip=clip, clip_id=clip_id, speaker_id=speaker, sex=sex,
@@ -128,12 +127,12 @@ def make_classification_corpus(n_clips: int = 200, n_speakers: int = 10,
 
 
 def make_intensity_corpus(n_clips: int = 200, n_speakers: int = 10, seed: int = 0,
-                          sample_rate: int = 16000,
                           clip_seconds: tuple[float, float] = (0.72, 0.85)
                           ) -> list[SynthExample]:
     """Shouted clips whose intensity is a monotone affine map of spectral tilt."""
-    if n_clips % n_speakers != 0:
-        raise ConfigError(f"{n_clips} clips do not divide over {n_speakers} speakers")
+    if n_clips < 1 or n_speakers < 1 or n_clips % n_speakers != 0:
+        raise ConfigError(f"{n_clips} clips must divide evenly over {n_speakers} speakers, "
+                          "and clips and speakers must be positive")
     rng = np.random.default_rng(seed)
     roster = _speaker_roster(n_speakers)
     eqs = {speaker: _speaker_eq(rng) for speaker, _ in roster}
@@ -143,12 +142,12 @@ def make_intensity_corpus(n_clips: int = 200, n_speakers: int = 10, seed: int = 
         for j in range(n_clips // n_speakers):
             tilt = float(rng.uniform(low, high))
             intensity = 1.0 + 6.0 * (tilt - low) / (high - low)
-            n = int(rng.uniform(*clip_seconds) * sample_rate)
-            samples = _synth_clip(rng, tilt, 5.0, eqs[speaker], n, sample_rate)
+            n = int(rng.uniform(*clip_seconds) * SAMPLE_RATE)
+            samples = _synth_clip(rng, tilt, 5.0, eqs[speaker], n)
             sentence_id = int(rng.integers(1, 51))
             label = class_for_sentence(Style.SHOUT, sentence_id)
             clip_id = f"{speaker}_s{sentence_id:02d}_shout_{j}"
-            clip = AudioClip(samples=samples, sample_rate=sample_rate,
+            clip = AudioClip(samples=samples, sample_rate=SAMPLE_RATE,
                              source_id=clip_id)
             examples.append(SynthExample(
                 clip=clip, clip_id=clip_id, speaker_id=speaker, sex=sex,

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio_io import (CLEAN, AudioClip, NoiseSpec, load_wav, mix_noise_at_snr,
-                        peak_normalize, pink_noise, resample_to_16k)
+from ..audio_io import (CLEAN, SAMPLE_RATE, AudioClip, NoiseSpec, load_wav,
+                        mix_noise_at_snr, peak_normalize, pink_noise, resample_to_16k)
 from ..corpus import ShoutClass, Style, UtteranceRecord
 from ..errors import ConfigError, NumericError
 from ..features import BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix, split_blocks
@@ -77,17 +77,14 @@ def corpus_examples(records: list[UtteranceRecord], audio_root, task: str) -> li
     return examples
 
 
-def load_noise(spec: str, sample_rate: int = 16000) -> AudioClip | None:
-    """Noise source from config: a WAV path or ``pink:<seed>:<seconds>``."""
+def load_noise(spec: str) -> AudioClip | None:
+    """Noise source from config: a WAV path or ``pink:<seed>:<seconds>``, at 16 kHz."""
     if not spec:
         return None
     if spec.startswith("pink:"):
-        seed, samples = parse_pink_spec(spec, sample_rate)
-        return pink_noise(samples, sample_rate, seed=seed)
-    clip = load_wav(spec)
-    if clip.sample_rate != sample_rate:
-        clip = resample_to_16k(clip)
-    return clip
+        seed, samples = parse_pink_spec(spec)
+        return pink_noise(samples, SAMPLE_RATE, seed=seed)
+    return resample_to_16k(load_wav(spec))
 
 
 # -- fold data -------------------------------------------------------------------
@@ -130,7 +127,7 @@ def build_fold_data(examples: list[ClipExample], fold: Fold,
     """
     check_speaker_independence(fold)
     train_speakers, val_speakers = split_train_validation(
-        fold, seed=derive_seed(cfg.seed, "validation"), validation_fraction=cfg.validation_fraction)
+        fold, seed=derive_seed(cfg.seed, "validation"))
     train = [e for e in examples if e.speaker_id in train_speakers]
     val = [e for e in examples if e.speaker_id in val_speakers]
     test = [e for e in examples if e.speaker_id in fold.test_speakers]
@@ -174,9 +171,6 @@ class TrainSettings:
     epochs: int
     batch_size: int
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     shuffle_seed: int = 0
     early_stop_patience: int = 0   # 0 disables early stopping
 
@@ -232,9 +226,7 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
     n = len(train_y)
     if n == 0:
         raise ConfigError("empty training set")
-    optimizer = Adam(model.parameters(), lr=settings.learning_rate,
-                     beta1=settings.beta1, beta2=settings.beta2,
-                     epsilon=settings.epsilon)
+    optimizer = Adam(model.parameters(), lr=settings.learning_rate)
     rng = np.random.default_rng(settings.shuffle_seed)
     log = TrainingLog()
     patience_left = settings.early_stop_patience
@@ -358,7 +350,6 @@ def build_cell_model(arch: str, kinds: tuple[FeatureKind, ...], cfg: ExperimentC
     pretrain_epochs = cfg.pretrain_epochs or cfg.epochs
     finetune_epochs = cfg.finetune_epochs or cfg.epochs
     common = dict(batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-                  beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
                   early_stop_patience=cfg.early_stop_patience)
 
     def single(kind: FeatureKind, tag: str, epochs: int):

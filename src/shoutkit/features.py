@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import SAMPLE_RATE, AudioClip
 from .errors import (ConfigError, DegenerateInputError, FormatError, NumericError, ShapeError,
                      UnsupportedError)
 
@@ -41,6 +41,9 @@ _N_MFCC_FILTERS = 40         # filters feeding the DCT
 _N_MFCC_COEFFS = 30
 _MEL_FMIN = 0.0
 _MEL_FMAX = 8000.0
+
+# 0.54 - 0.46*cos(2*pi*n/(N-1)), the symmetric (periodic-inclusive) form
+_WINDOW = np.hamming(FRAME_LENGTH)
 
 
 class FeatureKind(Enum):
@@ -86,17 +89,10 @@ class FrameMatrix:
     """Hamming-windowed frames of one clip, one row per frame."""
 
     frames: np.ndarray  # (T, 1024)
-    frame_length: int = FRAME_LENGTH
-    hop: int = HOP_LENGTH
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-
-def hamming_window(length: int = FRAME_LENGTH) -> np.ndarray:
-    # 0.54 - 0.46*cos(2*pi*n/(N-1)), the symmetric (periodic-inclusive) form
-    return np.hamming(length)
 
 
 def frame_signal(clip: AudioClip) -> FrameMatrix:
@@ -105,7 +101,7 @@ def frame_signal(clip: AudioClip) -> FrameMatrix:
     T = floor((L - 1024) / 512) + 1; each row is the raw frame multiplied
     elementwise by the Hamming window.
     """
-    if clip.sample_rate != 16000:
+    if clip.sample_rate != SAMPLE_RATE:
         raise UnsupportedError(f"features expect 16 kHz audio, got {clip.sample_rate} Hz")
     x = clip.samples
     if x.size < FRAME_LENGTH:
@@ -114,7 +110,7 @@ def frame_signal(clip: AudioClip) -> FrameMatrix:
         )
     n_frames = (x.size - FRAME_LENGTH) // HOP_LENGTH + 1
     idx = np.arange(FRAME_LENGTH)[None, :] + HOP_LENGTH * np.arange(n_frames)[:, None]
-    frames = x[idx] * hamming_window()
+    frames = x[idx] * _WINDOW
     return FrameMatrix(frames=frames)
 
 
@@ -164,13 +160,13 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank(n_filters: int, sample_rate: int = 16000) -> np.ndarray:
+def mel_filterbank(n_filters: int) -> np.ndarray:
     """Triangular mel filterbank over spectrum bins 1..512, shape (n_filters, 512).
 
     Filter edges are mel-spaced between 0 and 8000 Hz; weights are evaluated
     at the exact bin frequencies (continuous triangles, no integer snapping).
     """
-    bin_freqs = np.arange(1, 513) * sample_rate / FRAME_LENGTH
+    bin_freqs = np.arange(1, 513) * SAMPLE_RATE / FRAME_LENGTH
     mel_points = np.linspace(hz_to_mel(_MEL_FMIN), hz_to_mel(_MEL_FMAX), n_filters + 2)
     hz_points = mel_to_hz(mel_points)
     fb = np.zeros((n_filters, 512))

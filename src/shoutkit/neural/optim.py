@@ -9,15 +9,16 @@ import numpy as np
 from ..errors import NumericError, ShapeError
 from .tensor import Tensor
 
+BETA1 = 0.9         # first-moment decay
+BETA2 = 0.999       # second-moment decay
+EPSILON = 1e-8      # added to sqrt(v_hat)
+
 
 @dataclass
 class AdamState:
     """Per-parameter moment estimates plus the shared step counter."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -30,10 +31,9 @@ class Adam:
     bias-corrected first and second moments.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         self.params = dict(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+        self.state = AdamState(lr=lr)
         for name, p in self.params.items():
             self.state.first_moment[name] = np.zeros_like(p.data)
             self.state.second_moment[name] = np.zeros_like(p.data)
@@ -63,21 +63,21 @@ class Adam:
                                    f"{g.dtype}, in parameter {name!r}")
             grads[name] = g
         s.step_count += 1
-        correct1 = 1.0 - s.beta1 ** s.step_count
-        correct2 = 1.0 - s.beta2 ** s.step_count
+        correct1 = 1.0 - BETA1 ** s.step_count
+        correct2 = 1.0 - BETA2 ** s.step_count
         for name, g in grads.items():
             m = s.first_moment[name]
             v = s.second_moment[name]
             scratch = np.empty_like(g)  # the one temporary, freed before the next
-            m *= s.beta1
-            m += np.multiply(g, 1.0 - s.beta1, out=scratch)
-            v *= s.beta2
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=scratch)
+            v *= BETA2
             np.multiply(g, g, out=scratch)
-            scratch *= 1.0 - s.beta2
+            scratch *= 1.0 - BETA2
             v += scratch
             np.divide(v, correct2, out=scratch)     # v_hat
             np.sqrt(scratch, out=scratch)
-            scratch += s.epsilon
+            scratch += EPSILON
             np.divide(m, scratch, out=scratch)
             scratch *= s.lr / correct1              # lr * m_hat / (sqrt(v_hat) + eps)
             self.params[name].data -= scratch

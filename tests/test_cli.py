@@ -9,7 +9,7 @@ from shoutkit.cli import main
 from shoutkit.corpus import (RatingRecord, make_rating_subsets, write_ratings_csv,
                              write_subsets_csv)
 from shoutkit.audio_io import AudioClip, load_wav, write_wav
-from shoutkit.experiments import prepare_clip
+from shoutkit.experiments import MetricsReport, prepare_clip
 from shoutkit.features import (FeatureKind, FeatureStats, assemble_blocks, feature_matrix,
                                load_blocks)
 from shoutkit.models import build_single_model, save_model
@@ -90,6 +90,13 @@ def test_folds_subcommand(corpus_dir, capsys):
     assert len(plan["folds"]) == 2
 
 
+def test_synth_with_zero_noise_seconds_writes_no_noise(tmp_path):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--clips", "4", "--speakers", "2", "--noise-seconds", "0",
+                 "--output", str(out)]) == 0
+    assert (out / "manifest.csv").exists() and not (out / "noise.wav").exists()
+
+
 def test_train_evaluate_cycle(corpus_dir, tmp_path):
     settings = [
         "task=binary", "archs=cnn", "features=mel_spectrogram",
@@ -139,6 +146,43 @@ def test_suite_and_report(corpus_dir, tmp_path):
     assert (out / "aggregate.csv").exists()
     plots = tmp_path / "plots"
     assert main(["report", str(out), "--output", str(plots)]) == 0
+
+
+def test_report_on_a_train_output_is_data_error(corpus_dir, tmp_path, capsys):
+    settings = ["archs=cnn", "features=mel_spectrogram", "epochs=1", "batch_size=16",
+                "dtype=float32", "n_folds=2", f"manifest={corpus_dir / 'manifest.csv'}",
+                f"audio_root={corpus_dir}"]
+    run = tmp_path / "run"
+    args = [a for s in settings for a in ("--set", s)]
+    assert main(["train", *args, "--output", str(run), "--name", "m"]) == 0
+    capsys.readouterr()
+    plots = tmp_path / "plots"
+    # a train run's stats and training logs are JSON, but not cell reports
+    assert main(["report", str(run), "--output", str(plots)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "m.stats.mel_spectrogram.json" in err
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize("stray", [b"[1, 2]", b"{not json", b"\xff\xfe\x00",
+                                   b'{"schema": "shoutkit.report.v1"}'],
+                         ids=["json-list", "not-json", "not-text", "report-missing-keys"])
+def test_report_with_a_stray_json_writes_no_csv(tmp_path, capsys, stray):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    # sorts first and would export a confusion CSV
+    report = MetricsReport(task="four_class", arch="cnn", features="tmfcc",
+                           numeric_mode="float32", seed=1,
+                           confusions={"fold0/clean": [[1, 0], [0, 1]]})
+    (suite_dir / "a_cell.json").write_text(json.dumps(report.to_dict()))
+    (suite_dir / "z_stray.json").write_bytes(stray)
+    plots = tmp_path / "plots"
+    assert main(["report", str(suite_dir), "--output", str(plots)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "z_stray.json" in err
+    assert not plots.exists()
 
 
 def test_corpus_aggregate_and_summarize(tmp_path):
@@ -281,6 +325,20 @@ def test_stats_file_of_another_or_no_kind_is_data_error(corpus_dir, tmp_path, ca
     assert not out.exists()
 
 
+def test_evaluate_without_manifest_is_config_error(corpus_dir, tmp_path, capsys):
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
+    descriptor = save_model(model, tmp_path, "m")
+    FeatureStats.fit([feature_matrix(load_wav(wav), FeatureKind.TMFCC)]).save(
+        tmp_path / "m.stats.tmfcc.json", FeatureKind.TMFCC)
+    out = tmp_path / "eval.json"
+    assert main(["evaluate", "--model", str(descriptor), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "no manifest" in err
+    assert not out.exists()
+
+
 def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys):
     wav = next((corpus_dir / "wav").glob("*.wav"))
     model = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=0, width_scale=4)
@@ -338,6 +396,24 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     # a pink noise spec too short or not finite is refused before the corpus is read
     *(("argv", ["train", "--set", f"noise=pink:1:{seconds}", "--output", "{out}"],
        "pink noise spec") for seconds in ("nan", "inf", "0", "-3")),
+    # the paper's fixed recipe is no config key
+    *(("argv", ["train", "--set", f"{key}=0.5", "--output", "{out}"],
+       f"unknown config key '{key}'") for key in ("beta1", "beta2", "epsilon")),
+    # no manifest is a config error, and suite creates no output before it
+    ("argv", ["train", "--output", "{out}"], "no manifest"),
+    ("argv", ["suite", "--output", "{out}"], "no manifest"),
+    ("argv", ["folds", "{manifest}", "--n-folds", "0"], "n_folds"),
+    ("argv", ["folds", "{manifest}", "--n-folds", "-1"], "n_folds"),
+    # synth refuses before it writes any file
+    *(("argv", ["synth", *flags, "--output", "{out}"], mentioned) for flags, mentioned in (
+        (["--speakers", "0"], "speakers must be positive"),
+        (["--task", "regression", "--speakers", "0"], "speakers must be positive"),
+        (["--clips", "0"], "clips and speakers must be positive"),
+        (["--task", "four_class", "--clips", "-8", "--speakers", "2"], "must be positive"),
+        *((["--clips", "4", "--speakers", "2", "--noise-seconds", seconds], mentioned)
+          for seconds, mentioned in (("inf", "must be finite"), ("nan", "must be finite"),
+                                     ("-1", "at least 2 samples"),
+                                     ("0.0001", "at least 2 samples"))))),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
         "width-scale-negative", "dtype-int8", "dtype-float16", "descriptor-no-checkpoint",
         "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
@@ -350,14 +426,19 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
         "train-finetune-epochs-negative", "train-early-stop-patience-negative",
         "train-validation-fraction-two", "train-validation-fraction-zero",
         "train-validation-fraction-one", "train-pink-nan-seconds", "train-pink-inf-seconds",
-        "train-pink-zero-seconds", "train-pink-negative-seconds"])
+        "train-pink-zero-seconds", "train-pink-negative-seconds", "train-beta1-key",
+        "train-beta2-key", "train-epsilon-key", "train-no-manifest", "suite-no-manifest",
+        "folds-zero", "folds-negative", "synth-no-speakers", "synth-regression-no-speakers",
+        "synth-no-clips", "synth-four-class-negative-clips", "synth-noise-inf",
+        "synth-noise-nan", "synth-noise-negative", "synth-noise-under-two-samples"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"
     wav = next((corpus_dir / "wav").glob("*.wav"))
     if key == "argv":
         # an argparse usage error is one config-error line too, not usage text
-        argv = [a.format(wav=wav, out=out) for a in value]
+        argv = [a.format(wav=wav, out=out, manifest=corpus_dir / "manifest.csv")
+                for a in value]
     elif key == "snr":
         argv = ["mix", str(wav), str(out), f"--snr={value}"]
     else:

@@ -3,7 +3,7 @@
 import json
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -67,6 +67,11 @@ class TestFoldPlanning:
     def test_duplicates_rejected(self):
         with pytest.raises(ConfigError):
             plan_folds(["a", "b", "a", "c", "d"], seed=0)
+
+    @pytest.mark.parametrize("n_folds", [0, -1])
+    def test_fewer_than_one_fold_rejected(self, n_folds):
+        with pytest.raises(ConfigError, match="n_folds"):
+            plan_folds([f"s{i}" for i in range(10)], seed=0, n_folds=n_folds)
 
     def test_validation_split_is_32_8(self):
         speakers = [f"s{i}" for i in range(50)]
@@ -188,6 +193,22 @@ class TestConfig:
         # cells run one after another; there is no worker pool to size
         with pytest.raises(ConfigError, match="'workers'"):
             parse_config_text("workers = 2")
+        # the paper's fixed recipe: Adam's betas and epsilon, the 32 / 8 validation split
+        for key, value in (("beta1", "0.8"), ("beta2", "0.99"), ("epsilon", "1e-6"),
+                           ("validation_fraction", "0.25")):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                parse_config_text(f"{key} = {value}")
+
+    def test_config_fields_are_pinned(self):
+        # a new field is a new knob; one that only ever holds its default belongs
+        # in the code as a constant
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "task", "archs", "features", "snrs_db", "epochs", "batch_size",
+            "learning_rate", "n_folds", "seed", "dtype", "width_scale",
+            "pretrain_epochs", "finetune_epochs", "early_stop_patience",
+            "train_snr_augment", "per_block_eval", "manifest", "audio_root", "noise"]
+        assert [f.name for f in fields(TrainSettings)] == [
+            "epochs", "batch_size", "learning_rate", "shuffle_seed", "early_stop_patience"]
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -245,6 +266,12 @@ class TestSyntheticCorpus:
     def test_uneven_split_rejected(self):
         with pytest.raises(ConfigError):
             make_classification_corpus(n_clips=41, n_speakers=4, n_classes=2)
+
+    @pytest.mark.parametrize("make", [make_classification_corpus, make_intensity_corpus])
+    @pytest.mark.parametrize("n_clips, n_speakers", [(0, 4), (-8, 4), (8, 0), (8, -2)])
+    def test_no_clips_or_speakers_rejected(self, make, n_clips, n_speakers):
+        with pytest.raises(ConfigError, match="clips and speakers must be positive"):
+            make(n_clips=n_clips, n_speakers=n_speakers)
 
 
 @pytest.fixture(scope="module")
@@ -645,6 +672,12 @@ class TestSuite:
         from shoutkit.errors import FormatError
         with pytest.raises(FormatError):
             validate_report({"schema": "???"})
+
+    @pytest.mark.parametrize("payload", [[1, 2], "report", 3])
+    def test_report_schema_rejects_a_non_object(self, payload):
+        from shoutkit.errors import FormatError
+        with pytest.raises(FormatError, match="JSON object"):
+            validate_report(payload)
 
     def test_fusion_cell_through_suite(self, tmp_path):
         examples = synth_examples(n_clips=16, n_speakers=4)

@@ -1,5 +1,6 @@
 """neural: autograd ops, layers, losses, Adam, determinism, checkpoints."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from shoutkit.errors import NumericError, RangeError, ShapeError, StateError
 from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor,
                              cross_entropy_loss, gru_sequence, load_checkpoint, loss,
                              mse_loss, save_checkpoint)
-from shoutkit.neural import layers
+from shoutkit.neural import layers, optim
 from shoutkit.neural import tensor as T
 
 from oracles import (adam_descent_oracle, adam_textbook, count_graph_nodes,
@@ -638,6 +639,11 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak <= p.data.nbytes + 64 * 1024
+
+    def test_only_the_learning_rate_is_settable(self):
+        # betas and epsilon are the paper's fixed constants, not arguments
+        assert list(inspect.signature(Adam.__init__).parameters) == ["self", "params", "lr"]
+        assert (optim.BETA1, optim.BETA2, optim.EPSILON) == (0.9, 0.999, 1e-8)
 
 
 class TestDeterminism:
