@@ -83,8 +83,8 @@ def load_wav(path) -> AudioClip:
     """Read a RIFF WAV file: PCM, 16-bit little-endian, mono.
 
     Samples are scaled by 1/32768 into [-1, 1]. Anything other than 16-bit
-    mono PCM is rejected with UnsupportedError; malformed containers raise
-    FormatError.
+    mono PCM is rejected with UnsupportedError; malformed containers, and a
+    payload shorter than the header's frame count, raise FormatError.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -104,6 +104,9 @@ def load_wav(path) -> AudioClip:
         raise UnsupportedError(f"expected mono, got {nchannels} channels: {path}")
     if sampwidth != 2:
         raise UnsupportedError(f"expected 16-bit samples, got {8 * sampwidth}-bit: {path}")
+    if len(raw) != nframes * sampwidth:
+        raise FormatError(f"truncated WAV file {path}: header says {nframes} frames, "
+                          f"payload holds {len(raw) // sampwidth}")
     ints = np.frombuffer(raw, dtype="<i2")
     samples = ints.astype(np.float64) / 32768.0
     return AudioClip(samples=samples, sample_rate=rate, source_id=str(path)).validate()

@@ -29,6 +29,7 @@ from .experiments.training import build_cell_model
 from .features import FeatureStats, assemble_blocks, parse_feature_kind, save_blocks, write_blocks_csv
 from .models import check_cell, load_model, save_model
 from .neural import save_checkpoint
+from .textio import read_text, write_csv, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,7 +84,7 @@ def cmd_folds(args) -> int:
     }
     text = json.dumps(payload, indent=2)
     if args.output:
-        Path(args.output).write_text(text)
+        write_text(args.output, text)
     else:
         print(text)
     return EXIT_OK
@@ -119,7 +120,7 @@ def cmd_train(args) -> int:
     for kind in kinds:
         data.stats[kind].save(out_dir / f"{args.name}.stats.{kind.value}.json", kind)
     stages = [{**log.summary(), "curve": log.epochs} for log in raw_logs]
-    (out_dir / f"{args.name}.training.json").write_text(json.dumps({
+    write_text(out_dir / f"{args.name}.training.json", json.dumps({
         "config": cfg.echo(), "fold": args.fold, "stages": stages}, indent=2, sort_keys=True))
     print(f"trained {cfg.archs[0]} on {cfg.features[0]}; descriptor at {descriptor}")
     return EXIT_OK
@@ -141,7 +142,7 @@ def cmd_evaluate(args) -> int:
     payload = {label: detail["metric"] for label, detail in scores.items()}
     text = json.dumps({"fold": args.fold, "metrics": payload}, indent=2, sort_keys=True)
     if args.output:
-        Path(args.output).write_text(text)
+        write_text(args.output, text)
     else:
         print(text)
     return EXIT_OK
@@ -173,11 +174,10 @@ def cmd_corpus_aggregate(args) -> int:
         write_manifest(records, args.output)
         print(f"wrote manifest with {len(labels)} intensity label(s) to {args.output}")
     else:
-        with open(args.output, "w") as fh:
-            fh.write("item_id,mean,ratings\n")
-            for item_id, label in sorted(labels.items()):
-                joined = " ".join(str(r) for r in label.contributing_ratings)
-                fh.write(f"{item_id},{label.mean_score!r},{joined}\n")
+        write_csv(args.output, ["item_id", "mean", "ratings"],
+                  ([item_id, repr(label.mean_score),
+                    " ".join(str(r) for r in label.contributing_ratings)]
+                   for item_id, label in sorted(labels.items())))
         print(f"wrote {len(labels)} intensity label(s) to {args.output}")
     return EXIT_OK
 
@@ -199,8 +199,9 @@ def cmd_report(args) -> int:
     # every file is read and checked before the first CSV is written
     reports = []
     for path in paths:
+        text = read_text(path, "cell report")
         try:
-            report = json.loads(path.read_text())
+            report = json.loads(text)
             validate_report(report)
         except (ValueError, FormatError) as exc:
             raise FormatError(f"{path} is not a cell report: {exc}") from None

@@ -10,16 +10,15 @@ crowd ratings that survive the dummy-item spammer filter.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientRatingsError, ManifestError
+from .textio import read_csv, write_csv
 
 FULL_CORPUS_COUNTS = {"normal": 2500, "shout_h": 1000, "shout_l": 1000, "shout_hl": 500}
 TASK_ITEMS = 21           # 20 corpus items + 1 dummy per rating task
@@ -136,24 +135,23 @@ def parse_manifest(path) -> list[UtteranceRecord]:
     """
     if not path:
         raise ConfigError("no manifest given")
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"manifest {path} is empty")
-        if header != MANIFEST_COLUMNS:
-            raise ManifestError(f"manifest header must be {','.join(MANIFEST_COLUMNS)}, "
-                                f"got {','.join(header)}")
-        records = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            records.append(_parse_manifest_row(row, row_number))
+    records = [_parse_manifest_row(row, row_number)
+               for row_number, row in _numbered_rows(path, "manifest", MANIFEST_COLUMNS)]
     if not records:
         raise ManifestError(f"manifest {path} has no records")
     return records
+
+
+def _numbered_rows(path, what: str, columns: list[str]) -> list[tuple[int, list[str]]]:
+    """The non-empty rows of a corpus CSV, each with its row number, once the
+    header is checked to be ``columns``."""
+    rows = read_csv(path, what)
+    if not rows:
+        raise ManifestError(f"{what} {path} is empty")
+    if rows[0] != columns:
+        raise ManifestError(f"{what} header must be {','.join(columns)}, "
+                            f"got {','.join(rows[0])}")
+    return [(row_number, row) for row_number, row in enumerate(rows[1:], start=2) if row]
 
 
 def _parse_manifest_row(row: list[str], row_number: int) -> UtteranceRecord:
@@ -197,13 +195,9 @@ def _parse_manifest_row(row: list[str], row_number: int) -> UtteranceRecord:
 
 
 def write_manifest(records: list[UtteranceRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for r in records:
-            intensity = "" if r.intensity is None else repr(r.intensity)
-            writer.writerow([r.path, r.speaker_id, r.sex, r.sentence_id,
-                             r.style.value, r.class_label.value, intensity])
+    write_csv(path, MANIFEST_COLUMNS,
+              ([r.path, r.speaker_id, r.sex, r.sentence_id, r.style.value, r.class_label.value,
+                "" if r.intensity is None else repr(r.intensity)] for r in records))
 
 
 def class_counts(records: list[UtteranceRecord]) -> dict[str, int]:
@@ -331,13 +325,10 @@ def summarize_intensity(records: list[UtteranceRecord]):
 
 
 def write_intensity_summary(speaker_rows, sentence_rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "key", "mean", "std", "count"])
-        for key, mean, std, count in speaker_rows:
-            writer.writerow(["speaker", key, repr(mean), repr(std), count])
-        for key, mean, std, count in sentence_rows:
-            writer.writerow(["sentence", key, repr(mean), repr(std), count])
+    write_csv(path, ["group", "key", "mean", "std", "count"],
+              ([group, key, repr(mean), repr(std), count]
+               for group, rows in (("speaker", speaker_rows), ("sentence", sentence_rows))
+               for key, mean, std, count in rows))
 
 
 # -- ratings and subsets CSV round trip -----------------------------------------------
@@ -347,82 +338,54 @@ SUBSETS_COLUMNS = ["subset_id", "item_index", "item_id", "is_dummy"]
 
 
 def write_ratings_csv(records: list[RatingRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RATINGS_COLUMNS)
-        for r in records:
-            for i, score in enumerate(r.scores):
-                writer.writerow([r.worker_id, r.subset_id, i, score,
-                                 1 if i == r.dummy_index else 0])
+    write_csv(path, RATINGS_COLUMNS,
+              ([r.worker_id, r.subset_id, i, score, int(i == r.dummy_index)]
+               for r in records for i, score in enumerate(r.scores)))
 
 
 def read_ratings_csv(path) -> list[RatingRecord]:
-    grouped: dict[tuple[str, int], dict[int, tuple[int, bool]]] = defaultdict(dict)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RATINGS_COLUMNS:
-            raise ManifestError(f"ratings header must be {','.join(RATINGS_COLUMNS)}")
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                worker, subset, index, score, is_dummy = (
-                    row[0], int(row[1]), int(row[2]), int(row[3]), int(row[4]))
-            except (ValueError, IndexError):
-                raise ManifestError("bad ratings row", row=row_number)
-            grouped[(worker, subset)][index] = (score, bool(is_dummy))
-    records = []
-    for (worker, subset), items in sorted(grouped.items()):
-        if sorted(items) != list(range(TASK_ITEMS)):
-            raise ManifestError(f"task ({worker}, {subset}) does not cover "
-                                f"items 0..{TASK_ITEMS - 1}")
-        dummies = [i for i, (_, d) in items.items() if d]
-        if len(dummies) != 1:
-            raise ManifestError(f"task ({worker}, {subset}) must have exactly one dummy")
-        scores = tuple(items[i][0] for i in range(TASK_ITEMS))
-        records.append(RatingRecord(worker_id=worker, subset_id=subset,
-                                    scores=scores, dummy_index=dummies[0]))
-    return records
+    tasks = _read_tasks(path, "ratings", RATINGS_COLUMNS, lambda row: (
+        (row[0], int(row[1])), int(row[2]), int(row[3]), int(row[4])))
+    return [RatingRecord(worker_id=worker, subset_id=subset, scores=tuple(scores),
+                         dummy_index=dummy) for (worker, subset), scores, dummy in tasks]
 
 
 def write_subsets_csv(subsets: list[RatingSubset], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUBSETS_COLUMNS)
-        for subset in subsets:
-            for i, item in enumerate(subset.task_order()):
-                writer.writerow([subset.subset_id, i,
-                                 "" if item is None else item,
-                                 1 if item is None else 0])
+    write_csv(path, SUBSETS_COLUMNS,
+              ([subset.subset_id, i, "" if item is None else item, int(item is None)]
+               for subset in subsets for i, item in enumerate(subset.task_order())))
 
 
 def read_subsets_csv(path) -> list[RatingSubset]:
-    grouped: dict[int, dict[int, tuple[str, bool]]] = defaultdict(dict)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SUBSETS_COLUMNS:
-            raise ManifestError(f"subsets header must be {','.join(SUBSETS_COLUMNS)}")
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                subset, slot, item, is_dummy = int(row[0]), int(row[1]), row[2], int(row[3])
-            except (ValueError, IndexError):
-                raise ManifestError("bad subsets row", row=row_number)
-            grouped[subset][slot] = (item, bool(is_dummy))
-    subsets = []
-    for subset_id, slots in sorted(grouped.items()):
+    tasks = _read_tasks(path, "subsets", SUBSETS_COLUMNS, lambda row: (
+        int(row[0]), int(row[1]), row[2], int(row[3])))
+    return [RatingSubset(subset_id=subset_id, item_ids=tuple(items[:dummy] + items[dummy + 1:]),
+                         dummy_position=dummy) for subset_id, items, dummy in tasks]
+
+
+def _read_tasks(path, what: str, columns: list[str], parse_row):
+    """Group a ratings or subsets CSV into its 21-slot tasks.
+
+    ``parse_row`` turns a row into (task key, slot, value, is_dummy). Returns
+    (key, the 21 values in slot order, dummy slot) per task in key order; a
+    task that misses a slot or has other than one dummy is refused.
+    """
+    grouped: dict = defaultdict(dict)
+    for row_number, row in _numbered_rows(path, what, columns):
+        try:
+            key, slot, value, is_dummy = parse_row(row)
+        except (ValueError, IndexError):
+            raise ManifestError(f"bad {what} row", row=row_number)
+        grouped[key][slot] = (value, bool(is_dummy))
+    tasks = []
+    for key, slots in sorted(grouped.items()):
         if sorted(slots) != list(range(TASK_ITEMS)):
-            raise ManifestError(f"subset {subset_id} does not cover 21 slots")
-        dummies = [i for i, (_, d) in slots.items() if d]
+            raise ManifestError(f"{what} task {key} does not cover slots 0..{TASK_ITEMS - 1}")
+        dummies = [slot for slot, (_, is_dummy) in slots.items() if is_dummy]
         if len(dummies) != 1:
-            raise ManifestError(f"subset {subset_id} must have exactly one dummy slot")
-        items = tuple(slots[i][0] for i in range(TASK_ITEMS) if i != dummies[0])
-        subsets.append(RatingSubset(subset_id=subset_id, item_ids=items,
-                                    dummy_position=dummies[0]))
-    return subsets
+            raise ManifestError(f"{what} task {key} must have exactly one dummy slot")
+        tasks.append((key, [slots[slot][0] for slot in range(TASK_ITEMS)], dummies[0]))
+    return tasks
 
 
 def aggregate_ratings_pipeline(ratings: list[RatingRecord],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from ..audio_io import CLEAN, SAMPLE_RATE, SWEEP_SNRS_DB
 from ..corpus import stable_key
 from ..errors import ConfigError
 from ..models import HeadKind
+from ..textio import read_text, write_text
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -50,9 +50,13 @@ def parse_snr(text: str) -> float:
     return value
 
 
+# Longest pink noise a spec may ask for; the sweep workloads mix at most 5 s.
+MAX_PINK_SECONDS = 600.0
+
+
 def parse_pink_spec(spec: str) -> tuple[int, int]:
     """``pink:<seed>:<seconds>`` as (seed, samples at 16 kHz); seconds that
-    are not finite or give fewer than 2 samples are refused."""
+    give fewer than 2 samples or exceed MAX_PINK_SECONDS are refused."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"pink noise spec must be pink:<seed>:<seconds>, got {spec!r}")
@@ -60,9 +64,9 @@ def parse_pink_spec(spec: str) -> tuple[int, int]:
         seed, samples = int(parts[1]), float(parts[2]) * SAMPLE_RATE
     except ValueError:
         raise ConfigError(f"bad pink noise spec {spec!r}")
-    if not math.isfinite(samples) or samples < 2:
-        raise ConfigError(f"bad pink noise spec {spec!r}: seconds must be finite "
-                          "and give at least 2 samples")
+    if not 2 <= samples <= MAX_PINK_SECONDS * SAMPLE_RATE:
+        raise ConfigError(f"bad pink noise spec {spec!r}: seconds must be finite, at most "
+                          f"{MAX_PINK_SECONDS:g}, and give at least 2 samples")
     return seed, int(samples)
 
 
@@ -174,7 +178,7 @@ def _parse_value(key: str, value: str, annotation: str):
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text(), base=base)
+    return parse_config_text(read_text(path, "config"), base=base)
 
 
 def config_to_text(config: ExperimentConfig) -> str:
@@ -187,4 +191,4 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(config_to_text(config))
+    write_text(path, config_to_text(config))

@@ -8,7 +8,6 @@ average). Failures are recorded and the remaining cells still run.
 
 from __future__ import annotations
 
-import csv
 import json
 import traceback
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 from ..corpus import parse_manifest
 from ..errors import ConfigError, ShoutKitError
 from ..models import check_cell
+from ..textio import write_csv, write_text
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import FoldPlan, plan_folds
 from .metrics import MetricsReport, validate_report
@@ -105,12 +105,11 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
             else:
                 payload = report.to_dict()
                 validate_report(payload)
-                (out_dir / f"{name}.json").write_text(
-                    json.dumps(payload, indent=2, sort_keys=True))
+                write_text(out_dir / f"{name}.json", json.dumps(payload, indent=2, sort_keys=True))
                 result.reports.append(payload)
 
     write_aggregate_table(result.reports, cfg, out_dir / "aggregate.csv")
-    (out_dir / "suite_meta.json").write_text(json.dumps({
+    write_text(out_dir / "suite_meta.json", json.dumps({
         "config": cfg.echo(),
         "folds": [{"train_validation": list(f.train_validation_speakers),
                    "test": list(f.test_speakers)} for f in plan.folds],
@@ -123,17 +122,12 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
 def write_aggregate_table(reports: list[dict], cfg: ExperimentConfig, path) -> None:
     """Rows = (features, model); columns = the SNR sweep plus its average."""
     labels = [snr_label(s) for s in cfg.snrs_db]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["features", "model"] + labels + ["avg"])
-        for report in reports:
-            row = [report["features"], report["arch"]]
-            for label in labels:
-                value = report["snr_means"].get(label)
-                row.append("" if value is None else f"{value:.6f}")
-            avg = report.get("average")
-            row.append("" if avg is None else f"{avg:.6f}")
-            writer.writerow(row)
+    rows = []
+    for report in reports:
+        values = [report["snr_means"].get(label) for label in labels] + [report.get("average")]
+        rows.append([report["features"], report["arch"]]
+                    + ["" if value is None else f"{value:.6f}" for value in values])
+    write_csv(path, ["features", "model"] + labels + ["avg"], rows)
 
 
 def export_plot_csvs(report: dict, out_dir) -> list[Path]:
@@ -145,18 +139,12 @@ def export_plot_csvs(report: dict, out_dir) -> list[Path]:
     for key, counts in report.get("confusions", {}).items():
         tag = key.replace("/", "_")
         path = out_dir / f"{base}__confusion_{tag}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["true\\pred"] + [f"c{i}" for i in range(len(counts))])
-            for i, row in enumerate(counts):
-                writer.writerow([f"c{i}"] + list(row))
+        write_csv(path, ["true\\pred"] + [f"c{i}" for i in range(len(counts))],
+                  ([f"c{i}"] + list(row) for i, row in enumerate(counts)))
         written.append(path)
     for key, pairs in report.get("scatter", {}).items():
         tag = key.replace("/", "_")
         path = out_dir / f"{base}__scatter_{tag}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["actual", "predicted"])
-            writer.writerows(pairs)
+        write_csv(path, ["actual", "predicted"], pairs)
         written.append(path)
     return written

@@ -17,7 +17,6 @@ remainder shorter than 20 frames is dropped. A clip's blocks are one
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 from dataclasses import dataclass
@@ -26,10 +25,12 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import SAMPLE_RATE, AudioClip
 from .errors import (ConfigError, DegenerateInputError, FormatError, NumericError, ShapeError,
                      UnsupportedError)
+from .textio import read_text, write_csv, write_text
 
 FRAME_LENGTH = 1024
 HOP_LENGTH = 512
@@ -108,9 +109,7 @@ def frame_signal(clip: AudioClip) -> FrameMatrix:
         raise DegenerateInputError(
             f"clip of {x.size} samples is shorter than one {FRAME_LENGTH}-point frame"
         )
-    n_frames = (x.size - FRAME_LENGTH) // HOP_LENGTH + 1
-    idx = np.arange(FRAME_LENGTH)[None, :] + HOP_LENGTH * np.arange(n_frames)[:, None]
-    frames = x[idx] * _WINDOW
+    frames = sliding_window_view(x, FRAME_LENGTH)[::HOP_LENGTH] * _WINDOW
     return FrameMatrix(frames=frames)
 
 
@@ -269,7 +268,7 @@ class FeatureStats:
     def save(self, path, kind: FeatureKind) -> None:
         """Write the stats as JSON, with the feature kind they were fitted on."""
         payload = {"kind": kind.value, "mean": self.mean.tolist(), "std": self.std.tolist()}
-        Path(path).write_text(json.dumps(payload))
+        write_text(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path, kind: FeatureKind) -> "FeatureStats":
@@ -277,7 +276,7 @@ class FeatureStats:
         one that records no kind, or one with a non-finite value or a std
         that is not positive is refused."""
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = json.loads(read_text(path, "feature stats"))
             mean, std = (np.asarray(payload[key], dtype=np.float64) for key in ("mean", "std"))
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: not a feature stats file ({exc!r})") from None
@@ -375,9 +374,6 @@ def load_blocks(path) -> tuple[FeatureKind, np.ndarray]:
 
 def write_blocks_csv(blocks: np.ndarray, path) -> None:
     """Debug dump: one row per (block, dimension) with the 20 frame values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "dim"] + [f"t{i}" for i in range(BLOCK_FRAMES)])
-        for index, block in enumerate(blocks):
-            for d, row in enumerate(block):
-                writer.writerow([index, d] + [repr(v) for v in row.tolist()])
+    write_csv(path, ["block", "dim"] + [f"t{i}" for i in range(BLOCK_FRAMES)],
+              ([index, d] + [repr(v) for v in row.tolist()]
+               for index, block in enumerate(blocks) for d, row in enumerate(block)))

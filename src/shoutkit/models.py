@@ -34,6 +34,7 @@ from .features import BLOCK_FRAMES, FeatureKind, parse_feature_kind
 from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor,
                      load_checkpoint, no_grad, save_checkpoint)
 from .neural import tensor as T
+from .textio import read_text, write_text
 
 
 class Arch(Enum):
@@ -468,14 +469,14 @@ def save_model(model: NetworkGraph, directory, name: str) -> Path:
         f"checkpoint = {ckpt.name}",
     ]
     descriptor = directory / f"{name}.descriptor"
-    descriptor.write_text("\n".join(lines) + "\n")
+    write_text(descriptor, "\n".join(lines) + "\n")
     return descriptor
 
 
 def load_model(descriptor_path) -> NetworkGraph:
     descriptor_path = Path(descriptor_path)
     fields: dict[str, str] = {}
-    for line in descriptor_path.read_text().splitlines():
+    for line in read_text(descriptor_path, "model descriptor").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -56,6 +56,15 @@ class TestLoadWav:
         with pytest.raises(FormatError):
             load_wav(path)
 
+    # a payload cut to 60 bytes, to the bare 44-byte header, or one byte short
+    @pytest.mark.parametrize("keep", [60, 44, -1], ids=["cut-to-60", "header-only", "odd-byte"])
+    def test_payload_shorter_than_the_header_says_rejected(self, tmp_path, keep):
+        path = tmp_path / "t.wav"
+        write_raw_wav(path, list(range(1000)))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match="truncated WAV file .*header says 1000 frames"):
+            load_wav(path)
+
     def test_round_trip_exact_at_int16(self, tmp_path):
         rng = np.random.default_rng(0)
         ints = rng.integers(-32768, 32768, size=500).astype(np.int16)

@@ -413,7 +413,8 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
         *((["--clips", "4", "--speakers", "2", "--noise-seconds", seconds], mentioned)
           for seconds, mentioned in (("inf", "must be finite"), ("nan", "must be finite"),
                                      ("-1", "at least 2 samples"),
-                                     ("0.0001", "at least 2 samples"))))),
+                                     ("0.0001", "at least 2 samples"),
+                                     ("1e300", "at most 600"))))),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
         "width-scale-negative", "dtype-int8", "dtype-float16", "descriptor-no-checkpoint",
         "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
@@ -430,7 +431,8 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
         "train-beta2-key", "train-epsilon-key", "train-no-manifest", "suite-no-manifest",
         "folds-zero", "folds-negative", "synth-no-speakers", "synth-regression-no-speakers",
         "synth-no-clips", "synth-four-class-negative-clips", "synth-noise-inf",
-        "synth-noise-nan", "synth-noise-negative", "synth-noise-under-two-samples"])
+        "synth-noise-nan", "synth-noise-negative", "synth-noise-under-two-samples",
+        "synth-noise-above-cap"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"
@@ -464,3 +466,72 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert exit_info.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_pink_noise_above_the_cap_in_a_config_is_config_error(tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_text("noise = pink:1:1e300\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "at most 600" in err
+    assert not out.exists()
+
+
+# Every file slot of the CLI against a catalogue of malformed inputs. `{bad}`
+# is where the input is placed; report reads the cell reports of a directory.
+FILE_SLOTS = {
+    "extract-input": ("wav", ["extract", "{bad}", "{out}", "--kind", "tmfcc"]),
+    "extract-stats": ("text", ["extract", "{wav}", "{out}", "--kind", "tmfcc",
+                               "--stats", "{bad}"]),
+    "mix-speech": ("wav", ["mix", "{bad}", "{out}", "--noise", "{noise}", "--snr", "0"]),
+    "mix-noise": ("wav", ["mix", "{wav}", "{out}", "--noise", "{bad}", "--snr", "0"]),
+    "folds": ("text", ["folds", "{bad}", "--output", "{out}"]),
+    "train-config": ("text", ["train", "--config", "{bad}", "--output", "{out}"]),
+    "train-manifest": ("text", ["train", "--set", "manifest={bad}", "--output", "{out}"]),
+    "evaluate-model": ("text", ["evaluate", "--model", "{bad}", "--output", "{out}"]),
+    "corpus-validate": ("text", ["corpus", "validate", "{bad}"]),
+    "corpus-summarize": ("text", ["corpus", "summarize", "{bad}", "--output", "{out}"]),
+    "corpus-aggregate-ratings": ("text", ["corpus", "aggregate", "--ratings", "{bad}",
+                                          "--subsets", "{subsets}", "--output", "{out}"]),
+    "report": ("text", ["report", "{tmp}/suite", "--output", "{out}"]),
+}
+MALFORMED = ["empty", "non-utf8", "plain-text", "json-list", "wav-cut-to-60",
+             "bare-riff-header", "wav-at-0-hz", "directory", "missing",
+             "csv-field-over-the-limit"]
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+@pytest.mark.parametrize("slot", list(FILE_SLOTS))
+def test_malformed_file_in_any_slot_fails_in_one_line(corpus_dir, tmp_path, capsys, slot,
+                                                      malformed):
+    reads, argv = FILE_SLOTS[slot]
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    subsets = tmp_path / "subsets.csv"
+    write_subsets_csv(make_rating_subsets([f"item{i}" for i in range(20)], seed=2), subsets)
+    (tmp_path / "suite").mkdir()
+    bad = tmp_path / ("suite/cell.json" if slot == "report" else "bad")
+    riff = wav.read_bytes()
+    contents = {"empty": b"", "non-utf8": b"seed = 1  # caf\xe9\n", "plain-text": b"hello\n",
+                "json-list": b"[1, 2, 3]", "wav-cut-to-60": riff[:60],
+                "bare-riff-header": riff[:44],
+                # the sample rate and byte rate fields of the fmt chunk set to 0
+                "wav-at-0-hz": riff[:24] + bytes(8) + riff[32:],
+                # the csv module refuses a field over 131072 characters
+                "csv-field-over-the-limit": b"a" * 200_000 + b",x\n"}
+    if malformed == "directory":
+        bad.mkdir()
+    elif malformed != "missing":
+        bad.write_bytes(contents[malformed])
+    out = tmp_path / "out"
+    code = main([a.format(bad=bad, out=out, wav=wav, noise=corpus_dir / "noise.wav",
+                          subsets=subsets, tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (2, 3, 4) and err.count("\n") == 1, (code, err)
+    assert not out.exists()
+    # the two classes fixed at their source: undecodable text, a short WAV payload
+    if reads == "text" and malformed == "non-utf8":
+        assert code == 3 and "is not UTF-8 text" in err
+    if reads == "wav" and malformed in ("wav-cut-to-60", "bare-riff-header"):
+        assert code == 3 and "truncated WAV file" in err

@@ -57,6 +57,17 @@ class TestFraming:
             clip = clip_with_frames(t)
             assert frame_signal(clip).n_frames == t
 
+    # one frame, one sample past it, an exact hop multiple, a 3.6 s clip
+    @pytest.mark.parametrize("n", [1024, 1025, 16 * HOP_LENGTH, 57600])
+    def test_strided_frames_match_the_index_gather_byte_for_byte(self, n):
+        clip = clip_of_length(n, seed=n)
+        n_frames = (n - FRAME_LENGTH) // HOP_LENGTH + 1
+        idx = np.arange(FRAME_LENGTH)[None, :] + HOP_LENGTH * np.arange(n_frames)[:, None]
+        expected = clip.samples[idx] * features._WINDOW
+        frames = frame_signal(clip).frames
+        assert frames.shape == expected.shape and frames.flags.c_contiguous
+        assert frames.tobytes() == expected.tobytes()
+
 
 class TestPowerSpectrum:
     def test_zero_frame(self):
