@@ -68,9 +68,6 @@ class NoiseSpec:
     noise: AudioClip | None = None
     seed: int = 0
 
-    def is_clean(self) -> bool:
-        return self.snr_db == CLEAN or self.snr_db is None
-
 
 def rms(samples: np.ndarray) -> float:
     samples = np.asarray(samples, dtype=np.float64)
@@ -182,7 +179,7 @@ def mix_noise_at_snr(speech: AudioClip, spec: NoiseSpec) -> AudioClip:
     exceeds the [-1, 1] range it is rescaled by a single common gain, which
     leaves the achieved SNR untouched.
     """
-    if spec.is_clean():
+    if spec.snr_db == CLEAN:
         return speech
     if spec.noise is None:
         raise UnsupportedError("finite SNR requested but no noise source given")

@@ -20,11 +20,10 @@ from .corpus import (aggregate_ratings_pipeline, attach_intensity, class_counts,
                      write_manifest)
 from .errors import ConfigError, FormatError, NumericError, ShoutKitError
 from .experiments import (ExperimentConfig, apply_overrides, build_fold_data,
-                          corpus_examples, derive_seed, evaluate_model,
-                          export_plot_csvs, load_config, load_noise,
+                          export_plot_csvs, fold_plan, load_config, load_corpus, load_noise,
                           make_classification_corpus, make_intensity_corpus,
-                          parse_feature_set, parse_snr, plan_folds, prepare_clip,
-                          run_suite, snr_label, validate_report, write_synth_corpus)
+                          parse_feature_set, parse_snr, prepare_clip, run_suite,
+                          score_fold, snr_label, validate_report, write_synth_corpus)
 from .experiments.training import build_cell_model
 from .features import FeatureStats, assemble_blocks, parse_feature_kind, save_blocks, write_blocks_csv
 from .models import check_cell, load_model, save_model
@@ -73,16 +72,9 @@ def cmd_mix(args) -> int:
 
 
 def cmd_folds(args) -> int:
-    records = parse_manifest(args.manifest)
-    speakers = sorted({r.speaker_id for r in records})
-    plan = plan_folds(speakers, seed=args.seed, n_folds=args.n_folds)
-    payload = {
-        "seed": args.seed,
-        "canonical_split": plan.canonical_split,
-        "folds": [{"train_validation": list(f.train_validation_speakers),
-                   "test": list(f.test_speakers)} for f in plan.folds],
-    }
-    text = json.dumps(payload, indent=2)
+    plan = fold_plan(args.seed, args.n_folds, (r.speaker_id for r in parse_manifest(args.manifest)))
+    text = json.dumps({"seed": args.seed, "canonical_split": plan.canonical_split,
+                       "folds": plan.to_json()}, indent=2)
     if args.output:
         write_text(args.output, text)
     else:
@@ -91,11 +83,7 @@ def cmd_folds(args) -> int:
 
 
 def _corpus_and_fold(cfg: ExperimentConfig, fold_index: int):
-    records = parse_manifest(cfg.manifest)
-    root = cfg.audio_root or Path(cfg.manifest).parent
-    examples = corpus_examples(records, root, cfg.task)
-    speakers = sorted({e.speaker_id for e in examples})
-    plan = plan_folds(speakers, seed=derive_seed(cfg.seed, "folds"), n_folds=cfg.n_folds)
+    examples, plan = load_corpus(cfg)
     if not 0 <= fold_index < len(plan.folds):
         raise ConfigError(f"fold index {fold_index} outside 0..{len(plan.folds) - 1}")
     return examples, plan.folds[fold_index]
@@ -135,10 +123,7 @@ def cmd_evaluate(args) -> int:
              for kind in model.kinds}
     examples, fold = _corpus_and_fold(cfg, args.fold)
     test = [e for e in examples if e.speaker_id in fold.test_speakers]
-    noise = load_noise(cfg.noise)
-    scores = evaluate_model(model, test, stats, cfg.task, cfg.snrs_db, noise,
-                            seed=derive_seed(cfg.seed, "noise", args.fold),
-                            per_block=cfg.per_block_eval)
+    scores = score_fold(cfg, model, test, stats, load_noise(cfg.noise), args.fold)
     payload = {label: detail["metric"] for label, detail in scores.items()}
     text = json.dumps({"fold": args.fold, "metrics": payload}, indent=2, sort_keys=True)
     if args.output:

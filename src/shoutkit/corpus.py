@@ -345,9 +345,16 @@ def write_ratings_csv(records: list[RatingRecord], path) -> None:
 
 def read_ratings_csv(path) -> list[RatingRecord]:
     tasks = _read_tasks(path, "ratings", RATINGS_COLUMNS, lambda row: (
-        (row[0], int(row[1])), int(row[2]), int(row[3]), int(row[4])))
+        (row[0], int(row[1])), int(row[2]), _rating_score(row[3]), int(row[4])))
     return [RatingRecord(worker_id=worker, subset_id=subset, scores=tuple(scores),
                          dummy_index=dummy) for (worker, subset), scores, dummy in tasks]
+
+
+def _rating_score(text: str) -> int:
+    score = int(text)
+    if not 1 <= score <= 7:
+        raise ManifestError(f"score {score} is outside the 1..7 scale")
+    return score
 
 
 def write_subsets_csv(subsets: list[RatingSubset], path) -> None:
@@ -376,6 +383,8 @@ def _read_tasks(path, what: str, columns: list[str], parse_row):
             key, slot, value, is_dummy = parse_row(row)
         except (ValueError, IndexError):
             raise ManifestError(f"bad {what} row", row=row_number)
+        except ManifestError as exc:
+            raise ManifestError(str(exc), row=row_number)
         grouped[key][slot] = (value, bool(is_dummy))
     tasks = []
     for key, slots in sorted(grouped.items()):
@@ -399,10 +408,10 @@ def aggregate_ratings_pipeline(ratings: list[RatingRecord],
     for record in retained:
         subset = by_subset.get(record.subset_id)
         if subset is None:
-            raise ConfigError(f"ratings reference unknown subset {record.subset_id}")
+            raise ManifestError(f"ratings reference unknown subset {record.subset_id}")
         if record.dummy_index != subset.dummy_position:
-            raise ConfigError(f"task ({record.worker_id}, {record.subset_id}) dummy "
-                              f"position disagrees with the subset definition")
+            raise ManifestError(f"task ({record.worker_id}, {record.subset_id}) dummy "
+                                f"position disagrees with the subset definition")
         for item_id, score in zip(subset.item_ids, record.item_scores()):
             pooled[item_id].append(score)
     labels = {}

@@ -18,7 +18,7 @@ from ..audio_io import CLEAN, SAMPLE_RATE, SWEEP_SNRS_DB
 from ..corpus import stable_key
 from ..errors import ConfigError
 from ..models import HeadKind
-from ..textio import read_text, write_text
+from ..textio import read_text
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -188,7 +188,3 @@ def config_to_text(config: ExperimentConfig) -> str:
             value = ", ".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    write_text(path, config_to_text(config))

@@ -25,6 +25,11 @@ class FoldPlan:
     seed: int
     canonical_split: bool   # True for the canonical 50-speaker, 5x10 split
 
+    def to_json(self) -> list[dict]:
+        """Each fold's speakers, as ``folds`` prints them and ``suite_meta.json`` records them."""
+        return [{"train_validation": list(f.train_validation_speakers),
+                 "test": list(f.test_speakers)} for f in self.folds]
+
 
 def plan_folds(speakers: list[str], seed: int, n_folds: int = 5) -> FoldPlan:
     """Seeded random partition of speakers into disjoint test sets.

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -10,6 +11,8 @@ from ..errors import FormatError, RangeError, ShapeError
 
 # The positive label of the binary task.
 _SHOUT = 1
+
+REPORT_SCHEMA = "shoutkit.report.v1"
 
 
 def _check_lengths(y_true, y_pred):
@@ -98,52 +101,29 @@ class MetricsReport:
     per_fold_snr: dict = field(default_factory=dict)   # "fold/snr" -> metric value
     snr_means: dict = field(default_factory=dict)      # snr label -> cross-fold mean
     average: float | None = None                       # mean over the SNR sweep
-    confusions: dict = field(default_factory=dict)     # snr label -> counts list (4-class)
-    scatter: dict = field(default_factory=dict)        # snr label -> [[actual, predicted]..]
+    confusions: dict = field(default_factory=dict)     # "fold/snr" -> count rows (4-class)
+    scatter: dict = field(default_factory=dict)        # "fold/snr" -> [[actual, predicted]..]
     config_echo: dict = field(default_factory=dict)
     training: list = field(default_factory=list)       # per-fold training log summaries
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "shoutkit.report.v1",
-            "task": self.task,
-            "arch": self.arch,
-            "features": self.features,
-            "numeric_mode": self.numeric_mode,
-            "seed": self.seed,
-            "per_fold_snr": self.per_fold_snr,
-            "snr_means": self.snr_means,
-            "average": self.average,
-            "confusions": self.confusions,
-            "scatter": self.scatter,
-            "config_echo": self.config_echo,
-            "training": self.training,
-            "failures": self.failures,
-        }
-
-
-REPORT_REQUIRED_KEYS = {
-    "schema": str, "task": str, "arch": str, "features": str,
-    "numeric_mode": str, "seed": int, "per_fold_snr": dict, "snr_means": dict,
-    "confusions": dict, "scatter": dict, "config_echo": dict,
-    "training": list, "failures": list,
-}
+        return {"schema": REPORT_SCHEMA, **asdict(self)}
 
 
 def validate_report(report: dict) -> None:
-    """Check a serialized report against the declared schema."""
+    """Check a serialized report: the schema tag, then every MetricsReport
+    field, present and of its declared type."""
     if not isinstance(report, dict):
         raise FormatError(f"a report is a JSON object, not a {type(report).__name__}")
-    if report.get("schema") != "shoutkit.report.v1":
+    if report.get("schema") != REPORT_SCHEMA:
         raise FormatError(f"unknown report schema {report.get('schema')!r}")
-    for key, expected in REPORT_REQUIRED_KEYS.items():
+    for key, expected in get_type_hints(MetricsReport).items():
         if key not in report:
             raise FormatError(f"report missing key {key!r}")
         if not isinstance(report[key], expected):
-            raise FormatError(f"report key {key!r} should be {expected.__name__}")
-    if "average" not in report:
-        raise FormatError("report missing key 'average'")
+            raise FormatError(f"report key {key!r} should be "
+                              f"{getattr(expected, '__name__', expected)}")
     for label, value in report["snr_means"].items():
         if not isinstance(value, (int, float)):
             raise FormatError(f"snr mean for {label!r} is not numeric")

@@ -42,6 +42,31 @@ def cell_name(arch: str, features: str) -> str:
     return f"{arch}__{features.replace('+', '_plus_')}"
 
 
+def fold_plan(seed: int, n_folds: int, speakers) -> FoldPlan:
+    """The folds that ``folds``, ``train``, ``evaluate`` and ``suite`` share at a
+    config seed: the only place the "folds" seed is derived."""
+    return plan_folds(sorted(set(speakers)), seed=derive_seed(seed, "folds"), n_folds=n_folds)
+
+
+def load_corpus(cfg: ExperimentConfig, examples: list[ClipExample] | None = None
+                ) -> tuple[list[ClipExample], FoldPlan]:
+    """The task's clips (read from the config's manifest unless given) and
+    their fold plan."""
+    if examples is None:
+        examples = corpus_examples(parse_manifest(cfg.manifest),
+                                   cfg.audio_root or Path(cfg.manifest).parent, cfg.task)
+    return examples, fold_plan(cfg.seed, cfg.n_folds, (e.speaker_id for e in examples))
+
+
+def score_fold(cfg: ExperimentConfig, model, test: list[ClipExample], stats: dict,
+               noise, fold_index: int) -> dict:
+    """A fold's model scored over the config's SNR sweep: the only place the
+    "noise" seed is derived."""
+    return evaluate_model(model, test, stats, cfg.task, cfg.snrs_db, noise,
+                          seed=derive_seed(cfg.seed, "noise", fold_index),
+                          per_block=cfg.per_block_eval)
+
+
 def run_cell(cfg: ExperimentConfig, arch: str, features: str,
              plan: FoldPlan, examples: list[ClipExample], noise) -> MetricsReport:
     kinds = parse_feature_set(features)
@@ -55,18 +80,14 @@ def run_cell(cfg: ExperimentConfig, arch: str, features: str,
         logs: list = []
         model = build_cell_model(arch, kinds, cfg, data, fold_index, raw_logs=logs)
         report.training.extend(log.summary() for log in logs)
-        scores = evaluate_model(model, data.test_examples, data.stats, cfg.task,
-                                cfg.snrs_db, noise,
-                                seed=derive_seed(cfg.seed, "noise", fold_index),
-                                per_block=cfg.per_block_eval)
+        scores = score_fold(cfg, model, data.test_examples, data.stats, noise, fold_index)
         for label, detail in scores.items():
-            report.per_fold_snr[f"fold{fold_index}/{label}"] = detail["metric"]
+            key = f"fold{fold_index}/{label}"
+            report.per_fold_snr[key] = detail["metric"]
             snr_values[label].append(detail["metric"])
             if "confusion_counts" in detail:
-                key = f"fold{fold_index}/{label}"
                 report.confusions[key] = detail["confusion_counts"]
             if "pairs" in detail:
-                key = f"fold{fold_index}/{label}"
                 report.scatter[key] = detail["pairs"]
     report.snr_means = {label: float(np.mean(values))
                         for label, values in snr_values.items() if values}
@@ -80,12 +101,7 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
     """Run the whole grid; one report per cell, aggregate table at the end."""
     if not cfg.archs or not cfg.features:
         raise ConfigError("suite needs at least one architecture and one feature set")
-    if examples is None:
-        records = parse_manifest(cfg.manifest)
-        examples = corpus_examples(records, cfg.audio_root or Path(cfg.manifest).parent,
-                                   cfg.task)
-    speakers = sorted({e.speaker_id for e in examples})
-    plan = plan_folds(speakers, seed=derive_seed(cfg.seed, "folds"), n_folds=cfg.n_folds)
+    examples, plan = load_corpus(cfg, examples)
     noise = load_noise(cfg.noise)
 
     # nothing is written until the corpus, folds and noise have all loaded
@@ -111,9 +127,8 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
     write_aggregate_table(result.reports, cfg, out_dir / "aggregate.csv")
     write_text(out_dir / "suite_meta.json", json.dumps({
         "config": cfg.echo(),
-        "folds": [{"train_validation": list(f.train_validation_speakers),
-                   "test": list(f.test_speakers)} for f in plan.folds],
-        "fold_seed": derive_seed(cfg.seed, "folds"),
+        "folds": plan.to_json(),
+        "fold_seed": plan.seed,
         "failures": result.failures,
     }, indent=2, sort_keys=True))
     return result

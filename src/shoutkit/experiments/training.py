@@ -326,10 +326,9 @@ def _score(task: str, y_true, y_pred) -> dict:
     if task == "binary":
         return {"metric": binary_f1(np.asarray(y_true), np.asarray(y_pred))}
     if task == "four_class":
-        counts, percent = confusion_matrix(np.asarray(y_true), np.asarray(y_pred), 4)
+        counts, _ = confusion_matrix(np.asarray(y_true), np.asarray(y_pred), 4)
         return {"metric": weighted_f1(np.asarray(y_true), np.asarray(y_pred), 4),
-                "confusion_counts": counts.tolist(),
-                "confusion_percent": percent.tolist()}
+                "confusion_counts": counts.tolist()}
     return {"metric": rmse(np.asarray(y_true, dtype=float), np.asarray(y_pred, dtype=float)),
             "pairs": [[float(a), float(p)] for a, p in zip(y_true, y_pred)]}
 

@@ -244,7 +244,7 @@ class SingleFeatureModel(NetworkGraph):
             raise ConfigError(f"unknown single-feature architecture {arch}")
         super().__init__(arch, (kind,), seed, dtype, width_scale)
         self.kind = kind
-        self.dims = d = dim_table_for_kind(kind).scaled(width_scale)
+        d = dim_table_for_kind(kind).scaled(width_scale)
         rng = np.random.default_rng(seed)
         layers = self.layers
 

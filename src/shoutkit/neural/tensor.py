@@ -306,15 +306,6 @@ def sigmoid(t: Tensor) -> Tensor:
     return Tensor._make(out, (t,), backward)
 
 
-def tanh(t: Tensor) -> Tensor:
-    out = np.tanh(t.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return Tensor._make(out, (t,), backward)
-
-
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     shifted = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)

@@ -90,6 +90,18 @@ def test_folds_subcommand(corpus_dir, capsys):
     assert len(plan["folds"]) == 2
 
 
+def test_folds_prints_the_plan_the_suite_records(corpus_dir, tmp_path, capsys):
+    assert main(["folds", str(corpus_dir / "manifest.csv"), "--seed", "7",
+                 "--n-folds", "2"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    settings = ["seed=7", "n_folds=2", "archs=cnn", "features=tmfcc", "epochs=1",
+                "batch_size=16", "snrs_db=clean", f"manifest={corpus_dir / 'manifest.csv'}"]
+    assert main(["suite", *[a for s in settings for a in ("--set", s)],
+                 "--output", str(tmp_path / "suite")]) == 0
+    meta = json.loads((tmp_path / "suite" / "suite_meta.json").read_text())
+    assert printed["folds"] == meta["folds"]
+
+
 def test_synth_with_zero_noise_seconds_writes_no_noise(tmp_path):
     out = tmp_path / "corpus"
     assert main(["synth", "--clips", "4", "--speakers", "2", "--noise-seconds", "0",
@@ -244,31 +256,47 @@ def test_missing_file_is_data_error(corpus_dir, tmp_path, capsys, argv):
 
 
 SUBSETS_HEADER = "subset_id,item_index,item_id,is_dummy\n"
+RATED_SUBSET = make_rating_subsets([f"item{i}" for i in range(20)], seed=2)[0]
+
+
+def ratings_text(subset_id=1, dummy=RATED_SUBSET.dummy_position, score=4):
+    """One worker's task: each item scores ``score`` and the dummy scores 1, so
+    the spammer filter keeps it. Slot 0, on row 2, is an item."""
+    return "worker_id,subset_id,item_index,score,is_dummy\n" + "".join(
+        f"w0,{subset_id},{slot},{1 if slot == dummy else score},{int(slot == dummy)}\n"
+        for slot in range(21))
 
 
 @pytest.mark.parametrize("case", [
     ("subsets", SUBSETS_HEADER + "x,0,a,0\n", "row 2"),
     ("subsets", SUBSETS_HEADER + "1,0\n", "row 2"),
+    ("ratings", ratings_text(score=9), "row 2: score 9 is outside the 1..7 scale"),
+    ("ratings", ratings_text(score=0), "row 2: score 0 is outside the 1..7 scale"),
+    ("ratings", ratings_text(subset_id=7), "unknown subset 7"),
+    ("ratings", ratings_text(dummy=(RATED_SUBSET.dummy_position + 1) % 21),
+     "dummy position disagrees with the subset definition"),
     ("stats", "{not json", "stats"),
     ("stats", '{"std": [1.0]}', "stats"),
     ("stats", json.dumps({"mean": [0.0] * 30, "std": [1.0] * 29}), "stats"),
-], ids=["subsets-not-an-int", "subsets-short-row", "stats-bad-json", "stats-no-mean",
-        "stats-lengths-differ"])
+], ids=["subsets-not-an-int", "subsets-short-row", "ratings-score-9", "ratings-score-0",
+        "ratings-unknown-subset", "ratings-dummy-mismatch", "stats-bad-json",
+        "stats-no-mean", "stats-lengths-differ"])
 def test_malformed_file_is_data_error(corpus_dir, tmp_path, capsys, case):
     what, text, mentioned = case
     bad = tmp_path / f"bad.{what}"
     bad.write_text(text)
-    if what == "subsets":
-        subsets = make_rating_subsets([f"item{i}" for i in range(20)], seed=2)
-        ratings = [RatingRecord(worker_id="w0", subset_id=1, scores=(4,) * 21,
-                                dummy_index=subsets[0].dummy_position)]
-        write_ratings_csv(ratings, tmp_path / "ratings.csv")
-        argv = ["corpus", "aggregate", "--ratings", str(tmp_path / "ratings.csv"),
-                "--subsets", str(bad), "--output", str(tmp_path / "out.csv")]
-    else:
+    if what == "stats":
         wav = next((corpus_dir / "wav").glob("*.wav"))
         argv = ["extract", str(wav), str(tmp_path / "o.fbk"), "--kind", "tmfcc",
                 "--stats", str(bad)]
+    else:
+        # the other file of the pair is well formed
+        files = {"ratings": tmp_path / "ratings.csv", "subsets": tmp_path / "subsets.csv"}
+        files["ratings"].write_text(ratings_text())
+        write_subsets_csv([RATED_SUBSET], files["subsets"])
+        files[what] = bad
+        argv = ["corpus", "aggregate", "--ratings", str(files["ratings"]),
+                "--subsets", str(files["subsets"]), "--output", str(tmp_path / "out.csv")]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1

@@ -1,16 +1,19 @@
 """experiments: folds, metrics, config, synthetic corpora, training, suites."""
 
+import ast
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shoutkit.audio_io import CLEAN
 from shoutkit.errors import ConfigError, NumericError, RangeError
-from shoutkit.experiments import (ExperimentConfig, TrainSettings, binary_f1,
+from shoutkit.experiments import (ExperimentConfig, MetricsReport, TrainSettings, binary_f1,
                                   build_fold_data, cell_name, confusion_matrix,
                                   config_to_text, derive_seed, evaluate_model,
                                   export_plot_csvs, load_noise,
@@ -679,6 +682,23 @@ class TestSuite:
         with pytest.raises(FormatError, match="JSON object"):
             validate_report(payload)
 
+    @pytest.mark.parametrize("fault", ["missing", "wrong type"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(MetricsReport)])
+    def test_report_schema_refuses_a_missing_or_mistyped_field(self, name, fault):
+        from shoutkit.errors import FormatError
+        payload = MetricsReport(task="binary", arch="cnn", features="tmfcc",
+                                numeric_mode="float32", seed=7, average=0.5).to_dict()
+        validate_report(payload)
+        if fault == "missing":
+            del payload[name]
+            message = f"report missing key '{name}'"
+        else:
+            payload[name] = {} if isinstance(payload[name], list) else []
+            message = f"report key '{name}' should be "
+        with pytest.raises(FormatError, match=re.escape(message)) as info:
+            validate_report(payload)
+        assert "<class" not in str(info.value)   # the type is named as it is declared
+
     def test_fusion_cell_through_suite(self, tmp_path):
         examples = synth_examples(n_clips=16, n_speakers=4)
         cfg = self.make_cfg(features=("mel_spectrogram+tmfcc",), epochs=2,
@@ -723,3 +743,49 @@ def test_pink_spec_not_finite_or_under_two_samples_refused(spec):
         ExperimentConfig(noise=spec)
     with pytest.raises(ConfigError, match="pink noise spec"):
         load_noise(spec)
+
+
+# -- one owner of the fold and noise seeds ---------------------------------------------
+
+SOURCE_ROOT = Path(suite.__file__).parents[1]
+SEED_OWNER = Path("experiments") / "suite.py"
+
+
+def fold_and_noise_seed_calls(source: str) -> list[int]:
+    """Line numbers of the ``derive_seed(...)`` calls in ``source`` whose first
+    tag is the literal "folds" or "noise"."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or len(node.args) < 2:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        tag = node.args[1]
+        if (name == "derive_seed" and isinstance(tag, ast.Constant)
+                and tag.value in ("folds", "noise")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_fold_and_noise_seeds_are_derived_in_suite_only():
+    found = [f"{path.relative_to(SOURCE_ROOT)}:{line}"
+             for path in sorted(SOURCE_ROOT.rglob("*.py"))
+             if path.relative_to(SOURCE_ROOT) != SEED_OWNER
+             for line in fold_and_noise_seed_calls(path.read_text(encoding="utf-8"))]
+    assert not found, f"fold or noise seed derived outside {SEED_OWNER} at {', '.join(found)}"
+
+
+@pytest.mark.parametrize("snippet", [
+    'derive_seed(cfg.seed, "folds")', 'exp.derive_seed(seed, "folds")',
+    'derive_seed(cfg.seed, "noise", fold_index)', 'config.derive_seed(7, "noise", 0)',
+])
+def test_seed_guard_flags_each_form(snippet):
+    assert fold_and_noise_seed_calls(f"x = 1\n{snippet}\n") == [2]
+
+
+@pytest.mark.parametrize("snippet", [
+    'derive_seed(cfg.seed, "validation")', 'derive_seed(seed, "model", "folds")',
+    'derive_seed(seed, tag)', 'plan_folds(speakers, seed=seed, n_folds=2)',
+])
+def test_seed_guard_passes_other_seeds(snippet):
+    assert fold_and_noise_seed_calls(snippet) == []
