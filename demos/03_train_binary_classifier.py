@@ -6,8 +6,6 @@ trains a CNN on mel spectrogram blocks, and evaluates clean and at 0 dB SNR.
 Takes well under a minute on a laptop core.
 """
 
-import warnings
-
 import numpy as np
 
 from shoutkit.experiments import (ExperimentConfig, TrainSettings, build_fold_data,
@@ -16,8 +14,6 @@ from shoutkit.experiments import (ExperimentConfig, TrainSettings, build_fold_da
 from shoutkit.experiments.training import ClipExample
 from shoutkit.features import FeatureKind
 from shoutkit.models import build_single_model
-
-warnings.filterwarnings("ignore")  # small speaker counts trigger split warnings
 
 synth = make_classification_corpus(n_clips=40, n_speakers=4, n_classes=2, seed=5)
 examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id,

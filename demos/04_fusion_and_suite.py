@@ -7,14 +7,11 @@ the aggregate table. A few minutes of CPU.
 """
 
 import tempfile
-import warnings
 from pathlib import Path
 
 from shoutkit.experiments import ExperimentConfig, run_suite
 from shoutkit.experiments.synthetic import make_classification_corpus
 from shoutkit.experiments.training import ClipExample
-
-warnings.filterwarnings("ignore")
 
 synth = make_classification_corpus(n_clips=48, n_speakers=4, n_classes=2, seed=21)
 examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id,

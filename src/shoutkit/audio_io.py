@@ -158,14 +158,12 @@ def resample_to_16k(clip: AudioClip) -> AudioClip:
     return AudioClip(samples=out, sample_rate=SAMPLE_RATE, source_id=clip.source_id)
 
 
-def peak_normalize(clip: AudioClip, target_peak: float = DEFAULT_TARGET_PEAK) -> AudioClip:
-    """Scale the waveform by a single positive gain so max |sample| = target_peak."""
-    if not 0.0 < target_peak <= 1.0:
-        raise UnsupportedError(f"target peak must be in (0, 1], got {target_peak}")
+def peak_normalize(clip: AudioClip) -> AudioClip:
+    """Scale the waveform by a single positive gain so max |sample| = DEFAULT_TARGET_PEAK."""
     peak = float(np.max(np.abs(clip.samples))) if clip.samples.size else 0.0
     if peak == 0.0:
         raise DegenerateInputError("cannot peak-normalize an all-zero clip")
-    gain = target_peak / peak
+    gain = DEFAULT_TARGET_PEAK / peak
     return replace(clip, samples=clip.samples * gain)
 
 

@@ -118,7 +118,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     model = load_model(args.model)
     stats_dir = Path(args.model).parent
-    name = Path(args.model).stem.replace(".descriptor", "")
+    name = Path(args.model).stem
     stats = {kind: FeatureStats.load(stats_dir / f"{name}.stats.{kind.value}.json", kind)
              for kind in model.kinds}
     examples, fold = _corpus_and_fold(cfg, args.fold)

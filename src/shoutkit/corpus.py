@@ -33,6 +33,9 @@ class Style(Enum):
 
 
 class ShoutClass(Enum):
+    """A clip's four-way class; its four-class label is its position here:
+    normal 0, H 1, L 2, H/L 3."""
+
     NORMAL = "normal"
     SHOUT_H = "shout_h"
     SHOUT_L = "shout_l"
@@ -75,7 +78,6 @@ class UtteranceRecord:
     class_label: ShoutClass
     path: str
     intensity: float | None = None
-    intensity_label: IntensityLabel | None = None
 
 
 @dataclass(frozen=True)
@@ -437,5 +439,5 @@ def attach_intensity(records: list[UtteranceRecord],
         if label is None:
             out.append(r)
         else:
-            out.append(replace(r, intensity=label.mean_score, intensity_label=label))
+            out.append(replace(r, intensity=label.mean_score))
     return out

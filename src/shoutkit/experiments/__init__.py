@@ -1,7 +1,7 @@
 """Experiment orchestration: folds, metrics, synthetic corpora, training, suites."""
 
-from .config import (ExperimentConfig, apply_overrides, config_to_text, derive_seed,
-                     load_config, parse_config_text, parse_snr, snr_label)
+from .config import (ExperimentConfig, apply_overrides, derive_seed, load_config,
+                     parse_config_text, parse_snr, snr_label)
 from .folds import Fold, FoldPlan, check_speaker_independence, plan_folds, split_train_validation
 from .metrics import (MetricsReport, binary_f1, confusion_matrix, rmse,
                       validate_report, weighted_f1)
@@ -15,7 +15,7 @@ from .suite import (SuiteResult, cell_name, export_plot_csvs, fold_plan, load_co
                     run_cell, run_suite, score_fold)
 
 __all__ = [
-    "ExperimentConfig", "apply_overrides", "config_to_text", "derive_seed",
+    "ExperimentConfig", "apply_overrides", "derive_seed",
     "load_config", "parse_config_text", "parse_snr", "snr_label",
     "Fold", "FoldPlan", "check_speaker_independence", "plan_folds", "split_train_validation",
     "MetricsReport", "binary_f1", "confusion_matrix", "rmse", "validate_report", "weighted_f1",

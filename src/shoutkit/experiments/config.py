@@ -179,12 +179,3 @@ def _parse_value(key: str, value: str, annotation: str):
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     return parse_config_text(read_text(path, "config"), base=base)
-
-
-def config_to_text(config: ExperimentConfig) -> str:
-    lines = []
-    for key, value in config.echo().items():
-        if isinstance(value, list):
-            value = ", ".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

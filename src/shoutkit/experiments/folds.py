@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ def plan_folds(speakers: list[str], seed: int, n_folds: int = 5) -> FoldPlan:
     """Seeded random partition of speakers into disjoint test sets.
 
     With 50 speakers and 5 folds each test set holds exactly 10 speakers.
-    Other counts are split as evenly as possible and flagged non-conforming.
+    Other counts are split as evenly as possible, with ``canonical_split`` False.
     """
     speakers = list(speakers)
     if n_folds < 1:
@@ -48,10 +47,6 @@ def plan_folds(speakers: list[str], seed: int, n_folds: int = 5) -> FoldPlan:
     order = [speakers[i] for i in rng.permutation(len(speakers))]
     base, remainder = divmod(len(order), n_folds)
     conform = len(speakers) == 50 and n_folds == 5
-    if not conform:
-        warnings.warn(f"{len(speakers)} speakers across {n_folds} folds is a "
-                      "non-standard split; test sets are balanced as evenly as possible",
-                      stacklevel=2)
     folds = []
     start = 0
     for i in range(n_folds):

@@ -9,6 +9,7 @@ clip and maps it monotonically onto the 1..7 intensity scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,6 @@ TWO_CLASS_ENV_RATES = (3.0, 9.0)
 FOUR_CLASS_ENV_RATES = (2.5, 5.0, 7.5, 10.0)
 
 INTENSITY_TILT_RANGE = (-8.0, 4.0)
-
-_CLASS_SENTENCE_BANDS = {
-    0: range(1, 51),    # normal: any sentence
-    1: range(31, 51),   # shout, H band
-    2: range(11, 31),   # shout, L band
-    3: range(1, 11),    # shout, H/L band
-}
 
 
 @dataclass
@@ -52,6 +46,12 @@ def _speaker_roster(n_speakers: int) -> list[tuple[str, str]]:
         sex = "f" if i % 2 == 0 else "m"
         roster.append((f"{sex}{i // 2 + 1:02d}", sex))
     return roster
+
+
+@lru_cache(maxsize=None)
+def _sentences(style: Style, shout_class: ShoutClass) -> tuple[int, ...]:
+    """The sentences that ``class_for_sentence`` puts in ``shout_class``, ascending."""
+    return tuple(s for s in range(1, 51) if class_for_sentence(style, s) is shout_class)
 
 
 def _speaker_eq(rng: np.random.Generator):
@@ -100,6 +100,7 @@ def make_classification_corpus(n_clips: int = 200, n_speakers: int = 10,
     roster = _speaker_roster(n_speakers)
     eqs = {speaker: _speaker_eq(rng) for speaker, _ in roster}
     per_cell = n_clips // (n_speakers * n_classes)
+    classes = list(ShoutClass)
     examples = []
     for speaker, sex in roster:
         for class_index in range(n_classes):
@@ -108,20 +109,16 @@ def make_classification_corpus(n_clips: int = 200, n_speakers: int = 10,
                 samples = _synth_clip(rng, tilts[class_index], rates[class_index],
                                       eqs[speaker], n)
                 style = Style.NORMAL if class_index == 0 else Style.SHOUT
-                if n_classes == 4:
-                    band = _CLASS_SENTENCE_BANDS[class_index]
-                elif class_index == 0:
-                    band = _CLASS_SENTENCE_BANDS[0]
-                else:
-                    band = _CLASS_SENTENCE_BANDS[int(rng.integers(1, 4))]
-                sentence_id = int(rng.choice(list(band)))
-                label = class_for_sentence(style, sentence_id)
+                # a two-class shout draws which shout class it plays
+                shout_class = classes[class_index if n_classes == 4 or class_index == 0
+                                      else int(rng.integers(1, 4))]
+                sentence_id = int(rng.choice(_sentences(style, shout_class)))
                 clip_id = f"{speaker}_s{sentence_id:02d}_{style.value}_{j}"
                 clip = AudioClip(samples=samples, sample_rate=SAMPLE_RATE,
                                  source_id=clip_id)
                 examples.append(SynthExample(
                     clip=clip, clip_id=clip_id, speaker_id=speaker, sex=sex,
-                    sentence_id=sentence_id, style=style, class_label=label,
+                    sentence_id=sentence_id, style=style, class_label=shout_class,
                     class_index=class_index))
     return examples
 

@@ -19,9 +19,6 @@ from .config import ExperimentConfig, derive_seed, parse_pink_spec, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
 from .metrics import binary_f1, confusion_matrix, rmse, weighted_f1
 
-CLASS_INDEX = {ShoutClass.NORMAL: 0, ShoutClass.SHOUT_H: 1,
-               ShoutClass.SHOUT_L: 2, ShoutClass.SHOUT_HL: 3}
-
 # Most blocks one no-grad forward (validation loss, block scoring) takes at once.
 FORWARD_CHUNK = 64
 
@@ -49,7 +46,7 @@ def label_for_task(record: UtteranceRecord, task: str):
     if task == "binary":
         return int(record.style is Style.SHOUT)
     if task == "four_class":
-        return CLASS_INDEX[record.class_label]
+        return list(ShoutClass).index(record.class_label)
     if task == "regression":
         return record.intensity
     raise ConfigError(f"unknown task {task!r}")

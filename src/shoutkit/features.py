@@ -48,33 +48,22 @@ _WINDOW = np.hamming(FRAME_LENGTH)
 
 
 class FeatureKind(Enum):
-    SPECTROGRAM = "spectrogram"
-    CEPSTROGRAM = "cepstrogram"
-    MEL_SPECTROGRAM = "mel_spectrogram"
-    TMFCC = "tmfcc"
-    MFCC_DELTA_DELTA = "mfcc_delta_delta"
+    """A per-frame feature: its name (the value), its width ``dim`` and the
+    kind byte ``code`` that SKFB containers record."""
 
-    @property
-    def dim(self) -> int:
-        return _KIND_DIMS[self]
+    SPECTROGRAM = ("spectrogram", FRAME_LENGTH // 2, 1)
+    CEPSTROGRAM = ("cepstrogram", FRAME_LENGTH // 2, 2)
+    MEL_SPECTROGRAM = ("mel_spectrogram", _N_MEL_FILTERS, 3)
+    TMFCC = ("tmfcc", _N_MFCC_COEFFS, 4)
+    MFCC_DELTA_DELTA = ("mfcc_delta_delta", 2 * _N_MFCC_COEFFS, 5)
+
+    def __new__(cls, value: str, dim: int, code: int):
+        kind = object.__new__(cls)
+        kind._value_, kind.dim, kind.code = value, dim, code
+        return kind
 
 
-_KIND_DIMS = {
-    FeatureKind.SPECTROGRAM: 512,
-    FeatureKind.CEPSTROGRAM: 512,
-    FeatureKind.MEL_SPECTROGRAM: 30,
-    FeatureKind.TMFCC: 30,
-    FeatureKind.MFCC_DELTA_DELTA: 60,
-}
-
-_KIND_CODES = {
-    FeatureKind.SPECTROGRAM: 1,
-    FeatureKind.CEPSTROGRAM: 2,
-    FeatureKind.MEL_SPECTROGRAM: 3,
-    FeatureKind.TMFCC: 4,
-    FeatureKind.MFCC_DELTA_DELTA: 5,
-}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_CODE_KINDS = {kind.code: kind for kind in FeatureKind}
 
 
 def parse_feature_kind(name: str) -> FeatureKind:
@@ -325,7 +314,7 @@ def assemble_blocks(clip: AudioClip, kind: FeatureKind,
 # Binary block container: all integers little-endian.
 #   magic   4 bytes  b"SKFB"
 #   version u16      1
-#   kind    u8       feature kind code
+#   kind    u8       FeatureKind.code
 #   dim     u32      per-frame dimensionality D
 #   frames  u32      frames per block (20)
 #   count   u32      number of blocks
@@ -342,7 +331,7 @@ def save_blocks(blocks: np.ndarray, kind: FeatureKind, path) -> None:
     if len(blocks) == 0:
         raise DegenerateInputError("no blocks to save")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CONTAINER_MAGIC, 1, _KIND_CODES[kind], kind.dim,
+        fh.write(_HEADER.pack(_CONTAINER_MAGIC, 1, kind.code, kind.dim,
                               BLOCK_FRAMES, len(blocks)))
         fh.write(np.ascontiguousarray(blocks, dtype="<f4").tobytes())
 

@@ -58,8 +58,6 @@ class Conv2d:
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  padding: int, rng: np.random.Generator, dtype=np.float64):
         self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
         self.padding = padding
         fan_in = in_channels * kernel * kernel
         fan_out = out_channels * kernel * kernel

@@ -116,12 +116,12 @@ class TestPeakNormalize:
         # peak 15000/32768 pushed to the 30000/32768 corpus convention: gain 2
         samples = np.array([15000 / 32768.0, -7000 / 32768.0, 0.25])
         clip = AudioClip(samples, 16000, "g")
-        out = peak_normalize(clip, target_peak=30000 / 32768.0)
+        out = peak_normalize(clip)
         assert np.allclose(out.samples, samples * 2.0, rtol=0, atol=1e-15)
 
     def test_already_at_target_unchanged(self):
-        samples = np.array([0.9, -0.45])
-        out = peak_normalize(AudioClip(samples, 16000, "t"), target_peak=0.9)
+        samples = np.array([30000 / 32768.0, -0.45])
+        out = peak_normalize(AudioClip(samples, 16000, "t"))
         assert np.allclose(out.samples, samples, rtol=0, atol=1e-12)
 
     def test_silent_clip_rejected(self):

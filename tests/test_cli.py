@@ -1,6 +1,10 @@
 """End-to-end CLI coverage: every subcommand against a tiny synthetic corpus."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,35 @@ def test_train_evaluate_cycle(corpus_dir, tmp_path):
     assert code == 0
     payload = json.loads(result.read_text())
     assert "clean" in payload["metrics"]
+
+
+def test_evaluate_finds_the_stats_of_a_name_ending_in_descriptor(corpus_dir, tmp_path):
+    out, kind = tmp_path / "run", FeatureKind.MEL_SPECTROGRAM
+    model = build_single_model("cnn", kind, "binary", seed=0, dtype=np.float32, width_scale=8)
+    descriptor = save_model(model, out, "m.descriptor")
+    FeatureStats(mean=np.zeros(kind.dim), std=np.ones(kind.dim)).save(
+        out / f"m.descriptor.stats.{kind.value}.json", kind)
+    settings = ["n_folds=2", "snrs_db=clean", f"manifest={corpus_dir / 'manifest.csv'}",
+                f"audio_root={corpus_dir}"]
+    result = tmp_path / "eval.json"
+    assert main(["evaluate", *[a for s in settings for a in ("--set", s)], "--fold", "0",
+                 "--model", str(descriptor), "--output", str(result)]) == 0
+    assert "clean" in json.loads(result.read_text())["metrics"]
+
+
+def test_non_standard_split_adds_no_stderr_line(corpus_dir, tmp_path):
+    # a subprocess, because pytest captures warnings that the command line would print
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "shoutkit.cli", "train", "--set", "n_folds=2",
+         "--set", f"manifest={corpus_dir / 'manifest.csv'}", "--set", f"audio_root={corpus_dir}",
+         "--fold", "5", "--output", str(tmp_path / "run")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error:") and result.stderr.count("\n") == 1
 
 
 def test_suite_and_report(corpus_dir, tmp_path):

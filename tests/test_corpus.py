@@ -328,7 +328,15 @@ class TestAggregationPipeline:
         label = aggregate_intensity([4] * 10, seed=0)
         out = attach_intensity(records, {"i0": label})
         assert out[0].intensity == 4.0
-        assert out[0].intensity_label == label
+
+    def test_labelled_manifest_reads_back_unchanged(self, tmp_path):
+        records = [record(path="i0", intensity=None), record(path="i1", intensity=None),
+                   record(style=Style.NORMAL, sentence=3, path="n0")]
+        labels = {"i0": aggregate_intensity([4, 5, 5, 6, 3, 4, 4, 5, 7, 2], seed=0)}
+        labelled = attach_intensity(records, labels)
+        path = tmp_path / "manifest.csv"
+        write_manifest(labelled, path)
+        assert parse_manifest(path) == labelled
 
 
 def test_class_counts_shape():
