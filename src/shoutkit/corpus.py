@@ -418,8 +418,7 @@ def aggregate_ratings_pipeline(ratings: list[RatingRecord],
             pooled[item_id].append(score)
     labels = {}
     for item_id in sorted(pooled):
-        item_seed = int(np.random.SeedSequence((seed, stable_key(item_id))).generate_state(1)[0])
-        labels[item_id] = aggregate_intensity(pooled[item_id], seed=item_seed)
+        labels[item_id] = aggregate_intensity(pooled[item_id], seed=derive_seed(seed, item_id))
     return labels
 
 
@@ -429,6 +428,13 @@ def stable_key(text: str) -> int:
     for ch in text:
         value = (value * 1000003 + ord(ch)) % (2**31)
     return value
+
+
+def derive_seed(master: int, *tags) -> int:
+    """Stable sub-seed from a master seed and a sequence of string/int tags."""
+    parts = [int(master)] + [stable_key(tag) if isinstance(tag, str) else int(tag) & 0x7FFFFFFF
+                             for tag in tags]
+    return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
 def attach_intensity(records: list[UtteranceRecord],

@@ -12,20 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from ..audio_io import CLEAN, SAMPLE_RATE, SWEEP_SNRS_DB
-from ..corpus import stable_key
+from ..corpus import derive_seed  # re-exported for the experiments package
 from ..errors import ConfigError
 from ..models import HeadKind
 from ..textio import read_text
-
-
-def derive_seed(master: int, *tags) -> int:
-    """Stable sub-seed from a master seed and a sequence of string/int tags."""
-    parts = [int(master)] + [stable_key(tag) if isinstance(tag, str) else int(tag) & 0x7FFFFFFF
-                             for tag in tags]
-    return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
 def snr_label(snr_db: float) -> str:

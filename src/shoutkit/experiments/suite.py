@@ -22,7 +22,7 @@ from ..textio import write_csv, write_text
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import FoldPlan, plan_folds
 from .metrics import MetricsReport, validate_report
-from .training import (ClipExample, build_cell_model, build_fold_data,
+from .training import (ClipExample, build_cell_model, build_fold_data, check_noise,
                        corpus_examples, evaluate_model, load_noise,
                        parse_feature_set)
 
@@ -103,8 +103,10 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
         raise ConfigError("suite needs at least one architecture and one feature set")
     examples, plan = load_corpus(cfg, examples)
     noise = load_noise(cfg.noise)
+    check_noise(cfg.snrs_db, noise, examples)
 
     # nothing is written until the corpus, folds and noise have all loaded
+    # and the noise is known to mix into every clip
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = SuiteResult(out_dir=out_dir)

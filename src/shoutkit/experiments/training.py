@@ -10,7 +10,7 @@ import numpy as np
 from ..audio_io import (CLEAN, SAMPLE_RATE, AudioClip, NoiseSpec, load_wav,
                         mix_noise_at_snr, peak_normalize, pink_noise, resample_to_16k)
 from ..corpus import ShoutClass, Style, UtteranceRecord
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, DegenerateInputError, NumericError
 from ..features import BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix, split_blocks
 from ..models import (HeadKind, NetworkGraph, build_fusion_model, build_single_model,
                       parse_feature_set, predict_clip)
@@ -84,6 +84,18 @@ def load_noise(spec: str) -> AudioClip | None:
     return resample_to_16k(load_wav(spec))
 
 
+def check_noise(snrs_db, noise: AudioClip | None, examples: list[ClipExample]) -> None:
+    """Refuse a sweep that cannot be mixed: each finite SNR needs a noise
+    source at least as long as the longest clip it will be mixed into."""
+    finite = [snr for snr in snrs_db if snr != CLEAN]
+    if not finite:
+        return
+    if noise is None:
+        raise ConfigError(f"SNR {snr_label(finite[0])} requested but no noise source configured")
+    if noise.samples.size < max((e.clip.samples.size for e in examples), default=0):
+        raise DegenerateInputError("noise must be at least as long as the speech clip")
+
+
 # -- fold data -------------------------------------------------------------------
 
 
@@ -101,10 +113,8 @@ class FoldData:
 
 def _augment_training_clip(example: ClipExample, cfg: ExperimentConfig,
                            noise: AudioClip | None) -> ClipExample:
-    """Optional train-time noise mixing, off by default (models train on
-    clean speech): one SNR drawn per clip from the configured sweep."""
-    if not cfg.train_snr_augment or noise is None:
-        return example
+    """Train-time noise mixing, off by default (models train on clean
+    speech): one SNR drawn per clip from the configured sweep."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "augment.pick", example.clip_id))
     snr = cfg.snrs_db[int(rng.integers(0, len(cfg.snrs_db)))]
     spec = NoiseSpec(snr_db=snr, noise=noise,
@@ -131,6 +141,7 @@ def build_fold_data(examples: list[ClipExample], fold: Fold,
     if not train or not test:
         raise ConfigError("fold produced an empty train or test split")
     if cfg.train_snr_augment:
+        check_noise(cfg.snrs_db, noise, train + val)
         train = [_augment_training_clip(e, cfg, noise) for e in train]
         val = [_augment_training_clip(e, cfg, noise) for e in val]
 
@@ -294,10 +305,9 @@ def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
     head = model.head.kind
     if head.value != task:
         raise ConfigError(f"a {head.value} model cannot be scored on task {task!r}")
+    check_noise(snrs_db, noise, test_examples)
     results = {}
     for snr in snrs_db:
-        if snr != CLEAN and noise is None:
-            raise ConfigError(f"SNR {snr_label(snr)} requested but no noise source configured")
         y_true, y_pred, blocks = [], [], []
         for example in test_examples:
             spec = NoiseSpec(snr_db=snr, noise=noise,

@@ -160,7 +160,7 @@ class TaskHead:
             return T.softmax(z, axis=1)
         # Regression output bounded into [1, 7] smoothly, so gradients exist
         # everywhere: 1 + 6 * sigmoid(z).
-        return 1.0 + 6.0 * T.sigmoid(z)
+        return T.add(T.mul(T.sigmoid(z), 6.0), 1.0)
 
 
 class NetworkGraph:

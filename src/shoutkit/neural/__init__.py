@@ -2,7 +2,7 @@
 
 from .tensor import (Tensor, no_grad, add, mul, matmul, reshape,
                      transpose, narrow, concat, relu, sigmoid, softmax,
-                     log_clipped, gather_rows, sum_all, mean_all)
+                     sum_all, mean_all)
 from .layers import Dense, Conv2d, MaxPool2d, BiGRU, conv2d, maxpool2d, gru_sequence
 from .losses import LossKind, loss, mse_loss, cross_entropy_loss
 from .optim import Adam, AdamState
@@ -11,7 +11,7 @@ from .checkpoint import save_checkpoint, load_checkpoint
 __all__ = [
     "Tensor", "no_grad", "add", "mul", "matmul", "reshape",
     "transpose", "narrow", "concat", "relu", "sigmoid", "softmax",
-    "log_clipped", "gather_rows", "sum_all", "mean_all",
+    "sum_all", "mean_all",
     "Dense", "Conv2d", "MaxPool2d", "BiGRU", "conv2d", "maxpool2d", "gru_sequence",
     "LossKind", "loss", "mse_loss", "cross_entropy_loss",
     "Adam", "AdamState", "save_checkpoint", "load_checkpoint",

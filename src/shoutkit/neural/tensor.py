@@ -6,9 +6,10 @@ topological order and accumulates gradients into the ``grad`` field of every
 tensor created with requires_grad=True. Inside a ``no_grad()`` block nothing
 is recorded, so inference costs no graph memory.
 
-Everything is float32 or float64; the dtype of an operation follows numpy's
-promotion of its inputs. Python scalars mixed into an expression are treated
-as constants.
+Ops are called by name (``add``, ``mul``, ``matmul``, ...); a Tensor has no
+arithmetic operators. Everything is float32 or float64; the dtype of an
+operation follows numpy's promotion of its inputs. A Python scalar passed to
+``add`` or ``mul`` is a constant in the other operand's dtype.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import contextlib
 
 import numpy as np
 
-from ..errors import RangeError, ShapeError, StateError
+from ..errors import ShapeError, StateError
 
 _grad_enabled = True
 
@@ -65,14 +66,6 @@ class Tensor:
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
         return out
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
@@ -131,35 +124,6 @@ class Tensor:
                     flowing[key] = flowing[key] + grad_in
                 else:
                     flowing[key] = grad_in
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_coerce(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return add(_coerce(other, self), mul(self, -1.0))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not supported; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -314,36 +278,6 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
-
-    return Tensor._make(out, (t,), backward)
-
-
-def log_clipped(t: Tensor, floor: float) -> Tensor:
-    clipped = np.maximum(t.data, floor)
-    out = np.log(clipped)
-
-    def backward(g):
-        return (np.where(t.data > floor, g / clipped, 0.0),)
-
-    return Tensor._make(out, (t,), backward)
-
-
-def gather_rows(t: Tensor, indices: np.ndarray) -> Tensor:
-    """Pick one column per row of a 2-D tensor: out[i] = t[i, indices[i]]."""
-    if t.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-D tensor, got {t.data.shape}")
-    indices = np.asarray(indices)
-    if indices.ndim != 1 or indices.shape[0] != t.data.shape[0]:
-        raise ShapeError("one index per row required")
-    if indices.min(initial=0) < 0 or indices.max(initial=0) >= t.data.shape[1]:
-        raise RangeError("gather index out of range")
-    rows = np.arange(t.data.shape[0])
-    out = t.data[rows, indices]
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, (rows, indices), g)
-        return (full,)
 
     return Tensor._make(out, (t,), backward)
 

@@ -186,6 +186,36 @@ def finite_difference_check(forward, params, h=1e-5, max_coords=25, seed=0):
     return worst
 
 
+def composed_mse(pred, target):
+    """Squared error and its input gradient, spelled out as the sum of ops it
+    once was: ``mean((p + (-1 * t)) * (p + (-1 * t)))`` with the target cast
+    to the prediction's dtype, and the two product-rule terms of the square
+    added."""
+    pred = np.asarray(pred)
+    minus_one = np.asarray(-1.0, dtype=pred.dtype)
+    diff = pred + np.asarray(target, dtype=pred.dtype) * minus_one
+    value = (diff * diff).mean()
+    seed = np.ones_like(np.asarray(value))
+    each = np.broadcast_to(seed / diff.size, diff.shape).astype(diff.dtype, copy=True) * diff
+    return value, each + each
+
+
+def composed_cross_entropy(probs, targets, floor):
+    """-mean(log(max(p[i, t_i], floor))) and its input gradient, spelled out as
+    the gather, floored log, mean and negation it once was."""
+    probs = np.asarray(probs)
+    rows = np.arange(len(targets))
+    picked = probs[rows, targets]
+    clipped = np.maximum(picked, floor)
+    minus_one = np.asarray(-1.0, dtype=probs.dtype)
+    value = np.log(clipped).mean() * minus_one
+    seed = np.ones_like(np.asarray(value)) * minus_one
+    per_row = np.broadcast_to(seed / len(targets), picked.shape).astype(picked.dtype, copy=True)
+    grad = np.zeros_like(probs)
+    np.add.at(grad, (rows, targets), np.where(picked > floor, per_row / clipped, 0.0))
+    return value, grad
+
+
 def count_graph_nodes(root):
     """Recorded op nodes reachable from ``root``, one per backward closure."""
     seen, stack = set(), [root]

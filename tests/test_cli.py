@@ -12,7 +12,7 @@ import pytest
 from shoutkit.cli import main
 from shoutkit.corpus import (RatingRecord, make_rating_subsets, write_ratings_csv,
                              write_subsets_csv)
-from shoutkit.audio_io import AudioClip, load_wav, write_wav
+from shoutkit.audio_io import SAMPLE_RATE, AudioClip, load_wav, pink_noise, write_wav
 from shoutkit.experiments import MetricsReport, prepare_clip
 from shoutkit.features import (FeatureKind, FeatureStats, assemble_blocks, feature_matrix,
                                load_blocks)
@@ -191,6 +191,38 @@ def test_suite_and_report(corpus_dir, tmp_path):
     assert (out / "aggregate.csv").exists()
     plots = tmp_path / "plots"
     assert main(["report", str(out), "--output", str(plots)]) == 0
+
+
+def test_train_augmenting_without_noise_is_config_error(corpus_dir, tmp_path, capsys):
+    settings = ["archs=cnn", "features=mel_spectrogram", "epochs=1", "batch_size=16",
+                "dtype=float32", "n_folds=2", "train_snr_augment=true",
+                f"manifest={corpus_dir / 'manifest.csv'}", f"audio_root={corpus_dir}"]
+    out = tmp_path / "run"
+    assert main(["train", *[a for s in settings for a in ("--set", s)], "--fold", "0",
+                 "--output", str(out), "--name", "m"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: SNR 20 requested but no noise source configured\n"
+    assert not (out / "m.descriptor").exists()
+
+
+@pytest.mark.parametrize("noise_seconds, code, line", [
+    (None, 2, "config error: SNR 20 requested but no noise source configured"),
+    (0.5, 3, "data error: noise must be at least as long as the speech clip"),
+], ids=["no_noise", "short_noise"])
+def test_suite_refuses_an_unmixable_sweep_before_writing(corpus_dir, tmp_path, capsys,
+                                                          noise_seconds, code, line):
+    settings = ["archs=cnn", "features=mel_spectrogram", "epochs=1", "batch_size=16",
+                "dtype=float32", "n_folds=2", f"manifest={corpus_dir / 'manifest.csv'}",
+                f"audio_root={corpus_dir}"]
+    if noise_seconds is not None:
+        noise = tmp_path / "noise.wav"
+        write_wav(pink_noise(int(noise_seconds * SAMPLE_RATE), SAMPLE_RATE, seed=1), noise)
+        settings.append(f"noise={noise}")
+    out = tmp_path / "suite_out"
+    assert main(["suite", *[a for s in settings for a in ("--set", s)],
+                 "--output", str(out)]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 def test_report_on_a_train_output_is_data_error(corpus_dir, tmp_path, capsys):

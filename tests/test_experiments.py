@@ -4,7 +4,6 @@ import ast
 import json
 import re
 import tracemalloc
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from shoutkit.audio_io import CLEAN
-from shoutkit.errors import ConfigError, NumericError, RangeError
+from shoutkit.errors import ConfigError, DegenerateInputError, NumericError, RangeError
 from shoutkit.experiments import (ExperimentConfig, MetricsReport, TrainSettings, binary_f1,
                                   build_fold_data, cell_name, confusion_matrix,
                                   derive_seed, evaluate_model,
@@ -280,10 +279,8 @@ def fold_setup():
     cfg = ExperimentConfig(task="binary", epochs=8, batch_size=20,
                            learning_rate=1e-3, dtype="float32", n_folds=2,
                            snrs_db=(CLEAN, 0.0), noise="pink:5:2.0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        plan = plan_folds(sorted({e.speaker_id for e in examples}),
-                          seed=derive_seed(cfg.seed, "folds"), n_folds=2)
+    plan = plan_folds(sorted({e.speaker_id for e in examples}),
+                      seed=derive_seed(cfg.seed, "folds"), n_folds=2)
     data = build_fold_data(examples, plan.folds[0],
                            (FeatureKind.MEL_SPECTROGRAM,), cfg)
     return examples, cfg, plan, data
@@ -321,9 +318,7 @@ class TestTraining:
         examples = synth_examples(n_clips=16, n_speakers=4)
         cfg = ExperimentConfig(task="binary", epochs=3, batch_size=8, dtype="float64",
                                n_folds=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=1, n_folds=2)
+        plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=1, n_folds=2)
         data = build_fold_data(examples, plan.folds[0], (FeatureKind.TMFCC,), cfg)
 
         def run():
@@ -339,9 +334,7 @@ class TestTraining:
         examples = synth_examples(n_clips=16, n_speakers=4)
         cfg = ExperimentConfig(task="binary", epochs=2, batch_size=8, learning_rate=1e-3,
                                dtype="float64", n_folds=2, width_scale=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=1, n_folds=2)
+        plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=1, n_folds=2)
         kinds = (FeatureKind.MFCC_DELTA_DELTA,)
         data = build_fold_data(examples, plan.folds[0], kinds, cfg)
         logs = []
@@ -497,13 +490,19 @@ class TestTraining:
                 evaluate_model(model, data.test_examples, data.stats, task,
                                cfg.snrs_db, None, seed=0)
 
-    def test_evaluate_requires_noise_for_finite_snr(self, fold_setup):
+    @pytest.mark.parametrize("snrs", [(0.0,), (CLEAN, 0.0)], ids=["noisy", "clean_first"])
+    def test_evaluate_requires_noise_for_finite_snr(self, fold_setup, monkeypatch, snrs):
         _, _, _, data = fold_setup
         model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",
                                    seed=0, dtype=np.float32)
-        with pytest.raises(ConfigError):
+
+        def forward(*args):
+            raise AssertionError("a forward ran before the refusal")
+
+        monkeypatch.setattr(training, "predict_clip", forward)
+        with pytest.raises(ConfigError, match="SNR 0 requested but no noise source configured"):
             evaluate_model(model, data.test_examples, data.stats, "binary",
-                           (0.0,), None, seed=0)
+                           snrs, None, seed=0)
 
     def test_train_time_augmentation_changes_features(self, fold_setup):
         examples, cfg, plan, clean_data = fold_setup
@@ -538,9 +537,7 @@ class TestTraining:
         else:
             examples = synth_examples(n_clips=16, n_speakers=4, clip_seconds=(1.3, 1.9))
         cfg = ExperimentConfig(task=task, dtype=dtype, n_folds=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=4, n_folds=2)
+        plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=4, n_folds=2)
         data = build_fold_data(examples, plan.folds[0], kinds, cfg)
         train_speakers, val_speakers = split_train_validation(
             plan.folds[0], seed=derive_seed(cfg.seed, "validation"))
@@ -566,10 +563,8 @@ class TestTraining:
         examples = synth_examples()
         cfg = ExperimentConfig(task="binary", dtype="float32", n_folds=2)
         kinds = (FeatureKind.SPECTROGRAM, FeatureKind.CEPSTROGRAM)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = plan_folds(sorted({e.speaker_id for e in examples}),
-                              seed=derive_seed(cfg.seed, "folds"), n_folds=2)
+        plan = plan_folds(sorted({e.speaker_id for e in examples}),
+                          seed=derive_seed(cfg.seed, "folds"), n_folds=2)
         tracemalloc.start()
         try:
             data = build_fold_data(examples, plan.folds[0], kinds, cfg)
@@ -592,9 +587,7 @@ class TestSuite:
     def test_suite_writes_reports(self, tmp_path):
         examples = synth_examples()
         cfg = self.make_cfg()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_suite(cfg, tmp_path / "out", examples=examples)
+        result = run_suite(cfg, tmp_path / "out", examples=examples)
         assert result.exit_code == 0
         report_path = tmp_path / "out" / (cell_name("cnn", "mel_spectrogram") + ".json")
         assert report_path.exists()
@@ -607,9 +600,7 @@ class TestSuite:
     def test_failed_cell_recorded_suite_continues(self, tmp_path):
         examples = synth_examples()
         cfg = self.make_cfg(archs=("cnn", "transformer"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_suite(cfg, tmp_path / "out", examples=examples)
+        result = run_suite(cfg, tmp_path / "out", examples=examples)
         assert result.exit_code == 1
         assert len(result.failures) == 1
         assert "transformer" in result.failures[0]["cell"]
@@ -622,9 +613,7 @@ class TestSuite:
     def test_export_plot_csvs(self, tmp_path):
         examples = synth_examples(n_clips=48, n_speakers=4, n_classes=4)
         cfg = self.make_cfg(task="four_class", batch_size=24)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_suite(cfg, tmp_path / "out", examples=examples)
+        result = run_suite(cfg, tmp_path / "out", examples=examples)
         assert result.exit_code == 0
         written = export_plot_csvs(result.reports[0], tmp_path / "plots")
         assert any("confusion" in p.name for p in written)
@@ -640,9 +629,7 @@ class TestSuite:
         calls = []
         monkeypatch.setattr(suite, "build_fold_data", lambda *a, **k: calls.append(a))
         cfg = self.make_cfg(archs=(arch,), features=(features,))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_suite(cfg, tmp_path / "out", examples=synth_examples(n_clips=16))
+        result = run_suite(cfg, tmp_path / "out", examples=synth_examples(n_clips=16))
         assert calls == []
         assert result.reports == []
         assert result.failures == [{"cell": cell_name(arch, features), "error": error}]
@@ -659,9 +646,7 @@ class TestSuite:
 
         monkeypatch.setattr(suite, "build_fold_data", build_or_fail)
         cfg = self.make_cfg(features=("tmfcc", "mel_spectrogram"), epochs=2, batch_size=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_suite(cfg, tmp_path / "out", examples=synth_examples(n_clips=16))
+        result = run_suite(cfg, tmp_path / "out", examples=synth_examples(n_clips=16))
         assert [r["features"] for r in result.reports] == ["mel_spectrogram"]
         [failure] = result.failures
         assert failure["cell"] == cell_name("cnn", "tmfcc")
@@ -700,23 +685,34 @@ class TestSuite:
         examples = synth_examples(n_clips=16, n_speakers=4)
         cfg = self.make_cfg(features=("mel_spectrogram+tmfcc",), epochs=2,
                             batch_size=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = run_suite(cfg, tmp_path / "out", examples=examples)
+        result = run_suite(cfg, tmp_path / "out", examples=examples)
         assert result.exit_code == 0
         report = result.reports[0]
         assert report["features"] == "mel_spectrogram+tmfcc"
         stages = {entry["stage"] for entry in report["training"]}
         assert {"left.mel_spectrogram", "right.tmfcc", "fusion"} <= stages
 
+    @pytest.mark.parametrize("noise, error, text", [
+        ("", ConfigError, "SNR 20 requested but no noise source configured"),
+        ("pink:5:0.5", DegenerateInputError, "noise must be at least as long as the speech clip"),
+    ], ids=["no_noise", "short_noise"])
+    def test_unmixable_sweep_refused_before_any_fold_data(self, tmp_path, monkeypatch,
+                                                          noise, error, text):
+        calls = []
+        monkeypatch.setattr(suite, "build_fold_data", lambda *a, **k: calls.append(a))
+        cfg = self.make_cfg(archs=("cnn", "gru"), features=("mel_spectrogram", "tmfcc"),
+                            snrs_db=ExperimentConfig().snrs_db, noise=noise)
+        with pytest.raises(error, match=text):
+            run_suite(cfg, tmp_path / "out", examples=synth_examples(n_clips=16))
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_distinct_seeds_distinct_reports_same_schema(self, tmp_path):
         examples = synth_examples(n_clips=16, n_speakers=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = run_suite(self.make_cfg(seed=1, epochs=2, batch_size=8),
-                          tmp_path / "a", examples=examples)
-            b = run_suite(self.make_cfg(seed=2, epochs=2, batch_size=8),
-                          tmp_path / "b", examples=examples)
+        a = run_suite(self.make_cfg(seed=1, epochs=2, batch_size=8),
+                      tmp_path / "a", examples=examples)
+        b = run_suite(self.make_cfg(seed=2, epochs=2, batch_size=8),
+                      tmp_path / "b", examples=examples)
         for result in (a, b):
             validate_report(result.reports[0])
         assert a.reports[0]["per_fold_snr"] != b.reports[0]["per_fold_snr"]

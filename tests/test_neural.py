@@ -12,10 +12,11 @@ from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Te
                              cross_entropy_loss, gru_sequence, load_checkpoint, loss,
                              mse_loss, save_checkpoint)
 from shoutkit.neural import layers, optim
+from shoutkit.neural.losses import PROB_FLOOR
 from shoutkit.neural import tensor as T
 
-from oracles import (adam_descent_oracle, adam_textbook, count_graph_nodes,
-                     finite_difference_check, full_batch_conv_weight_grad, naive_conv2d,
+from oracles import (adam_descent_oracle, adam_textbook, composed_cross_entropy,
+                     composed_mse, count_graph_nodes, finite_difference_check, full_batch_conv_weight_grad, naive_conv2d,
                      naive_logistic, scalar_gru_step)
 
 
@@ -421,6 +422,38 @@ class TestLosses:
         probs = Tensor(np.full((2, 4), 0.25))
         with pytest.raises(RangeError):
             cross_entropy_loss(probs, np.array([0, 4]))
+
+    @pytest.mark.parametrize("dtype, target_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)])
+    def test_mse_is_one_node_equal_to_the_composed_ops(self, dtype, target_dtype):
+        x = Tensor(rng_of(4).standard_normal((6, 3)).astype(dtype), requires_grad=True)
+        pred = T.mul(x, 1.0)        # recorded; passes its gradient to x unchanged
+        target = rng_of(5).standard_normal((6, 3)).astype(target_dtype)
+        value = mse_loss(pred, target)
+        assert count_graph_nodes(value) == count_graph_nodes(pred) + 1
+        value.backward()
+        want_value, want_grad = composed_mse(x.data, target)
+        assert value.data.dtype == want_value.dtype and np.array_equal(value.data, want_value)
+        assert x.grad.dtype == want_grad.dtype and np.array_equal(x.grad, want_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy_is_one_node_equal_to_the_composed_ops(self, dtype):
+        probs = rng_of(6).dirichlet(np.ones(4), size=5).astype(dtype)
+        probs[2] = [0.0, 1.0, 0.0, 0.0]     # the target's probability is below the floor
+        targets = np.array([0, 3, 2, 1, 3])
+        x = Tensor(probs, requires_grad=True)
+        pred = T.mul(x, 1.0)
+        value = cross_entropy_loss(pred, targets)
+        assert count_graph_nodes(value) == count_graph_nodes(pred) + 1
+        value.backward()
+        want_value, want_grad = composed_cross_entropy(probs, targets, PROB_FLOOR)
+        assert value.data.dtype == want_value.dtype and np.array_equal(value.data, want_value)
+        assert x.grad.dtype == want_grad.dtype and np.array_equal(x.grad, want_grad)
+        assert x.grad[2, 2] == 0.0
+
+    def test_cross_entropy_needs_one_target_per_row(self):
+        with pytest.raises(ShapeError, match="one index per row required"):
+            cross_entropy_loss(Tensor(np.full((3, 4), 0.25)), np.array([0, 1]))
 
     def test_loss_dispatch(self):
         pred = Tensor(np.array([[0.5]]))

@@ -14,7 +14,6 @@ benchmark; these tests catch all three without running it. They only read
 
 import importlib.util
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +38,8 @@ def load_perfbench(name: str):
 
 @pytest.fixture(scope="module")
 def scoring_setup():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        synth = make_classification_corpus(n_clips=4, n_speakers=2, n_classes=2, seed=3,
-                                           clip_seconds=(1.4, 1.9))
+    synth = make_classification_corpus(n_clips=4, n_speakers=2, n_classes=2, seed=3,
+                                       clip_seconds=(1.4, 1.9))
     examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id, clip=s.clip,
                             label=s.class_index) for s in synth]
     kinds = (FeatureKind.MEL_SPECTROGRAM, FeatureKind.TMFCC)
