@@ -35,6 +35,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _load_cfg(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
@@ -252,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--noise")
     p.add_argument("--snr", required=True, help="dB value or 'clean'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_mix)
 
     p = sub.add_parser("folds", help="plan speaker-independent folds")
     p.add_argument("manifest")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n-folds", type=int, default=5)
     p.add_argument("--output")
     p.set_defaults(fn=cmd_folds)
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = corpus_sub.add_parser("aggregate", help="ratings to intensity labels")
     p.add_argument("--ratings", required=True)
     p.add_argument("--subsets", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--manifest", help="attach labels to this manifest")
     p.add_argument("--output", required=True)
     p.set_defaults(fn=cmd_corpus_aggregate)
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["binary", "four_class", "regression"])
     p.add_argument("--clips", type=int, default=200)
     p.add_argument("--speakers", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise-seconds", type=float, default=3.0)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=cmd_synth)

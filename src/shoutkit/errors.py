@@ -44,7 +44,6 @@ class ManifestError(ShoutKitError):
         if row is not None:
             message = f"row {row}: {message}"
         super().__init__(message)
-        self.row = row
 
 
 class InsufficientRatingsError(ShoutKitError):

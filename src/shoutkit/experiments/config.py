@@ -55,6 +55,8 @@ def parse_pink_spec(spec: str) -> tuple[int, int]:
         seed, samples = int(parts[1]), float(parts[2]) * SAMPLE_RATE
     except ValueError:
         raise ConfigError(f"bad pink noise spec {spec!r}")
+    if seed < 0:
+        raise ConfigError(f"bad pink noise spec {spec!r}: the seed must not be negative")
     if not 2 <= samples <= MAX_PINK_SECONDS * SAMPLE_RATE:
         raise ConfigError(f"bad pink noise spec {spec!r}: seconds must be finite, at most "
                           f"{MAX_PINK_SECONDS:g}, and give at least 2 samples")
@@ -90,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError(f"task must be one of {tasks}, got {self.task!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.n_folds < 1:
             raise ConfigError("epochs, batch_size and n_folds must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and above 0, got {self.learning_rate}")
         if self.width_scale < 1:
             raise ConfigError(f"width_scale must be an integer >= 1, got {self.width_scale}")
         if min(self.pretrain_epochs, self.finetune_epochs, self.early_stop_patience) < 0:
@@ -100,6 +106,12 @@ class ExperimentConfig:
         for snr in self.snrs_db:
             if snr != CLEAN and not math.isfinite(snr):
                 raise ConfigError(f"SNR values must be finite or clean, got {snr}")
+        # SNRs compare by label, so 0 and 0.0 (or clean and inf) are one entry
+        for key, entries in (("archs", self.archs), ("features", self.features),
+                             ("snrs_db", [snr_label(s) for s in self.snrs_db])):
+            repeated = sorted({e for e in entries if entries.count(e) > 1})
+            if repeated:
+                raise ConfigError(f"{key} names {', '.join(repeated)} more than once")
         if self.noise.startswith("pink:"):
             parse_pink_spec(self.noise)
 

@@ -105,7 +105,6 @@ class MetricsReport:
     scatter: dict = field(default_factory=dict)        # "fold/snr" -> [[actual, predicted]..]
     config_echo: dict = field(default_factory=dict)
     training: list = field(default_factory=list)       # per-fold training log summaries
-    failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {"schema": REPORT_SCHEMA, **asdict(self)}

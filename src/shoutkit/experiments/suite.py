@@ -31,7 +31,6 @@ from .training import (ClipExample, build_cell_model, build_fold_data, check_noi
 class SuiteResult:
     reports: list = field(default_factory=list)     # MetricsReport dicts
     failures: list = field(default_factory=list)    # {"cell":..., "error":...}
-    out_dir: Path | None = None
 
     @property
     def exit_code(self) -> int:
@@ -109,7 +108,7 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
     # and the noise is known to mix into every clip
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = SuiteResult(out_dir=out_dir)
+    result = SuiteResult()
     for arch in cfg.archs:
         for features in cfg.features:
             name = cell_name(arch, features)

@@ -108,7 +108,6 @@ class FoldData:
     val_x: dict
     val_y: np.ndarray
     test_examples: list[ClipExample]
-    train_examples: list[ClipExample]
 
 
 def _augment_training_clip(example: ClipExample, cfg: ExperimentConfig,
@@ -158,7 +157,7 @@ def build_fold_data(examples: list[ClipExample], fold: Fold,
     train_y = np.repeat(np.asarray([e.label for e in train]), train_counts)
     val_y = np.repeat(np.asarray([e.label for e in val]), val_counts)
     return FoldData(kinds=kinds, stats=stats, train_x=train_x, train_y=train_y,
-                    val_x=val_x, val_y=val_y, test_examples=test, train_examples=train)
+                    val_x=val_x, val_y=val_y, test_examples=test)
 
 
 def _write_blocks(matrices: list[np.ndarray], kind: FeatureKind, stats: FeatureStats,

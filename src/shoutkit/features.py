@@ -195,17 +195,12 @@ def mfcc(power_512: np.ndarray) -> np.ndarray:
 def delta(sequence: np.ndarray) -> np.ndarray:
     """Regression delta over time with window n in {1, 2} and replicate padding.
 
-    d_t = sum_n n * (c_{t+n} - c_{t-n}) / 10, for a (T, D) sequence. A 1-D
-    input is treated as a single-coefficient sequence.
+    d_t = sum_n n * (c_{t+n} - c_{t-n}) / 10, for a (T,) or (T, D) sequence.
     """
     seq = np.asarray(sequence, dtype=np.float64)
-    squeeze = seq.ndim == 1
-    if squeeze:
-        seq = seq[:, None]
     padded = np.concatenate([seq[:1], seq[:1], seq, seq[-1:], seq[-1:]], axis=0)
     t = np.arange(seq.shape[0]) + 2
-    out = (padded[t + 1] - padded[t - 1] + 2.0 * (padded[t + 2] - padded[t - 2])) / 10.0
-    return out[:, 0] if squeeze else out
+    return (padded[t + 1] - padded[t - 1] + 2.0 * (padded[t + 2] - padded[t - 2])) / 10.0
 
 
 def delta_delta(sequence: np.ndarray) -> np.ndarray:

@@ -232,8 +232,6 @@ class NetworkGraph:
         return ledger
 
     def _as_tensor(self, x) -> Tensor:
-        if isinstance(x, Tensor):
-            return x
         return Tensor(np.asarray(x, dtype=self.dtype))
 
 

@@ -45,8 +45,8 @@ def records(*tensors: "Tensor") -> bool:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -153,7 +153,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     b = _coerce(b, a)
     out = a.data + b.data
 
@@ -164,7 +163,6 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
     b = _coerce(b, a)
     out = a.data * b.data
 

@@ -508,6 +508,27 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
                                      ("-1", "at least 2 samples"),
                                      ("0.0001", "at least 2 samples"),
                                      ("1e300", "at most 600"))))),
+    # a negative seed is refused wherever a seed enters
+    ("argv", ["train", "--set", "seed=-1", "--output", "{out}"], "seed must not be negative"),
+    ("argv", ["train", "--set", "noise=pink:-1:2", "--output", "{out}"],
+     "seed must not be negative"),
+    *(("argv", argv, "seed must be an integer >= 0, got '-1'") for argv in (
+        ["folds", "{manifest}", "--seed", "-1"],
+        ["mix", "{wav}", "{out}", "--noise", "{wav}", "--snr", "0", "--seed", "-1"],
+        ["synth", "--seed", "-1", "--output", "{out}"],
+        ["corpus", "aggregate", "--ratings", "{manifest}", "--subsets", "{manifest}",
+         "--seed", "-1", "--output", "{out}"])),
+    # a learning rate that cannot train
+    *(("argv", ["train", "--set", f"learning_rate={rate}", "--output", "{out}"],
+       "learning_rate must be finite and above 0") for rate in ("nan", "inf", "0", "-1")),
+    # a list key that names an entry twice (SNRs compare by label)
+    ("argv", ["suite", "--set", "archs=cnn,cnn", "--output", "{out}"], "archs names cnn"),
+    ("argv", ["suite", "--set", "snrs_db=0,0.0,clean", "--output", "{out}"],
+     "snrs_db names 0 more"),
+    ("argv", ["train", "--set", "snrs_db=clean,inf", "--output", "{out}"],
+     "snrs_db names clean more"),
+    ("argv", ["train", "--set", "features=tmfcc,tmfcc", "--output", "{out}"],
+     "features names tmfcc more"),
 ], ids=["snr-nan", "snr-minus-inf", "snr-not-a-number", "width-scale-zero",
         "width-scale-negative", "dtype-int8", "dtype-float16", "descriptor-no-checkpoint",
         "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
@@ -525,7 +546,11 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
         "folds-zero", "folds-negative", "synth-no-speakers", "synth-regression-no-speakers",
         "synth-no-clips", "synth-four-class-negative-clips", "synth-noise-inf",
         "synth-noise-nan", "synth-noise-negative", "synth-noise-under-two-samples",
-        "synth-noise-above-cap"])
+        "synth-noise-above-cap", "train-seed-negative", "train-pink-seed-negative",
+        "folds-seed-negative", "mix-seed-negative", "synth-seed-negative",
+        "corpus-aggregate-seed-negative", "train-learning-rate-nan", "train-learning-rate-inf",
+        "train-learning-rate-zero", "train-learning-rate-negative", "suite-repeated-arch",
+        "suite-repeated-snr", "train-repeated-clean-snr", "train-repeated-features"])
 def test_bad_snr_or_descriptor_field_is_config_error(corpus_dir, tmp_path, capsys, case):
     key, value, mentioned = case
     out = tmp_path / "mixed.wav"

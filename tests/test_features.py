@@ -227,6 +227,12 @@ class TestDeltas:
         oracle = one_delta(one_delta(seq))
         assert np.max(np.abs(delta_delta(seq) - oracle)) < 1e-12
 
+    def test_one_dimensional_input_is_one_coefficient(self):
+        for length in (1, 2, 7):
+            x = np.random.default_rng(length).standard_normal(length)
+            assert np.array_equal(delta(x), delta(x[:, None])[:, 0])
+        assert np.allclose(delta([1, 2, 3]), [0.5, 0.6, 0.5], atol=1e-15)
+
 
 class TestBlocks:
     def test_30_frames_one_block(self):
