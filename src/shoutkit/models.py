@@ -19,6 +19,11 @@ Each conv stage pools before its ReLU. ReLU is monotone, so relu(pool(x))
 equals pool(relu(x)) in value and routes gradients the same way (a window
 whose max is <= 0 gets none either way), while ReLU runs on the pooled
 array, a pool kernel times smaller.
+
+Each layer records one graph node (``neural.conv_stage`` per conv stage,
+``neural.linear`` per dense layer, one ``gru_sequence`` per GRU direction and
+one for the BiGRU's final state), so a cnn loss graph holds 9 nodes, a gru
+graph 8 and a cnn fusion graph 18.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .features import BLOCK_FRAMES, FeatureKind, parse_feature_kind
-from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor,
+from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor, conv_stage,
                      load_checkpoint, no_grad, save_checkpoint)
 from .neural import tensor as T
 from .textio import read_text, write_text
@@ -275,7 +280,7 @@ class SingleFeatureModel(NetworkGraph):
         ledger["input_height"] = t.data.shape[2]
         heights = []
         for conv, pool in zip(self.convs, self.pools):
-            t = T.relu(pool(conv(t)))
+            t = conv_stage(t, conv.weight, conv.bias, conv.padding, pool.kernel)
             heights.append(t.data.shape[2])
         ledger["pooled_heights"] = heights
         ledger["conv_output"] = list(t.data.shape[1:])

@@ -1,9 +1,13 @@
 """Network layers built on the autograd Tensor.
 
-Dense is a composition of tensor primitives; convolution, max-pooling and
-one GRU direction over a whole sequence are custom graph nodes with
-hand-written backward passes (checked against finite differences in the test
-suite). Every layer takes batched input only.
+Each layer records one graph node with a hand-written backward pass (checked
+against finite differences in the test suite): ``tensor.linear`` is a dense
+layer, ``conv_stage`` a conv stage (convolution, max-pooling, ReLU), and
+``gru_sequence`` one GRU direction over a whole sequence; the BiGRU's final
+state is one more node. Each node's values and gradients are bit-identical to
+the chain of single ops it replaces. ``conv2d`` and ``maxpool2d`` stay as
+nodes of their own over the same forward and backward cores. Every layer
+takes batched input only.
 
 Convolution builds its im2col columns a few samples at a time into one
 chunk-sized buffer, so each GEMM reads columns that are still in cache. A
@@ -46,7 +50,7 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.data.shape[1] != self.n_in:
             raise ShapeError(f"dense expects (N, {self.n_in}), got {x.data.shape}")
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
     def parameters(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -89,6 +93,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
     and its in/out channels swapped. ``d_x`` is skipped when ``x`` does not
     need a gradient.
     """
+    out, backward = _conv(x, weight, bias, padding)
+    return Tensor._make(out, (x, weight, bias), backward)
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Tensor, padding: int):
+    """The forward of ``conv2d``: its output, and its backward as a function
+    ``g -> (d_x, d_weight, d_bias)``."""
     n, c, h, w = x.data.shape
     out_ch, in_ch, kh, kw = weight.data.shape
     if in_ch != c:
@@ -126,6 +137,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
         flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         d_x, _ = _correlate(gp, flipped, kh, kw)
         return d_x, d_weight, d_bias
+
+    return out, backward
+
+
+def conv_stage(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
+               pool_kernel: int) -> Tensor:
+    """``relu(maxpool2d(conv2d(x, weight, bias, padding), pool_kernel))`` as one
+    node, bit-identical to those three: it runs their cores, and its ReLU mask
+    is ``out > 0`` on its own output. The backward writes the pool gradient into
+    the conv output buffer, which nothing reads after pooling (into a new array
+    when the gradient's dtype differs)."""
+    conv_out, conv_backward = _conv(x, weight, bias, padding)
+    out, pool_backward = _pool(conv_out, pool_kernel)
+    np.maximum(out, 0.0, out=out)
+
+    def backward(g):
+        g = g * (out > 0.0)
+        d_conv = conv_out if conv_out.dtype == g.dtype else np.empty(conv_out.shape, g.dtype)
+        return conv_backward(pool_backward(g, d_conv))
 
     return Tensor._make(out, (x, weight, bias), backward)
 
@@ -199,11 +229,19 @@ def maxpool2d(x: Tensor, kernel: int) -> Tensor:
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects (N, C, H, W), got {x.data.shape}")
-    n, c, h, w = x.data.shape
+    out, backward = _pool(x.data, kernel)
+    return Tensor._make(out, (x,), lambda g: (backward(g, np.empty(x.data.shape, g.dtype)),))
+
+
+def _pool(y: np.ndarray, kernel: int):
+    """The forward of ``maxpool2d`` on an array: its output, and its backward
+    as a function ``(g, d_y) -> d_y`` that writes the input gradient into
+    ``d_y``, a C-contiguous array of ``y``'s shape."""
+    n, c, h, w = y.shape
     if h < kernel:
         raise ShapeError(f"pool kernel {kernel} exceeds input height {h}")
     ho = h // kernel
-    rows = x.data[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
+    rows = y[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
     out = rows[:, :, :, 0].copy()
     best = np.zeros(out.shape, dtype=np.min_scalar_type(kernel - 1))
     for r in range(1, kernel):
@@ -212,14 +250,14 @@ def maxpool2d(x: Tensor, kernel: int) -> Tensor:
         # rows come in ascending order, so r exceeds every index set so far
         np.maximum(best, np.multiply(greater, r, dtype=best.dtype), out=best)
 
-    def backward(g):
-        d_x = np.zeros(x.data.shape, dtype=g.dtype)
-        d_rows = d_x[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
+    def backward(g, d_y):
+        d_rows = d_y[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
         for r in range(kernel):
             np.multiply(g, best == r, out=d_rows[:, :, :, r])
-        return (d_x,)
+        d_y[:, :, ho * kernel :] = 0  # the rows that pooling dropped
+        return d_y
 
-    return Tensor._make(out, (x,), backward)
+    return out, backward
 
 
 def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
@@ -286,14 +324,29 @@ def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
                         backward)
 
 
+def _final_state(fwd: Tensor, bwd: Tensor) -> Tensor:
+    """The forward direction's state after step T-1 beside the backward
+    direction's after step 0, (N, 2k) from two (N, T, k) sequences, as one node."""
+    k = fwd.data.shape[2]
+    out = np.concatenate([fwd.data[:, -1], bwd.data[:, 0]], axis=1)
+
+    def backward(g):
+        d_fwd, d_bwd = np.zeros_like(fwd.data), np.zeros_like(bwd.data)
+        d_fwd[:, -1] = g[:, :k]
+        d_bwd[:, 0] = g[:, k:]
+        return d_fwd, d_bwd
+
+    return Tensor._make(out, (fwd, bwd), backward)
+
+
 class BiGRU:
     """Bidirectional GRU over (N, T, F): one ``gru_sequence`` node per direction,
-    per-step outputs concatenated."""
+    per-step outputs concatenated, and one node for the final state."""
 
     def __init__(self, input_dim: int, hidden_per_direction: int,
                  rng: np.random.Generator, dtype=np.float64):
         self.input_dim = input_dim
-        self.hidden = k = hidden_per_direction
+        k = hidden_per_direction
         self.weights = {
             tag: (Tensor(recurrent_uniform(rng, (input_dim, 3 * k), k, dtype), requires_grad=True),
                   Tensor(recurrent_uniform(rng, (k, 3 * k), k, dtype), requires_grad=True),
@@ -309,12 +362,9 @@ class BiGRU:
         """
         if x.data.ndim != 3 or x.data.shape[2] != self.input_dim:
             raise ShapeError(f"bigru expects (N, T, {self.input_dim}), got {x.data.shape}")
-        n, steps, _ = x.data.shape
         fwd = gru_sequence(x, *self.weights["fwd"], reverse=False)
         bwd = gru_sequence(x, *self.weights["bwd"], reverse=True)
-        sequence = T.concat([fwd, bwd], axis=2)
-        final = T.concat([T.narrow(fwd, 1, steps - 1, 1), T.narrow(bwd, 1, 0, 1)], axis=2)
-        return sequence, T.reshape(final, (n, 2 * self.hidden))
+        return T.concat([fwd, bwd], axis=2), _final_state(fwd, bwd)
 
     def parameters(self):
         return {f"{tag}.{name}": p for tag, weights in self.weights.items()

@@ -6,10 +6,12 @@ topological order and accumulates gradients into the ``grad`` field of every
 tensor created with requires_grad=True. Inside a ``no_grad()`` block nothing
 is recorded, so inference costs no graph memory.
 
-Ops are called by name (``add``, ``mul``, ``matmul``, ...); a Tensor has no
-arithmetic operators. Everything is float32 or float64; the dtype of an
-operation follows numpy's promotion of its inputs. A Python scalar passed to
-``add`` or ``mul`` is a constant in the other operand's dtype.
+Ops are called by name (``add``, ``mul``, ``linear``, ...); a Tensor has no
+arithmetic operators. A layer is one op: ``linear`` is a whole dense layer,
+and ``layers`` adds one node per conv stage and per GRU direction.
+Everything is float32 or float64; the dtype of an operation follows numpy's
+promotion of its inputs. A Python scalar passed to ``add`` or ``mul`` is a
+constant in the other operand's dtype.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import contextlib
 
 import numpy as np
 
-from ..errors import ShapeError, StateError
+from ..errors import StateError
 
 _grad_enabled = True
 
@@ -173,17 +175,14 @@ def mul(a: Tensor, b) -> Tensor:
     return Tensor._make(out, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` for (N, F) @ (F, M) + (M,), as one node."""
+    out = x.data @ weight.data + bias.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ weight.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return Tensor._make(out, (a, b), backward)
+    return Tensor._make(out, (x, weight, bias), backward)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -203,20 +202,6 @@ def transpose(t: Tensor, axes) -> Tensor:
 
     def backward(g):
         return (g.transpose(inverse),)
-
-    return Tensor._make(out, (t,), backward)
-
-
-def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
-    index = [slice(None)] * t.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = t.data[index]
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        full[index] = g
-        return (full,)
 
     return Tensor._make(out, (t,), backward)
 

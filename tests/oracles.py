@@ -216,6 +216,26 @@ def composed_cross_entropy(probs, targets, floor):
     return value, grad
 
 
+def composed_linear(x, weight, bias, g):
+    """A dense layer's value and its gradients for the output gradient ``g``,
+    spelled out as the matmul and broadcast add it once was: ``x @ w + b``,
+    then ``g @ w.T`` and ``x.T @ g`` for the matmul and ``g`` summed over the
+    broadcast batch axis for the bias."""
+    return x @ weight + bias, g @ weight.T, x.T @ g, g.sum(axis=(0,))
+
+
+def sliced_final_state(fwd, bwd, g):
+    """The BiGRU final state of (N, T, k) direction sequences by slicing: the
+    forward direction's last step beside the backward direction's first, and
+    the gradient ``g`` scattered back into zero sequences of each's dtype."""
+    k = fwd.shape[2]
+    value = np.concatenate([fwd[:, -1], bwd[:, 0]], axis=1)
+    d_fwd, d_bwd = np.zeros(fwd.shape, fwd.dtype), np.zeros(bwd.shape, bwd.dtype)
+    d_fwd[:, -1] = g[:, :k]
+    d_bwd[:, 0] = g[:, k:]
+    return value, d_fwd, d_bwd
+
+
 def count_graph_nodes(root):
     """Recorded op nodes reachable from ``root``, one per backward closure."""
     seen, stack = set(), [root]

@@ -477,10 +477,23 @@ def test_four_class_rows_sum_to_one():
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
 
-def test_gru_loss_graph_is_a_few_nodes():
-    m = build_single_model("gru", FeatureKind.SPECTROGRAM, "binary", seed=0, dtype=np.float32)
-    x = np.random.default_rng(3).standard_normal((32, 512, 20)).astype(np.float32)
-    assert count_graph_nodes(neural.mse_loss(m.forward(x), np.ones((32, 1)))) <= 20
+@pytest.mark.parametrize("arch,nodes", [
+    ("cnn", 9), ("gru", 8), ("cnn_gru", 13), ("mlp_baseline_standin", 7), ("cnn_fusion", 18)])
+def test_loss_graph_is_one_node_per_layer(arch, nodes):
+    # a conv stage, a dense layer, a GRU direction and the BiGRU's final state
+    # each record one node; so do the input reshapes, the head and the loss
+    single = lambda a, kind, seed: build_single_model(a, kind, "binary", seed=seed,
+                                                      dtype=np.float32, width_scale=8)
+    if arch == "cnn_fusion":
+        m = build_fusion_model(single("cnn", FeatureKind.SPECTROGRAM, 0),
+                               single("cnn", FeatureKind.CEPSTROGRAM, 1), seed=2)
+    elif arch == "mlp_baseline_standin":
+        m = single(arch, FeatureKind.MFCC_DELTA_DELTA, 0)
+    else:
+        m = single(arch, FeatureKind.SPECTROGRAM, 0)
+    rng = np.random.default_rng(3)
+    x = m.batch({k: rng.standard_normal((4, k.dim, 20)).astype(np.float32) for k in m.kinds})
+    assert count_graph_nodes(neural.mse_loss(m.forward(x), np.ones((4, 1)))) <= nodes
 
 
 def _unbatched(shape):

@@ -16,8 +16,9 @@ from shoutkit.neural.losses import PROB_FLOOR
 from shoutkit.neural import tensor as T
 
 from oracles import (adam_descent_oracle, adam_textbook, composed_cross_entropy,
-                     composed_mse, count_graph_nodes, finite_difference_check, full_batch_conv_weight_grad, naive_conv2d,
-                     naive_logistic, scalar_gru_step)
+                     composed_linear, composed_mse, count_graph_nodes, finite_difference_check,
+                     full_batch_conv_weight_grad, naive_conv2d, naive_logistic,
+                     scalar_gru_step, sliced_final_state)
 
 
 def rng_of(seed):
@@ -96,6 +97,107 @@ class TestDense:
         layer = Dense(3, 4, rng_of(1))
         with pytest.raises(ShapeError):
             layer(Tensor(np.zeros((2, 5))))
+
+
+class TestOneNodeLayers:
+    """Each layer is one graph node whose values and gradients equal, byte for
+    byte, those of the chain of ops it replaces."""
+
+    @staticmethod
+    def same(a, b):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("requires_grad", [True, False], ids=["x-grad", "x-data"])
+    def test_linear_is_x_w_plus_b(self, dtype, requires_grad):
+        layer = Dense(7, 5, rng_of(60), dtype)
+        layer.bias.data = rng_of(61).standard_normal(5).astype(dtype)
+        x = Tensor(rng_of(62).standard_normal((6, 7)).astype(dtype), requires_grad=requires_grad)
+        g = rng_of(63).standard_normal((6, 5)).astype(dtype)
+        out = layer(x)
+        assert count_graph_nodes(out) == 1
+        T.sum_all(T.mul(out, Tensor(g))).backward()
+        value, d_x, d_weight, d_bias = composed_linear(x.data, layer.weight.data,
+                                                       layer.bias.data, g)
+        assert self.same(out.data, value)
+        assert self.same(layer.weight.grad, d_weight) and self.same(layer.bias.grad, d_bias)
+        assert self.same(x.grad, d_x) if requires_grad else x.grad is None
+
+    @pytest.mark.parametrize("dtype,g_dtype", [(np.float32, np.float32),
+                                               (np.float64, np.float64),
+                                               (np.float32, np.float64)],
+                             ids=["float32", "float64", "float32-float64-grad"])
+    @pytest.mark.parametrize("requires_grad", [True, False], ids=["x-grad", "x-data"])
+    @pytest.mark.parametrize("n,channels,height,kernel", [(8, 1, 512, 5), (3, 16, 11, 2)],
+                             ids=["h512-k5-chunks", "h11-k2-one-chunk"])
+    def test_conv_stage_is_the_conv_pool_relu_chain(self, dtype, g_dtype, requires_grad,
+                                                    n, channels, height, kernel):
+        assert (n > samples_per_chunk(channels, height)) == (height == 512)
+        assert height % kernel  # pooling drops the trailing rows
+        conv = Conv2d(channels, 4, kernel=5, padding=2, rng=rng_of(64), dtype=dtype)
+        conv.bias.data = rng_of(65).standard_normal(4).astype(dtype)
+        data = rng_of(66).standard_normal((n, channels, height, 20)).astype(dtype)
+        g = Tensor(rng_of(67).standard_normal((n, 4, height // kernel, 20)).astype(g_dtype))
+        results = []
+        for layer in (lambda x: neural.conv_stage(x, conv.weight, conv.bias, 2, kernel),
+                      lambda x: T.relu(neural.maxpool2d(conv(x), kernel))):
+            x = Tensor(data, requires_grad=requires_grad)
+            conv.weight.grad = conv.bias.grad = None
+            out = layer(x)
+            T.sum_all(T.mul(out, g)).backward()
+            results.append((out.data, conv.weight.grad, conv.bias.grad, x.grad))
+        stage, chain = results
+        assert (stage[3] is None) == (chain[3] is None) == (not requires_grad)
+        for mine, theirs in zip(stage, chain):
+            assert theirs is None or self.same(mine, theirs)
+
+    def test_conv_stage_is_one_node_and_none_under_no_grad(self):
+        conv = Conv2d(1, 4, kernel=5, padding=2, rng=rng_of(68))
+        x = Tensor(rng_of(69).standard_normal((2, 1, 30, 20)), requires_grad=True)
+        recorded = neural.conv_stage(x, conv.weight, conv.bias, 2, 3)
+        assert count_graph_nodes(recorded) == 1
+        with neural.no_grad():
+            inference = neural.conv_stage(x, conv.weight, conv.bias, 2, 3)
+        assert not inference.requires_grad and inference._backward_fn is None
+        assert inference._parents == ()
+        assert np.array_equal(recorded.data, inference.data)
+
+    @pytest.mark.parametrize("n,height,kernel", [(8, 512, 5), (3, 30, 3)],
+                             ids=["h512-k5-chunks", "h30-k3-one-chunk"])
+    def test_second_backward_doubles_the_stack_gradients(self, n, height, kernel):
+        # a stage's backward writes into its conv output buffer, so a second
+        # walk over the same graph must find everything it reads unchanged
+        convs = [Conv2d(c, 4, kernel=5, padding=2, rng=rng_of(70 + c), dtype=np.float32)
+                 for c in (1, 4)]
+        x = Tensor(rng_of(72).standard_normal((n, 1, height, 20)).astype(np.float32))
+        for conv in convs:
+            x = neural.conv_stage(x, conv.weight, conv.bias, 2, kernel)
+        g = rng_of(73).standard_normal(x.data.shape).astype(np.float32)
+        value = T.sum_all(T.mul(x, Tensor(g)))
+        value.backward()
+        first = [p.grad.copy() for conv in convs for p in conv.parameters().values()]
+        value.backward()
+        second = [p.grad for conv in convs for p in conv.parameters().values()]
+        for once, twice in zip(first, second):
+            assert np.array_equal(twice, 2 * once)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_final_state_is_the_sliced_sequences(self, dtype):
+        fwd = Tensor(rng_of(72).standard_normal((3, 6, 4)).astype(dtype), requires_grad=True)
+        bwd = Tensor(rng_of(73).standard_normal((3, 6, 4)).astype(dtype), requires_grad=True)
+        g = rng_of(74).standard_normal((3, 8)).astype(dtype)
+        final = layers._final_state(fwd, bwd)
+        assert count_graph_nodes(final) == 1
+        T.sum_all(T.mul(final, Tensor(g))).backward()
+        value, d_fwd, d_bwd = sliced_final_state(fwd.data, bwd.data, g)
+        assert self.same(final.data, value)
+        assert self.same(fwd.grad, d_fwd) and self.same(bwd.grad, d_bwd)
+        with neural.no_grad():
+            assert layers._final_state(fwd, bwd)._backward_fn is None
+
+    def test_matmul_and_narrow_are_gone(self):
+        for name in ("matmul", "narrow"):
+            assert not hasattr(T, name) and name not in neural.__all__
 
 
 class TestSoftmax:
@@ -394,8 +496,9 @@ class TestBiGru:
         gru = BiGRU(2, 3, rng_of(9))
         x = rng_of(10).standard_normal((2, 4, 2))
         seq, final = gru(Tensor(x))
-        assert np.allclose(final.data[:, :3], seq.data[:, -1, :3], atol=1e-12)
-        assert np.allclose(final.data[:, 3:], seq.data[:, 0, 3:], atol=1e-12)
+        assert np.array_equal(final.data[:, :3], seq.data[:, -1, :3])
+        assert np.array_equal(final.data[:, 3:], seq.data[:, 0, 3:])
+        assert count_graph_nodes(final) == 3  # two gru_sequence nodes and the final state
 
     def test_input_dim_mismatch(self):
         gru = BiGRU(3, 2, rng_of(0))
@@ -482,6 +585,17 @@ class TestGradientChecks:
         params = dict(conv.parameters(), x=x)
         err = finite_difference_check(
             lambda: T.mean_all(T.mul(conv(x), Tensor(w))), params, h=self.H)
+        assert err <= self.TOL
+
+    def test_conv_stage(self):
+        conv = Conv2d(2, 3, kernel=5, padding=2, rng=rng_of(16))
+        conv.bias.data = rng_of(17).standard_normal(3)
+        x = Tensor(rng_of(18).standard_normal((2, 2, 7, 5)), requires_grad=True)
+        w = rng_of(19).standard_normal((2, 3, 3, 5))
+        err = finite_difference_check(
+            lambda: T.mean_all(T.mul(neural.conv_stage(x, conv.weight, conv.bias, 2, 2),
+                                     Tensor(w))),
+            dict(conv.parameters(), x=x), h=self.H)
         assert err <= self.TOL
 
     def test_maxpool_away_from_ties(self):
