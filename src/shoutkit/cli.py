@@ -26,7 +26,7 @@ from .experiments import (ExperimentConfig, apply_overrides, build_fold_data,
                           score_fold, snr_label, validate_report, write_synth_corpus)
 from .experiments.training import build_cell_model
 from .features import FeatureStats, assemble_blocks, parse_feature_kind, save_blocks, write_blocks_csv
-from .models import check_cell, load_model, save_model
+from .models import HeadKind, check_cell, load_model, save_model
 from .neural import save_checkpoint
 from .textio import read_text, write_csv, write_text
 
@@ -44,9 +44,7 @@ def _seed(text: str) -> int:
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
     overrides = {}
     for item in getattr(args, "set", None) or []:
         key, sep, value = item.partition("=")
@@ -316,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic desk-scale corpus")
-    p.add_argument("--task", default="binary",
-                   choices=["binary", "four_class", "regression"])
+    p.add_argument("--task", default="binary", choices=[head.value for head in HeadKind])
     p.add_argument("--clips", type=int, default=200)
     p.add_argument("--speakers", type=int, default=10)
     p.add_argument("--seed", type=_seed, default=0)

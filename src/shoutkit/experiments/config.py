@@ -27,8 +27,23 @@ def snr_label(snr_db: float) -> str:
     return repr(float(snr_db))
 
 
+# Lowest SNR a mix accepts. The noise gain 10 ** (-snr / 20) is 1e300 here
+# and overflows a float below about -6165 dB; the margin leaves room for the
+# speech/noise RMS ratio that multiplies it.
+MIN_SNR_DB = -6000.0
+
+
+def check_snr(snr_db: float, text: str) -> float:
+    """``snr_db`` if it is CLEAN or a finite dB value of at least MIN_SNR_DB,
+    else a ConfigError naming ``text``, its spelling in the input."""
+    if snr_db != CLEAN and not (math.isfinite(snr_db) and snr_db >= MIN_SNR_DB):
+        raise ConfigError(f"bad SNR value {text!r}: expected 'clean' or a finite dB value "
+                          f"of at least {MIN_SNR_DB:g}")
+    return snr_db
+
+
 def parse_snr(text: str) -> float:
-    """A dB value, or CLEAN for ``clean`` / ``inf``; NaN and -inf are refused."""
+    """A dB value checked by ``check_snr``, or CLEAN for ``clean`` / ``inf``."""
     text = text.strip().lower()
     if text in ("clean", "inf", "infinity"):
         return CLEAN
@@ -36,9 +51,7 @@ def parse_snr(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ConfigError(f"bad SNR value {text!r}")
-    if math.isnan(value) or value == -math.inf:
-        raise ConfigError(f"bad SNR value {text!r}: expected a finite dB value or 'clean'")
-    return value
+    return check_snr(value, text)
 
 
 # Longest pink noise a spec may ask for; the sweep workloads mix at most 5 s.
@@ -104,8 +117,7 @@ class ExperimentConfig:
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         for snr in self.snrs_db:
-            if snr != CLEAN and not math.isfinite(snr):
-                raise ConfigError(f"SNR values must be finite or clean, got {snr}")
+            check_snr(snr, snr_label(snr))
         # SNRs compare by label, so 0 and 0.0 (or clean and inf) are one entry
         for key, entries in (("archs", self.archs), ("features", self.features),
                              ("snrs_db", [snr_label(s) for s in self.snrs_db])):
@@ -131,8 +143,7 @@ class ExperimentConfig:
 _LIST_FIELDS = {"archs", "features"}
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    config = base or ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
     updates = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,7 +153,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if not sep:
             raise ConfigError(f"line {line_number}: expected 'key = value', got {raw!r}")
         updates[key.strip()] = value.strip()
-    return apply_overrides(config, updates)
+    return apply_overrides(ExperimentConfig(), updates)
 
 
 def apply_overrides(config: ExperimentConfig, updates: dict[str, str]) -> ExperimentConfig:
@@ -180,5 +191,5 @@ def _parse_value(key: str, value: str, annotation: str):
     return value
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config_text(read_text(path, "config"), base=base)
+def load_config(path) -> ExperimentConfig:
+    return parse_config_text(read_text(path, "config"))

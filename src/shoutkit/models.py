@@ -8,6 +8,10 @@ Architectures operate on 20-frame feature blocks:
   gru      BiGRU over the 20 frames, final state, dense, ReLU, head
   cnn_gru  conv/pool stack, per-frame features to a BiGRU, final state,
            dense, ReLU, head
+  mlp_baseline_standin
+           flatten, dense, ReLU, dense, ReLU, head; mfcc_delta_delta only
+
+One class, ``SingleFeatureModel``, builds all four.
 
 High-dimensional features (spectrogram, cepstrogram, 512 per frame) and
 low-dimensional ones (mel spectrogram, tMFCCs, 30 per frame) use different
@@ -116,6 +120,8 @@ class ModelDimTable:
 
 HIGH_DIM_TABLE = ModelDimTable(d5=64, gru_d1=1024, gru_d2=64, d6=64, pool_kernel=5)
 LOW_DIM_TABLE = ModelDimTable(d5=16, gru_d1=60, gru_d2=16, d6=16, pool_kernel=3)
+# the baseline MLP's hidden width, divided by width_scale like the tables
+MLP_HIDDEN = 512
 
 
 def dim_table_for_kind(kind: FeatureKind) -> ModelDimTable:
@@ -136,15 +142,17 @@ def parse_feature_set(spec: str) -> tuple[FeatureKind, ...]:
 
 def check_cell(arch: Arch | str, kinds: tuple[FeatureKind, ...]) -> Arch:
     """The arch/kind rules every build keeps, checked without building
-    anything: the baseline MLP consumes mfcc_delta_delta features only, cnn,
-    gru and cnn_gru every other kind, and a fusion pair joins two kinds of
-    one width table. Returns the parsed arch."""
+    anything: the baseline MLP consumes mfcc_delta_delta features only and
+    does not fuse, cnn, gru and cnn_gru take every other kind, and a fusion
+    pair joins two kinds of one width table. Returns the parsed arch."""
     arch = parse_arch(arch) if isinstance(arch, str) else arch
     if arch is Arch.MLP_BASELINE:
         for kind in kinds:
             if kind is not FeatureKind.MFCC_DELTA_DELTA:
                 raise ConfigError(f"the baseline MLP consumes mfcc_delta_delta features, "
                                   f"got {kind.value}")
+        if len(kinds) > 1:
+            raise ConfigError(f"{arch.value} takes one feature kind; it does not fuse")
     elif len({dim_table_for_kind(kind) for kind in kinds}) > 1:
         raise ConfigError("cannot fuse a high-dimensional branch with a low-dimensional one")
     return arch
@@ -178,11 +186,9 @@ class NetworkGraph:
     inference calls leave a trained model unchanged.
     """
 
-    def __init__(self, arch: Arch, kinds: tuple[FeatureKind, ...], seed: int, dtype,
-                 width_scale: int):
+    def __init__(self, arch: Arch, kinds: tuple[FeatureKind, ...], dtype, width_scale: int):
         self.arch = arch
         self.kinds = kinds
-        self.seed = seed
         self.dtype = np.dtype(dtype)
         self.width_scale = width_scale
         self.layers: dict[str, Conv2d | BiGRU | Dense] = {}
@@ -236,21 +242,28 @@ class NetworkGraph:
             self.embed(self.batch(probe), ledger=ledger)
         return ledger
 
-    def _as_tensor(self, x) -> Tensor:
-        return Tensor(np.asarray(x, dtype=self.dtype))
-
 
 class SingleFeatureModel(NetworkGraph):
+    """One network over one feature kind, for every ``Arch``.
+
+    The baseline MLP is a stand-in: the reference system's exact network is
+    external to this project, so a plain 1200-512-512 MLP with ReLU is used
+    and labeled as a stand-in in all reports.
+    """
+
     def __init__(self, arch: Arch, kind: FeatureKind, head_kind: HeadKind, seed: int,
                  dtype=np.float64, width_scale: int = 1):
-        if arch not in (Arch.CNN, Arch.GRU, Arch.CNN_GRU):
-            raise ConfigError(f"unknown single-feature architecture {arch}")
-        super().__init__(arch, (kind,), seed, dtype, width_scale)
+        super().__init__(arch, (kind,), dtype, width_scale)
         self.kind = kind
-        d = dim_table_for_kind(kind).scaled(width_scale)
         rng = np.random.default_rng(seed)
         layers = self.layers
 
+        if arch is Arch.MLP_BASELINE:
+            hidden = max(1, MLP_HIDDEN // width_scale)
+            layers["dense1"] = Dense(kind.dim * BLOCK_FRAMES, hidden, rng, self.dtype)
+            layers["dense2"] = Dense(hidden, hidden, rng, self.dtype)
+        else:
+            d = dim_table_for_kind(kind).scaled(width_scale)
         if arch in (Arch.CNN, Arch.CNN_GRU):
             in_ch = 1
             for i in range(3):
@@ -268,11 +281,11 @@ class SingleFeatureModel(NetworkGraph):
             per_direction = d.gru_d1 // 2
             layers["bigru"] = BiGRU(kind.dim, per_direction, rng, self.dtype)
             layers["dense"] = Dense(2 * per_direction, d.gru_d2, rng, self.dtype)
-        else:  # CNN_GRU
+        elif arch is Arch.CNN_GRU:
             layers["bigru"] = BiGRU(per_frame, max(1, d.d5 // 2), rng, self.dtype)
             layers["dense"] = Dense(2 * max(1, d.d5 // 2), d.d6, rng, self.dtype)
-        self.bigru = layers.get("bigru")  # None for cnn
-        self.dense = layers["dense"]
+        self.bigru = layers.get("bigru")  # None for cnn and the MLP
+        self.dense = [*layers.values()][-1]  # every arch ends in a dense layer
         self.embedding_dim = self.dense.n_out
         self.head = TaskHead(head_kind, self.embedding_dim, rng, self.dtype)
 
@@ -295,14 +308,17 @@ class SingleFeatureModel(NetworkGraph):
 
     def embed(self, x, ledger=None) -> Tensor:
         ledger = {} if ledger is None else ledger
-        t = self._as_tensor(x)
+        t = Tensor(np.asarray(x, dtype=self.dtype))
         dim = self.kind.dim
         if t.data.ndim != 3 or t.data.shape[1] != dim or t.data.shape[2] != BLOCK_FRAMES:
             raise ShapeError(f"expected blocks of shape (N, {dim}, {BLOCK_FRAMES}), "
                              f"got {t.data.shape}")
         n = t.data.shape[0]
 
-        if self.arch is Arch.GRU:
+        if self.arch is Arch.MLP_BASELINE:
+            ledger["flatten"] = dim * BLOCK_FRAMES
+            t = T.relu(self.layers["dense1"](T.reshape(t, (n, dim * BLOCK_FRAMES))))
+        elif self.arch is Arch.GRU:
             t = self._bigru_tail(T.transpose(t, (0, 2, 1)), ledger)  # (N, 20, D)
         else:
             t = self._conv_stack(T.reshape(t, (n, 1, dim, BLOCK_FRAMES)), ledger)
@@ -321,51 +337,13 @@ class SingleFeatureModel(NetworkGraph):
         return emb
 
 
-class BaselineMlp(NetworkGraph):
-    """Stand-in multilayer perceptron for the MFCC+second-derivative baseline.
-
-    The reference system's exact network is external to this project, so a
-    plain 1200-512-512 MLP with ReLU is used and labeled as a stand-in in all
-    reports.
-    """
-
-    HIDDEN = 512
-
-    def __init__(self, head_kind: HeadKind, seed: int, dtype=np.float64,
-                 width_scale: int = 1):
-        self.kind = FeatureKind.MFCC_DELTA_DELTA
-        super().__init__(Arch.MLP_BASELINE, (self.kind,), seed, dtype, width_scale)
-        hidden = max(1, self.HIDDEN // width_scale)
-        self.input_dim = self.kind.dim * BLOCK_FRAMES
-        rng = np.random.default_rng(seed)
-        self.layers["dense1"] = Dense(self.input_dim, hidden, rng, self.dtype)
-        self.layers["dense2"] = Dense(hidden, hidden, rng, self.dtype)
-        self.embedding_dim = hidden
-        self.head = TaskHead(head_kind, hidden, rng, self.dtype)
-
-    def embed(self, x, ledger=None) -> Tensor:
-        ledger = {} if ledger is None else ledger
-        t = self._as_tensor(x)
-        if t.data.shape[1:] != (self.kind.dim, BLOCK_FRAMES):
-            raise ShapeError(f"expected (N, {self.kind.dim}, {BLOCK_FRAMES}), got {t.data.shape}")
-        n = t.data.shape[0]
-        t = T.reshape(t, (n, self.input_dim))
-        ledger["flatten"] = self.input_dim
-        for dense in self.layers.values():
-            t = T.relu(dense(t))
-        ledger["dense"] = t.data.shape[1]
-        ledger["embedding"] = self.embedding_dim
-        return t
-
-
 class FusionModel(NetworkGraph):
     """Two pretrained single-feature branches, embeddings concatenated."""
 
     def __init__(self, left: SingleFeatureModel, right: SingleFeatureModel,
                  seed: int):
         if not (isinstance(left, SingleFeatureModel) and isinstance(right, SingleFeatureModel)):
-            raise ConfigError("fusion branches must be cnn, gru or cnn_gru networks, got "
-                              f"{left.arch.value} and {right.arch.value}")
+            raise ConfigError("fusion branches must be single-feature networks")
         if left.arch is not right.arch:
             raise ConfigError(f"fusion branches must share an architecture family, "
                               f"got {left.arch.value} and {right.arch.value}")
@@ -373,7 +351,7 @@ class FusionModel(NetworkGraph):
             raise ConfigError(f"fusion branches must share a task head, got "
                               f"{left.head.kind.value} and {right.head.kind.value}")
         check_cell(left.arch, (left.kind, right.kind))
-        super().__init__(left.arch, (left.kind, right.kind), seed, left.dtype, left.width_scale)
+        super().__init__(left.arch, (left.kind, right.kind), left.dtype, left.width_scale)
         self.left = left
         self.right = right
         self.concat_dim = left.embedding_dim + right.embedding_dim
@@ -402,20 +380,19 @@ class FusionModel(NetworkGraph):
 
 
 def build_single_model(arch: Arch | str, kind: FeatureKind, head: HeadKind | str,
-                       seed: int = 0, dtype=np.float64, width_scale: int = 1) -> NetworkGraph:
-    """The builder of every single-feature network: a ``SingleFeatureModel`` for
-    cnn, gru and cnn_gru, the stand-in ``BaselineMlp`` for mlp_baseline_standin,
-    which consumes mfcc_delta_delta features only."""
-    arch = check_cell(arch, (kind,))
+                       seed: int = 0, dtype=np.float64,
+                       width_scale: int = 1) -> SingleFeatureModel:
+    """The builder of every single-feature network: cnn, gru and cnn_gru over
+    the spectral and cepstral kinds, and the stand-in mlp_baseline_standin
+    over mfcc_delta_delta features only. ``check_cell`` refuses any other
+    pairing."""
     head = parse_head(head) if isinstance(head, str) else head
-    if arch is not Arch.MLP_BASELINE:
-        return SingleFeatureModel(arch, kind, head, seed=seed, dtype=dtype,
-                                  width_scale=width_scale)
-    return BaselineMlp(head, seed=seed, dtype=dtype, width_scale=width_scale)
+    return SingleFeatureModel(check_cell(arch, (kind,)), kind, head, seed=seed, dtype=dtype,
+                              width_scale=width_scale)
 
 
 def build_baseline_mlp(head: HeadKind | str, seed: int = 0, dtype=np.float64,
-                       width_scale: int = 1) -> BaselineMlp:
+                       width_scale: int = 1) -> SingleFeatureModel:
     return build_single_model(Arch.MLP_BASELINE, FeatureKind.MFCC_DELTA_DELTA, head,
                               seed=seed, dtype=dtype, width_scale=width_scale)
 
@@ -466,7 +443,6 @@ def save_model(model: NetworkGraph, directory, name: str) -> Path:
         f"arch = {model.arch.value}",
         f"features = {'+'.join(k.value for k in model.kinds)}",
         f"head = {model.head.kind.value}",
-        f"seed = {model.seed}",
         f"dtype = {np.dtype(model.dtype).name}",
         f"width_scale = {model.width_scale}",
         f"checkpoint = {ckpt.name}",
@@ -489,7 +465,6 @@ def load_model(descriptor_path) -> NetworkGraph:
         arch = Arch(fields["arch"])
         kinds = parse_feature_set(fields["features"])
         head = HeadKind(fields["head"])
-        seed = int(fields["seed"])
         if fields["dtype"] not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {fields['dtype']!r}")
         dtype = np.dtype(fields["dtype"])
@@ -500,8 +475,8 @@ def load_model(descriptor_path) -> NetworkGraph:
     except (KeyError, ValueError, ConfigError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"bad model descriptor {descriptor_path}: {reason}") from exc
-    branches = [build_single_model(arch, kind, head, seed=seed + i, dtype=dtype,
-                                   width_scale=width_scale) for i, kind in enumerate(kinds)]
-    model = branches[0] if len(branches) == 1 else build_fusion_model(*branches, seed=seed)
+    branches = [build_single_model(arch, kind, head, dtype=dtype, width_scale=width_scale)
+                for kind in kinds]
+    model = branches[0] if len(branches) == 1 else build_fusion_model(*branches)
     model.load_state_dict(load_checkpoint(checkpoint))
     return model

@@ -462,6 +462,9 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
     ("argv", ["mix", "{wav}", "{out}", "--snr", "-infinity"], "'-infinity'"),
     ("argv", ["mix", "{wav}", "{out}", "--snr", "-nan"], "'-nan'"),
     ("argv", ["mix", "{wav}", "{out}", "--snr", "-INF"], "'-inf'"),
+    # an SNR whose noise gain would overflow a float
+    ("argv", ["mix", "{wav}", "{out}", "--noise", "{wav}", "--snr", "-7000"], "'-7000'"),
+    ("argv", ["train", "--set", "snrs_db=-7000", "--output", "{out}"], "'-7000'"),
     ("argv", ["train"], "--output"),
     # refused before the corpus is read, so no manifest is needed
     ("argv", ["train", "--set", "features=tmfcc+tmfcc", "--output", "{out}"], "'tmfcc+tmfcc'"),
@@ -534,6 +537,7 @@ def test_model_head_of_another_task_is_config_error(corpus_dir, tmp_path, capsys
         "descriptor-three-kinds", "descriptor-mlp-on-tmfcc",
         "usage-snr-spaced-minus-inf", "usage-snr-spaced-minus-infinity",
         "usage-snr-spaced-minus-nan", "usage-snr-spaced-minus-inf-upper",
+        "mix-snr-gain-overflow", "train-snr-gain-overflow",
         "usage-train-without-output", "train-duplicate-feature-kind",
         "train-high-low-fusion", "train-mlp-fusion", "extract-unknown-kind",
         "train-unknown-kind", "suite-workers-key", "train-width-scale-zero",

@@ -227,6 +227,14 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 parse_snr(bad)
 
+    def test_snr_below_the_gain_bound_refused_wherever_it_enters(self):
+        # the noise gain 10 ** (-snr / 20) overflows a float below about -6165 dB
+        assert parse_snr("-6000") == -6000.0
+        with pytest.raises(ConfigError, match="'-7000'"):
+            parse_snr("-7000")
+        with pytest.raises(ConfigError, match="'-7000'"):
+            ExperimentConfig(snrs_db=(CLEAN, -7000.0))
+
     def test_derive_seed_stable(self):
         assert derive_seed(7, "folds") == derive_seed(7, "folds")
         assert derive_seed(7, "folds") != derive_seed(7, "noise")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from shoutkit import neural
-from shoutkit.errors import ConfigError, DegenerateInputError, ShapeError
+from shoutkit.errors import ConfigError, DegenerateInputError, ShapeError, ShoutKitError
 from shoutkit.features import FeatureKind
-from shoutkit.models import (Arch, HeadKind, build_baseline_mlp, build_fusion_model,
-                             build_single_model, load_model, predict_clip, save_model)
+from shoutkit.models import (Arch, HeadKind, SingleFeatureModel, build_baseline_mlp,
+                             build_fusion_model, build_single_model, check_cell, load_model,
+                             predict_clip, save_model)
 
 from oracles import count_graph_nodes
 
@@ -188,6 +189,25 @@ class TestBuildErrors:
         with pytest.raises(ConfigError, match="mlp_baseline_standin"):
             build_fusion_model(build_baseline_mlp("binary", seed=0),
                                build_baseline_mlp("binary", seed=1))
+
+    def test_check_cell_refuses_an_mlp_pair(self):
+        pair = (FeatureKind.MFCC_DELTA_DELTA, FeatureKind.MFCC_DELTA_DELTA)
+        with pytest.raises(ConfigError, match="mlp_baseline_standin"):
+            check_cell("mlp_baseline_standin", pair)
+
+    def test_a_fusion_model_is_no_branch(self):
+        fusion = build_fusion_model(
+            build_single_model("cnn", LOW[0], "binary", seed=0, width_scale=8),
+            build_single_model("cnn", LOW[1], "binary", seed=1, width_scale=8))
+        with pytest.raises(ConfigError, match="single-feature"):
+            build_fusion_model(fusion, fusion)
+
+
+@pytest.mark.parametrize("arch", [a.value for a in Arch])
+def test_one_class_builds_every_arch(arch):
+    kind = FeatureKind.MFCC_DELTA_DELTA if arch == "mlp_baseline_standin" else LOW[0]
+    model = build_single_model(arch, kind, "binary", width_scale=8)
+    assert type(model) is SingleFeatureModel and model.arch is Arch(arch)
 
 
 class TestRegressionHead:
@@ -442,7 +462,46 @@ class TestPersistence:
                       build_baseline_mlp("binary", seed=0, width_scale=4)):
             lines = save_model(model, tmp_path, "m").read_text().splitlines()
             assert {line.partition("=")[0].strip() for line in lines} == {
-                "arch", "features", "head", "seed", "dtype", "width_scale", "checkpoint"}
+                "arch", "features", "head", "dtype", "width_scale", "checkpoint"}
+
+    def test_old_seed_line_is_ignored(self, tmp_path):
+        # older descriptors record a seed; a negative one loads like any other
+        m = build_single_model("cnn", FeatureKind.TMFCC, "four_class", seed=3, width_scale=4)
+        descriptor = save_model(m, tmp_path, "m")
+        with descriptor.open("a") as fh:
+            fh.write("seed = -1\n")
+        back = load_model(descriptor).state_dict()
+        state = m.state_dict()
+        assert set(back) == set(state)
+        assert all(np.array_equal(back[k], v) for k, v in state.items())
+
+    # another valid value for each key save_model writes
+    OTHER_VALUES = {"arch": "gru", "features": "mel_spectrogram", "head": "regression",
+                    "dtype": "float32", "width_scale": "2", "checkpoint": "other.ckpt"}
+
+    def test_every_descriptor_key_changes_the_model(self, tmp_path):
+        # a descriptor key whose value the loaded model does not reflect is
+        # a key load_model does not need
+        def identity(model):
+            return (model.arch, model.kinds, model.head.kind, model.dtype, model.width_scale,
+                    {k: v.tobytes() for k, v in model.state_dict().items()})
+
+        m = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=3, width_scale=4)
+        neural.save_checkpoint(
+            build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=4,
+                               width_scale=4).state_dict(), tmp_path / "other.ckpt")
+        lines = save_model(m, tmp_path, "m").read_text().splitlines()
+        for i, line in enumerate(lines):
+            key = line.partition("=")[0].strip()
+            assert key in self.OTHER_VALUES, f"no other value for descriptor key {key!r}"
+            changed = tmp_path / f"{key}.descriptor"
+            changed.write_text("\n".join([*lines[:i], f"{key} = {self.OTHER_VALUES[key]}",
+                                          *lines[i + 1:]]) + "\n")
+            try:
+                restored = load_model(changed)
+            except ShoutKitError:
+                continue
+            assert identity(restored) != identity(m), f"descriptor key {key!r} changes nothing"
 
     def test_old_variant_and_dims_lines_are_ignored(self, tmp_path):
         m = build_single_model("cnn", HIGH[1], "regression", seed=3, width_scale=4)
