@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, FormatError, UnsupportedError
+from .errors import DegenerateInputError, FormatError, NumericError, UnsupportedError
 
 # Sentinel SNR for the clean (no noise) condition.
 CLEAN = math.inf
@@ -175,7 +175,9 @@ def mix_noise_at_snr(speech: AudioClip, spec: NoiseSpec) -> AudioClip:
     g = (rms(speech) / rms(segment)) * 10**(-snr_db / 20).
     The clean sentinel returns the speech clip unchanged. If the mixture
     exceeds the [-1, 1] range it is rescaled by a single common gain, which
-    leaves the achieved SNR untouched.
+    leaves the achieved SNR untouched. A gain that overflows to infinity
+    (noise far quieter than the speech at a very low SNR) is refused with a
+    NumericError.
     """
     if spec.snr_db == CLEAN:
         return speech
@@ -196,6 +198,9 @@ def mix_noise_at_snr(speech: AudioClip, spec: NoiseSpec) -> AudioClip:
     if seg_rms == 0.0:
         raise DegenerateInputError("noise segment has zero RMS")
     g = (rms(speech.samples) / seg_rms) * 10.0 ** (-spec.snr_db / 20.0)
+    if not math.isfinite(g):
+        raise NumericError(f"noise gain overflows at {spec.snr_db:g} dB: speech RMS "
+                           f"{rms(speech.samples):.3g}, noise segment RMS {seg_rms:.3g}")
     mixed = speech.samples + g * segment
     peak = float(np.max(np.abs(mixed)))
     if peak > 1.0:

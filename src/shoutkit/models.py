@@ -24,10 +24,10 @@ equals pool(relu(x)) in value and routes gradients the same way (a window
 whose max is <= 0 gets none either way), while ReLU runs on the pooled
 array, a pool kernel times smaller.
 
-Each layer records one graph node (``neural.conv_stage`` per conv stage,
-``neural.linear`` per dense layer, one ``gru_sequence`` per GRU direction and
-one for the BiGRU's final state), so a cnn loss graph holds 9 nodes, a gru
-graph 8 and a cnn fusion graph 18.
+Each layer records one graph node (``neural.conv_stack`` for the three conv
+stages, ``neural.linear`` per dense layer, one ``gru_sequence`` per GRU
+direction and one for the BiGRU's final state), so a cnn loss graph holds 7
+nodes, a cnn_gru graph 11, a gru graph 8 and a cnn fusion graph 14.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .features import BLOCK_FRAMES, FeatureKind, parse_feature_kind
-from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor, conv_stage,
+from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor, conv_stack,
                      load_checkpoint, no_grad, save_checkpoint)
 from .neural import tensor as T
 from .textio import read_text, write_text
@@ -290,12 +290,15 @@ class SingleFeatureModel(NetworkGraph):
         self.head = TaskHead(head_kind, self.embedding_dim, rng, self.dtype)
 
     def _conv_stack(self, t: Tensor, ledger: dict) -> Tensor:
-        ledger["input_height"] = t.data.shape[2]
+        height = ledger["input_height"] = t.data.shape[2]
         heights = []
         for conv, pool in zip(self.convs, self.pools):
-            t = conv_stage(t, conv.weight, conv.bias, conv.padding, pool.kernel)
-            heights.append(t.data.shape[2])
+            kernel = conv.weight.data.shape[2]
+            height = (height + 2 * conv.padding - kernel + 1) // pool.kernel
+            heights.append(height)
         ledger["pooled_heights"] = heights
+        t = conv_stack(t, [(conv.weight, conv.bias, conv.padding, pool.kernel)
+                           for conv, pool in zip(self.convs, self.pools)])
         ledger["conv_output"] = list(t.data.shape[1:])
         return t
 

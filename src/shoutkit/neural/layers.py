@@ -2,22 +2,27 @@
 
 Each layer records one graph node with a hand-written backward pass (checked
 against finite differences in the test suite): ``tensor.linear`` is a dense
-layer, ``conv_stage`` a conv stage (convolution, max-pooling, ReLU), and
-``gru_sequence`` one GRU direction over a whole sequence; the BiGRU's final
-state is one more node. Each node's values and gradients are bit-identical to
-the chain of single ops it replaces. ``conv2d`` and ``maxpool2d`` stay as
-nodes of their own over the same forward and backward cores. Every layer
+layer, ``conv_stack`` a whole stack of conv stages (convolution,
+max-pooling, ReLU), and ``gru_sequence`` one GRU direction over a whole
+sequence; the BiGRU's final state is one more node. ``conv2d`` and
+``maxpool2d`` stay as nodes of their own over the same cores. Every layer
 takes batched input only.
 
-Convolution builds its im2col columns a few samples at a time into one
-chunk-sized buffer, so each GEMM reads columns that are still in cache. A
-recorded convolution keeps no full-batch column buffer: when the batch fits
-in one chunk the weight gradient reuses the columns the forward built,
-otherwise the backward rebuilds them chunk by chunk. The input gradient is
-the transposed correlation (the output gradient, padded, against the
-flipped kernel with in/out channels swapped) through the same chunked
-helper, so there is no col2im scatter. Max-pooling finds each window's
-first maximum in one pass over the window rows.
+The conv and pooling cores work on (C, H, W, N) arrays, batch innermost.
+``conv_stack`` moves its (N, C, H, W) input into that layout once, runs every
+stage there, and views its output back, so no transpose runs between
+stages. Convolution builds its im2col columns a few output rows at a time
+into one chunk-sized buffer, so each GEMM reads columns that are still in
+cache, and it writes each chunk's product straight into its rows of the
+output. Each tap copies runs of Wo*N elements (640 at width 20, batch 32),
+and the zero padding is never built: a tap copies only the part of the
+input it reads. A recorded convolution keeps no full-batch column buffer:
+when the output fits in one chunk the weight gradient reuses the columns
+the forward built, otherwise the backward rebuilds them chunk by chunk. The
+input gradient is the transposed correlation (the output gradient against
+the flipped kernel with in/out channels swapped, padded by K - 1 - padding)
+through the same chunked helper, so there is no col2im scatter. Max-pooling
+finds each window's first maximum in one pass over the window rows.
 """
 
 from __future__ import annotations
@@ -80,84 +85,117 @@ class Conv2d:
         return {"weight": self.weight, "bias": self.bias}
 
 
+def _to_chwn(a: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) as a C-contiguous (C, H, W, N) array."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
     """Stride-1 convolution of (N, C, H, W) with (O, C, K, K) + per-channel bias.
 
-    The forward is chunked im2col + GEMM (see ``_correlate``). When the whole
-    batch fits in one chunk, the backward takes ``d_weight`` as one GEMM over
-    the columns the forward already built; otherwise it rebuilds each chunk's
-    columns into one chunk-sized buffer and accumulates that chunk's share of
-    ``d_weight`` while they are in cache, so a recorded forward keeps no
-    full-batch column buffer. ``d_x`` is a transposed correlation through the
-    same helper: ``g`` zero-padded by ``K - 1 - padding``, the kernel flipped
-    and its in/out channels swapped. ``d_x`` is skipped when ``x`` does not
-    need a gradient.
+    A node over the (C, H, W, N) cores that ``conv_stack`` runs: it copies
+    ``x`` into that layout, and its output is the (O, H, W, N) result viewed
+    as (N, O, H, W). The backward copies ``g`` into the same layout.
+    ``d_x`` is skipped when ``x`` does not need a gradient.
     """
-    out, backward = _conv(x, weight, bias, padding)
-    return Tensor._make(out, (x, weight, bias), backward)
+    source = _to_chwn(x.data)
+    out, cols = _conv_forward(source, weight.data, bias.data, padding)
+
+    def backward(g):
+        d_x, d_weight, d_bias = _conv_backward(_to_chwn(g), source, cols, weight.data,
+                                               padding, x.requires_grad)
+        return (None if d_x is None else d_x.transpose(3, 0, 1, 2)), d_weight, d_bias
+
+    return Tensor._make(out.transpose(3, 0, 1, 2), (x, weight, bias), backward)
 
 
-def _conv(x: Tensor, weight: Tensor, bias: Tensor, padding: int):
-    """The forward of ``conv2d``: its output, and its backward as a function
-    ``g -> (d_x, d_weight, d_bias)``."""
-    n, c, h, w = x.data.shape
-    out_ch, in_ch, kh, kw = weight.data.shape
+def conv_stack(x: Tensor, stages) -> Tensor:
+    """A conv/pool stack as one node: for each ``(weight, bias, padding,
+    pool_kernel)`` in ``stages``, in order, ``relu(maxpool2d(conv2d(x, weight,
+    bias, padding), pool_kernel))``.
+
+    It takes and returns (N, C, H, W), and runs every stage in (C, H, W, N):
+    the only transposes are of its input and output. The forward equals the
+    chain of ``conv2d``, ``maxpool2d`` and ``relu`` nodes bit for bit; the
+    ReLU mask is ``out > 0`` on each stage's own output. A recorded forward
+    keeps each stage's conv output, and the backward writes the pool
+    gradient into it, since nothing reads it after pooling (into a new array
+    when the gradient's dtype differs). ``d_x`` is skipped when ``x`` does
+    not need a gradient.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError(f"conv_stack expects (N, C, H, W), got {x.data.shape}")
+    parents = (x, *(p for weight, bias, _, _ in stages for p in (weight, bias)))
+    keep = T.records(*parents)
+    a = _to_chwn(x.data)
+    saved = []
+    for weight, bias, padding, kernel in stages:
+        conv_out, cols = _conv_forward(a, weight.data, bias.data, padding)
+        out, best = _pool(conv_out, kernel)
+        np.maximum(out, 0.0, out=out)
+        if keep:
+            saved.append((a, conv_out, cols, best, out))
+        a = out
+
+    def backward(g):
+        g = g.transpose(1, 2, 3, 0)
+        grads = []
+        for s in reversed(range(len(stages))):
+            weight, _, padding, kernel = stages[s]
+            source, conv_out, cols, best, out = saved[s]
+            g = np.multiply(g, out > 0.0, order="C")
+            d_conv = conv_out if conv_out.dtype == g.dtype else np.empty(conv_out.shape, g.dtype)
+            _unpool(g, best, kernel, d_conv)
+            g, d_weight, d_bias = _conv_backward(d_conv, source, cols, weight.data, padding,
+                                                 s > 0 or x.requires_grad)
+            grads[:0] = [d_weight, d_bias]
+        return (None if g is None else g.transpose(3, 0, 1, 2)), *grads
+
+    return Tensor._make(a.transpose(3, 0, 1, 2), parents, backward)
+
+
+def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int):
+    """Convolution of a (C, H, W, N) array: the (O, Ho, Wo, N) output, and
+    the im2col columns of the whole input when they fit in one chunk (else
+    None: the backward rebuilds them chunk by chunk)."""
+    out_ch, in_ch, kh, kw = weight.shape
+    c, h, w, _ = x.shape
     if in_ch != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {in_ch}")
     if h + 2 * padding - kh + 1 < 1 or w + 2 * padding - kw + 1 < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w}")
-
-    pad_spec = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pad_spec)
-    out, cols = _correlate(xp, weight.data.reshape(out_ch, -1), kh, kw)
-    out += bias.data[None, :, None, None]
-    length = out.shape[2] * out.shape[3]
-    if cols is not None and cols.shape[1] < n * length:
-        cols = None  # the batch spans several chunks: the backward rebuilds them
-
-    def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(out_ch, -1)
-        if cols is not None:
-            d_weight = g2 @ cols.T
-        else:
-            # block @ g_chunk.T ran 1.2-2x faster than g_chunk @ block.T in
-            # OpenBLAS at the paper's layer shapes
-            d_weight_t = np.zeros((c * kh * kw, out_ch), dtype=np.result_type(g2, xp))
-            for start, stop, block in _im2col_chunks(xp, kh, kw):
-                d_weight_t += block @ g2[:, start * length : stop * length].T
-            d_weight = d_weight_t.T
-        d_weight = d_weight.reshape(weight.data.shape)
-        d_bias = g.sum(axis=(0, 2, 3))
-        if not x.requires_grad:
-            return None, d_weight, d_bias
-        # padding g by K - 1 and cropping ``padding`` off each side is the
-        # K - 1 - padding pad, and stays valid when padding > K - 1
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        gp = gp[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
-        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        d_x, _ = _correlate(gp, flipped, kh, kw)
-        return d_x, d_weight, d_bias
-
-    return out, backward
+    return _correlate(x, weight.reshape(out_ch, -1), kh, kw, padding, bias)
 
 
-def conv_stage(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
-               pool_kernel: int) -> Tensor:
-    """``relu(maxpool2d(conv2d(x, weight, bias, padding), pool_kernel))`` as one
-    node, bit-identical to those three: it runs their cores, and its ReLU mask
-    is ``out > 0`` on its own output. The backward writes the pool gradient into
-    the conv output buffer, which nothing reads after pooling (into a new array
-    when the gradient's dtype differs)."""
-    conv_out, conv_backward = _conv(x, weight, bias, padding)
-    out, pool_backward = _pool(conv_out, pool_kernel)
-    np.maximum(out, 0.0, out=out)
+def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, want_x: bool):
+    """``(d_x, d_weight, d_bias)`` of a convolution for the (O, Ho, Wo, N)
+    output gradient ``g``, a C-contiguous array.
 
-    def backward(g):
-        g = g * (out > 0.0)
-        d_conv = conv_out if conv_out.dtype == g.dtype else np.empty(conv_out.shape, g.dtype)
-        return conv_backward(pool_backward(g, d_conv))
-
-    return Tensor._make(out, (x, weight, bias), backward)
+    ``d_weight`` is ``g.reshape(O, -1) @ cols.T``: one GEMM over the columns
+    the forward kept, or, for ``cols`` None, the same sum over each chunk of
+    columns rebuilt from the input ``x``. ``d_x`` (None unless ``want_x``)
+    is the transposed correlation: ``g`` against the flipped kernel with its
+    in/out channels swapped, padded by ``K - 1 - padding``.
+    """
+    out_ch, in_ch, kh, kw = weight.shape
+    g2 = g.reshape(out_ch, -1)
+    if cols is not None:
+        d_weight = g2 @ cols.T
+    else:
+        # block @ g_chunk.T ran 1.5-2x faster than g_chunk @ block.T in
+        # OpenBLAS at the paper's layer shapes
+        d_weight_t = np.zeros((in_ch * kh * kw, out_ch), dtype=np.result_type(g, x))
+        step = g[0, 0].size  # columns per output row
+        for y0, y1, block in _im2col_rows(x, kh, kw, padding):
+            d_weight_t += block @ g2[:, y0 * step : y1 * step].T
+        d_weight = d_weight_t.T
+    d_weight = d_weight.reshape(weight.shape)
+    d_bias = g.sum(axis=(1, 2, 3))
+    d_x = None
+    if want_x:
+        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_ch, -1)
+        d_x, _ = _correlate(g, flipped, kh, kw, kh - 1 - padding)
+    return d_x, d_weight, d_bias
 
 
 # Elements of one chunk of im2col columns: small enough that the GEMM reads
@@ -165,44 +203,61 @@ def conv_stage(x: Tensor, weight: Tensor, bias: Tensor, padding: int,
 _CHUNK_ELEMENTS = 1 << 20
 
 
-def _im2col_chunks(xp: np.ndarray, kh: int, kw: int):
-    """Yield ``(start, stop, cols)``: the (C*kh*kw, b*Ho*Wo) im2col columns of
-    samples ``start:stop`` of the padded input ``xp``, ``b`` samples at a time.
+def _im2col_rows(x: np.ndarray, kh: int, kw: int, pad: int):
+    """Yield ``(y0, y1, cols)``: the (C*kh*kw, (y1-y0)*Wo*N) im2col columns of
+    output rows ``y0:y1`` of a (C, H, W, N) array zero-padded by ``pad`` on
+    both sides of H and W, columns in (y, x, n) order.
 
-    ``b`` is sized by ``_CHUNK_ELEMENTS`` (at least one sample), and every
-    chunk is written into the same buffer, so a chunk's columns are valid
-    only until the next one is built.
+    The padding is never built: each tap copies the part of ``x`` that it
+    reads, in runs of up to Wo*N elements, and the rest of the tap is zero.
+    The rows per chunk are sized by ``_CHUNK_ELEMENTS`` (at least one), and
+    every chunk is written into the same buffer, so a chunk's columns are
+    valid only until the next one is built.
     """
-    n, c, hp, wp = xp.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    chunk = max(1, _CHUNK_ELEMENTS // (c * kh * kw * ho * wo))
-    buffer = np.empty((c * kh * kw, min(n, chunk) * ho * wo), dtype=xp.dtype)
-    for start in range(0, n, chunk):
-        b = min(chunk, n - start)
-        cols = buffer[:, : b * ho * wo]
-        taps = cols.reshape(c, kh * kw, b, ho, wo)  # a view: only axes are split
-        samples = xp[start : start + b].transpose(1, 0, 2, 3)
+    c, h, w, n = x.shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    rows = max(1, _CHUNK_ELEMENTS // (c * kh * kw * wo * n))
+    # the output columns z whose source column z + j - pad lies in x; the
+    # rest of each tap's width is written nowhere below, so it stays zero
+    spans = []
+    for j in range(kw):
+        xa = min(max(0, pad - j), wo)
+        spans.append((j, xa, max(min(wo, w + pad - j), xa)))
+    buffer = np.zeros((c * kh * kw, min(ho, rows) * wo * n), dtype=x.dtype)
+    for y0 in range(0, ho, rows):
+        y1 = min(y0 + rows, ho)
+        taps = buffer[:, : (y1 - y0) * wo * n].reshape(c, kh, kw, y1 - y0, wo, n)
         for i in range(kh):
-            for j in range(kw):
-                taps[:, i * kw + j] = samples[:, :, i : i + ho, j : j + wo]
-        yield start, start + b, cols
+            # the output rows y whose source row y + i - pad lies in x
+            ya = min(max(y0, pad - i), y1)
+            yb = max(min(y1, h + pad - i), ya)
+            taps[:, i, :, : ya - y0] = 0
+            taps[:, i, :, yb - y0 :] = 0
+            rows_in = x[:, ya + i - pad : yb + i - pad]
+            for j, xa, xb in spans:
+                taps[:, i, j, ya - y0 : yb - y0, xa:xb] = rows_in[:, :, xa + j - pad : xb + j - pad]
+        yield y0, y1, buffer[:, : (y1 - y0) * wo * n]
 
 
-def _correlate(xp: np.ndarray, w2: np.ndarray, kh: int, kw: int):
-    """Valid correlation ``out[n, o, y, z] = sum w2[o, (c, i, j)] * xp[n, c, y+i, z+j]``.
+def _correlate(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, pad: int, bias=None):
+    """Correlation ``out[o, y, z, n] = sum w2[o, (c, i, j)] * xp[c, y+i, z+j, n]``
+    (+ ``bias[o]``) of ``x`` zero-padded by ``pad`` into ``xp``.
 
-    Multiplies each chunk of im2col columns (see ``_im2col_chunks``) by
-    ``w2`` while it is in cache. Returns the output and the last chunk's
-    columns, which hold every sample's when the batch fits in one chunk
-    (None for an empty batch).
+    Each chunk of im2col columns (see ``_im2col_rows``) is multiplied by
+    ``w2`` straight into its rows of the (O, Ho, Wo, N) output while it is
+    in cache. Returns the output and, when the output fits in one chunk, its
+    columns (else None).
     """
-    n, _, hp, wp = xp.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    out = np.empty((n, w2.shape[0], ho, wo), dtype=np.result_type(xp, w2))
-    cols = None
-    for start, stop, cols in _im2col_chunks(xp, kh, kw):
-        out[start:stop] = (w2 @ cols).reshape(-1, stop - start, ho, wo).transpose(1, 0, 2, 3)
-    return out, cols
+    c, h, w, n = x.shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    out = np.empty((w2.shape[0], ho, wo, n), dtype=np.result_type(x, w2))
+    flat = out.reshape(w2.shape[0], -1)
+    for y0, y1, cols in _im2col_rows(x, kh, kw, pad):
+        block = flat[:, y0 * wo * n : y1 * wo * n]
+        np.matmul(w2, cols, out=block)
+        if bias is not None:
+            block += bias[:, None]
+    return out, (cols if y0 == 0 else None)
 
 
 class MaxPool2d:
@@ -229,35 +284,43 @@ def maxpool2d(x: Tensor, kernel: int) -> Tensor:
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects (N, C, H, W), got {x.data.shape}")
-    out, backward = _pool(x.data, kernel)
-    return Tensor._make(out, (x,), lambda g: (backward(g, np.empty(x.data.shape, g.dtype)),))
+    # the cores take (C, H, W, N) views of any memory layout and keep it
+    out, best = _pool(x.data.transpose(1, 2, 3, 0), kernel)
+
+    def backward(g):
+        d_x = np.empty_like(x.data, dtype=g.dtype)
+        _unpool(g.transpose(1, 2, 3, 0), best, kernel, d_x.transpose(1, 2, 3, 0))
+        return (d_x,)
+
+    return Tensor._make(out.transpose(3, 0, 1, 2), (x,), backward)
 
 
 def _pool(y: np.ndarray, kernel: int):
-    """The forward of ``maxpool2d`` on an array: its output, and its backward
-    as a function ``(g, d_y) -> d_y`` that writes the input gradient into
-    ``d_y``, a C-contiguous array of ``y``'s shape."""
-    n, c, h, w = y.shape
+    """The max-pooling forward of a (C, H, W, N) array along H: the output
+    and each window's first-maximum row, both in ``y``'s memory order."""
+    c, h, w, n = y.shape
     if h < kernel:
         raise ShapeError(f"pool kernel {kernel} exceeds input height {h}")
     ho = h // kernel
-    rows = y[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
-    out = rows[:, :, :, 0].copy()
-    best = np.zeros(out.shape, dtype=np.min_scalar_type(kernel - 1))
+    rows = y[:, : ho * kernel].reshape(c, ho, kernel, w, n)
+    out = rows[:, :, 0].copy(order="K")
+    best = np.zeros_like(out, dtype=np.min_scalar_type(kernel - 1))
     for r in range(1, kernel):
-        greater = rows[:, :, :, r] > out
-        np.maximum(out, rows[:, :, :, r], out=out)
+        greater = rows[:, :, r] > out
+        np.maximum(out, rows[:, :, r], out=out)
         # rows come in ascending order, so r exceeds every index set so far
         np.maximum(best, np.multiply(greater, r, dtype=best.dtype), out=best)
+    return out, best
 
-    def backward(g, d_y):
-        d_rows = d_y[:, :, : ho * kernel].reshape(n, c, ho, kernel, w)
-        for r in range(kernel):
-            np.multiply(g, best == r, out=d_rows[:, :, :, r])
-        d_y[:, :, ho * kernel :] = 0  # the rows that pooling dropped
-        return d_y
 
-    return out, backward
+def _unpool(g: np.ndarray, best: np.ndarray, kernel: int, d_y: np.ndarray):
+    """The max-pooling backward: writes the input gradient for the output
+    gradient ``g`` into ``d_y``, an array of the pooled input's shape."""
+    c, ho, w, n = best.shape
+    d_rows = d_y[:, : ho * kernel].reshape(c, ho, kernel, w, n)
+    for r in range(kernel):
+        np.multiply(g, best == r, out=d_rows[:, :, r])
+    d_y[:, ho * kernel :] = 0  # the rows that pooling dropped
 
 
 def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,

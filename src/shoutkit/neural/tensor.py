@@ -8,7 +8,7 @@ is recorded, so inference costs no graph memory.
 
 Ops are called by name (``add``, ``mul``, ``linear``, ...); a Tensor has no
 arithmetic operators. A layer is one op: ``linear`` is a whole dense layer,
-and ``layers`` adds one node per conv stage and per GRU direction.
+and ``layers`` adds one node per conv stack and per GRU direction.
 Everything is float32 or float64; the dtype of an operation follows numpy's
 promotion of its inputs. A Python scalar passed to ``add`` or ``mul`` is a
 constant in the other operand's dtype.

@@ -1,0 +1,193 @@
+"""A fingerprint of the numbers shoutkit computes, and a compare of two.
+
+    python tests/fingerprint.py OUT.json
+    python tests/fingerprint.py --compare A.json B.json
+
+The first form writes one entry per group: the sha256 of the group's bytes
+and what the compare needs to say how far two runs moved: a numeric group
+keeps its arrays (dtype, shape and base64 bytes), a file keeps the numbers
+written in it. The second form lists the groups whose digests differ, each
+with its largest relative difference, and exits 1 if any group differs. An
+array's difference is max |a - b| over max |b|; a file's is the largest
+|a - b| / |b| of any one number in it.
+
+Groups:
+  build.<arch>.<kind>.<dtype>.weights|forward|grads
+      every cnn, gru and cnn_gru build (width_scale 8) at spectrogram and
+      mel_spectrogram, in float32 and float64: its initial weights, the
+      output and MSE loss of a fixed batch of 4 blocks, and the gradients
+      of one backward of that loss
+  train.losses, train.state
+      a 3-epoch float32 cnn/spectrogram training run (width_scale 4): its
+      per-epoch losses and final state dict
+  suite.<file>
+      the three files of a 2-fold cnn/mel_spectrogram suite
+
+It runs in a few seconds. No golden digests are kept: BLAS and FFT results
+may differ between machines, so compare two runs made on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import base64
+import hashlib
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from shoutkit.audio_io import CLEAN  # noqa: E402
+from shoutkit.experiments import ExperimentConfig, run_suite  # noqa: E402
+from shoutkit.experiments.synthetic import make_classification_corpus  # noqa: E402
+from shoutkit.experiments.training import ClipExample, TrainSettings, train_model  # noqa: E402
+from shoutkit.features import FeatureKind  # noqa: E402
+from shoutkit.models import build_single_model  # noqa: E402
+from shoutkit.neural import mse_loss  # noqa: E402
+
+
+def numeric_group(arrays: dict) -> dict:
+    """A group of named arrays: their joint sha256 and the arrays themselves."""
+    digest = hashlib.sha256()
+    stored = {}
+    for name in sorted(arrays):
+        a = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name}|{a.dtype.str}|{a.shape}|".encode())
+        digest.update(a.tobytes())
+        stored[name] = {"dtype": a.dtype.str, "shape": list(a.shape),
+                        "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    return {"sha256": digest.hexdigest(), "arrays": stored}
+
+
+# a number as JSON and CSV write it
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def file_group(path: Path) -> dict:
+    """A written file: the sha256 of its bytes and every number in it, in order."""
+    data = path.read_bytes()
+    numbers = [float(v) for v in _NUMBER.findall(data.decode("utf-8"))]
+    return {"sha256": hashlib.sha256(data).hexdigest(), "numbers": numbers}
+
+
+def build_groups() -> dict:
+    groups = {}
+    for arch in ("cnn", "gru", "cnn_gru"):
+        for kind in (FeatureKind.SPECTROGRAM, FeatureKind.MEL_SPECTROGRAM):
+            for dtype in (np.float32, np.float64):
+                prefix = f"build.{arch}.{kind.value}.{np.dtype(dtype).name}"
+                model = build_single_model(arch, kind, "binary", seed=11, dtype=dtype,
+                                           width_scale=8)
+                rng = np.random.default_rng(12)
+                x = rng.standard_normal((4, kind.dim, 20)).astype(dtype)
+                y = np.array([[1.0], [0.0], [1.0], [0.0]], dtype=dtype)
+                groups[f"{prefix}.weights"] = numeric_group(model.state_dict())
+                model.zero_grad()
+                out = model.forward(x)
+                loss = mse_loss(out, y)
+                loss.backward()
+                groups[f"{prefix}.forward"] = numeric_group({"output": out.data,
+                                                             "loss": loss.data})
+                groups[f"{prefix}.grads"] = numeric_group(
+                    {name: p.grad for name, p in model.parameters().items()})
+    return groups
+
+
+def training_groups() -> dict:
+    kind = FeatureKind.SPECTROGRAM
+    model = build_single_model("cnn", kind, "binary", seed=13, dtype=np.float32,
+                               width_scale=4)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((24, kind.dim, 20)).astype(np.float32)
+    y = np.arange(24) % 2
+    log = train_model(model, None, TrainSettings(epochs=3, batch_size=8, learning_rate=1e-3,
+                                                 shuffle_seed=15),
+                      train_x={kind: x}, train_y=y)
+    losses = np.array([epoch["train_loss"] for epoch in log.epochs])
+    return {"train.losses": numeric_group({"train_loss": losses}),
+            "train.state": numeric_group(model.state_dict())}
+
+
+def suite_groups() -> dict:
+    synth = make_classification_corpus(n_clips=40, n_speakers=4, seed=1)
+    examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id, clip=s.clip,
+                            label=s.class_index) for s in synth]
+    cfg = ExperimentConfig(task="binary", archs=("cnn",), features=("mel_spectrogram",),
+                           snrs_db=(CLEAN, 0.0), epochs=2, batch_size=20,
+                           learning_rate=1e-3, dtype="float32", n_folds=2, seed=3,
+                           noise="pink:5:2.0")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_suite(cfg, tmp, examples=examples)
+        return {f"suite.{path.name}": file_group(path) for path in sorted(Path(tmp).iterdir())}
+
+
+def fingerprint() -> dict:
+    return {**build_groups(), **training_groups(), **suite_groups()}
+
+
+def _arrays(group: dict) -> dict:
+    return {name: np.frombuffer(base64.b64decode(a["data"]), a["dtype"]).reshape(a["shape"])
+            for name, a in group["arrays"].items()}
+
+
+def largest_difference(a: dict, b: dict) -> str:
+    """How far group ``a`` moved from group ``b``, as text."""
+    if "numbers" in a:
+        x, ref = np.array(a["numbers"]), np.array(b["numbers"])
+        if x.shape != ref.shape:
+            return f"{len(x)} numbers against {len(ref)}"
+        moved = x != ref
+        if not moved.any():
+            return "the same numbers, other text"
+        worst = np.max(np.abs(x - ref)[moved] / np.maximum(np.abs(ref[moved]), 1e-300))
+        return f"largest relative difference {worst:.3g} ({moved.sum()} numbers moved)"
+    arrays_a, arrays_b = _arrays(a), _arrays(b)
+    if arrays_a.keys() != arrays_b.keys():
+        return "array names differ"
+    worst = 0.0
+    for name, x in arrays_a.items():
+        ref = arrays_b[name]
+        if x.shape != ref.shape or x.dtype != ref.dtype:
+            return f"{name}: {x.dtype}{list(x.shape)} against {ref.dtype}{list(ref.shape)}"
+        diff = np.max(np.abs(x.astype(np.float64) - ref), initial=0.0)
+        scale = np.max(np.abs(ref.astype(np.float64)), initial=0.0)
+        worst = max(worst, diff / scale if scale > 0 else np.inf if diff > 0 else 0.0)
+    return f"largest relative difference {worst:.3g}"
+
+
+def compare(path_a, path_b) -> int:
+    a = json.loads(Path(path_a).read_text())
+    b = json.loads(Path(path_b).read_text())
+    differ = 0
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            print(f"{name}: only in {path_a if name in a else path_b}")
+            differ += 1
+        elif a[name]["sha256"] != b[name]["sha256"]:
+            print(f"{name}: {largest_difference(a[name], b[name])}")
+            differ += 1
+    print(f"{differ} of {len(a.keys() | b.keys())} groups differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="write the fingerprint to this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="list the groups of A that differ from B")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        parser.error("give OUT.json or --compare A B")
+    Path(args.out).write_text(json.dumps(fingerprint(), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -54,12 +54,13 @@ def naive_conv2d(x, weight, bias, padding):
 
 def full_batch_conv_weight_grad(x, g, kernel, padding):
     """Conv ``d_weight`` as one GEMM, ``g2 @ cols.T``, over the whole batch's
-    im2col columns, built from a sliding-window view of the padded input."""
+    im2col columns, built from a sliding-window view of the padded input.
+    ``x`` and ``g`` are (N, C, H, W); the columns run over (y, z, n)."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    # (N, C, Ho, Wo, K, K) -> rows (c, i, j), columns (n, y, z)
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(x.shape[1] * kernel * kernel, -1)
-    g2 = g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
+    # (N, C, Ho, Wo, K, K) -> rows (c, i, j), columns (y, z, n)
+    cols = windows.transpose(1, 4, 5, 2, 3, 0).reshape(x.shape[1] * kernel * kernel, -1)
+    g2 = g.transpose(1, 2, 3, 0).reshape(g.shape[1], -1)
     return (g2 @ cols.T).reshape(g.shape[1], x.shape[1], kernel, kernel)
 
 

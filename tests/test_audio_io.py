@@ -1,6 +1,7 @@
 """audio_io: WAV round trips, resampling, normalization, noise mixing."""
 
 import struct
+import warnings
 import wave
 
 import numpy as np
@@ -10,7 +11,7 @@ from shoutkit import audio_io
 from shoutkit.audio_io import (CLEAN, SWEEP_SNRS_DB, AudioClip, NoiseSpec,
                                load_wav, mix_noise_at_snr, peak_normalize,
                                pink_noise, resample_to_16k, rms, write_wav)
-from shoutkit.errors import DegenerateInputError, FormatError, UnsupportedError
+from shoutkit.errors import DegenerateInputError, FormatError, NumericError, UnsupportedError
 
 from oracles import naive_dft
 
@@ -182,6 +183,22 @@ class TestMixNoise:
         silent = AudioClip(np.zeros(4000), 16000, "z")
         with pytest.raises(DegenerateInputError):
             mix_noise_at_snr(speech, NoiseSpec(snr_db=0.0, noise=silent, seed=0))
+
+    def test_overflowing_gain_rejected(self):
+        # 0.1-RMS speech over 1e-12-RMS noise at -6000 dB: the gain is
+        # 1e11 * 1e300, above the float64 range
+        rng = np.random.default_rng(5)
+        speech = AudioClip(0.1 * rng.choice([-1.0, 1.0], 4000), 16000, "s")
+        noise = AudioClip(1e-12 * rng.choice([-1.0, 1.0], 4000), 16000, "n")
+        assert rms(speech.samples) == pytest.approx(0.1)
+        assert rms(noise.samples) == pytest.approx(1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflows at -6000 dB"):
+                mix_noise_at_snr(speech, NoiseSpec(snr_db=-6000.0, noise=noise, seed=0))
+        # the same pair mixes at -300 dB
+        mixed = mix_noise_at_snr(speech, NoiseSpec(snr_db=-300.0, noise=noise, seed=0))
+        assert np.all(np.isfinite(mixed.samples))
 
     def test_rate_mismatch_rejected(self):
         speech, noise = self.make_pair()

@@ -86,6 +86,23 @@ def test_mix_subcommand(corpus_dir, tmp_path):
     assert main(["mix", str(wav), str(clean), "--snr", "clean"]) == 0
 
 
+def test_mix_refuses_an_overflowing_gain_in_one_line(corpus_dir, tmp_path, capsys,
+                                                     monkeypatch):
+    # a 16-bit WAV cannot hold noise quiet enough to overflow the gain, so the
+    # noise file reads as 1e-12-RMS noise here
+    wav = next((corpus_dir / "wav").glob("*.wav"))
+    quiet = AudioClip(1e-12 * np.resize([1.0, -1.0], 40000), SAMPLE_RATE, "quiet")
+    monkeypatch.setattr("shoutkit.cli.audio_io.load_wav",
+                        lambda path: quiet if Path(path).name == "noise.wav" else load_wav(path))
+    out = tmp_path / "mixed.wav"
+    code = main(["mix", str(wav), str(out), "--noise", str(corpus_dir / "noise.wav"),
+                 "--snr", "-6000"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numeric failure: noise gain overflows") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_folds_subcommand(corpus_dir, capsys):
     code = main(["folds", str(corpus_dir / "manifest.csv"), "--seed", "1",
                  "--n-folds", "2"])

@@ -537,10 +537,10 @@ def test_four_class_rows_sum_to_one():
 
 
 @pytest.mark.parametrize("arch,nodes", [
-    ("cnn", 9), ("gru", 8), ("cnn_gru", 13), ("mlp_baseline_standin", 7), ("cnn_fusion", 18)])
+    ("cnn", 7), ("gru", 8), ("cnn_gru", 11), ("mlp_baseline_standin", 7), ("cnn_fusion", 14)])
 def test_loss_graph_is_one_node_per_layer(arch, nodes):
-    # a conv stage, a dense layer, a GRU direction and the BiGRU's final state
-    # each record one node; so do the input reshapes, the head and the loss
+    # the conv stack, a dense layer, a GRU direction and the BiGRU's final
+    # state each record one node; so do the reshapes, the head and the loss
     single = lambda a, kind, seed: build_single_model(a, kind, "binary", seed=seed,
                                                       dtype=np.float32, width_scale=8)
     if arch == "cnn_fusion":

@@ -130,16 +130,16 @@ class TestOneNodeLayers:
     @pytest.mark.parametrize("requires_grad", [True, False], ids=["x-grad", "x-data"])
     @pytest.mark.parametrize("n,channels,height,kernel", [(8, 1, 512, 5), (3, 16, 11, 2)],
                              ids=["h512-k5-chunks", "h11-k2-one-chunk"])
-    def test_conv_stage_is_the_conv_pool_relu_chain(self, dtype, g_dtype, requires_grad,
-                                                    n, channels, height, kernel):
-        assert (n > samples_per_chunk(channels, height)) == (height == 512)
+    def test_one_stage_stack_is_the_conv_pool_relu_chain(self, dtype, g_dtype, requires_grad,
+                                                         n, channels, height, kernel):
+        assert (height > rows_per_chunk(channels, n)) == (height == 512)
         assert height % kernel  # pooling drops the trailing rows
         conv = Conv2d(channels, 4, kernel=5, padding=2, rng=rng_of(64), dtype=dtype)
         conv.bias.data = rng_of(65).standard_normal(4).astype(dtype)
         data = rng_of(66).standard_normal((n, channels, height, 20)).astype(dtype)
         g = Tensor(rng_of(67).standard_normal((n, 4, height // kernel, 20)).astype(g_dtype))
         results = []
-        for layer in (lambda x: neural.conv_stage(x, conv.weight, conv.bias, 2, kernel),
+        for layer in (lambda x: neural.conv_stack(x, [(conv.weight, conv.bias, 2, kernel)]),
                       lambda x: T.relu(neural.maxpool2d(conv(x), kernel))):
             x = Tensor(data, requires_grad=requires_grad)
             conv.weight.grad = conv.bias.grad = None
@@ -151,13 +151,13 @@ class TestOneNodeLayers:
         for mine, theirs in zip(stage, chain):
             assert theirs is None or self.same(mine, theirs)
 
-    def test_conv_stage_is_one_node_and_none_under_no_grad(self):
+    def test_one_stage_stack_is_one_node_and_none_under_no_grad(self):
         conv = Conv2d(1, 4, kernel=5, padding=2, rng=rng_of(68))
         x = Tensor(rng_of(69).standard_normal((2, 1, 30, 20)), requires_grad=True)
-        recorded = neural.conv_stage(x, conv.weight, conv.bias, 2, 3)
+        recorded = neural.conv_stack(x, [(conv.weight, conv.bias, 2, 3)])
         assert count_graph_nodes(recorded) == 1
         with neural.no_grad():
-            inference = neural.conv_stage(x, conv.weight, conv.bias, 2, 3)
+            inference = neural.conv_stack(x, [(conv.weight, conv.bias, 2, 3)])
         assert not inference.requires_grad and inference._backward_fn is None
         assert inference._parents == ()
         assert np.array_equal(recorded.data, inference.data)
@@ -165,13 +165,12 @@ class TestOneNodeLayers:
     @pytest.mark.parametrize("n,height,kernel", [(8, 512, 5), (3, 30, 3)],
                              ids=["h512-k5-chunks", "h30-k3-one-chunk"])
     def test_second_backward_doubles_the_stack_gradients(self, n, height, kernel):
-        # a stage's backward writes into its conv output buffer, so a second
+        # the backward writes into each stage's conv output buffer, so a second
         # walk over the same graph must find everything it reads unchanged
         convs = [Conv2d(c, 4, kernel=5, padding=2, rng=rng_of(70 + c), dtype=np.float32)
                  for c in (1, 4)]
         x = Tensor(rng_of(72).standard_normal((n, 1, height, 20)).astype(np.float32))
-        for conv in convs:
-            x = neural.conv_stage(x, conv.weight, conv.bias, 2, kernel)
+        x = neural.conv_stack(x, [(conv.weight, conv.bias, 2, kernel) for conv in convs])
         g = rng_of(73).standard_normal(x.data.shape).astype(np.float32)
         value = T.sum_all(T.mul(x, Tensor(g)))
         value.backward()
@@ -259,25 +258,37 @@ class TestConv:
         oracle = naive_conv2d(x, conv.weight.data, conv.bias.data, padding=1)
         assert np.max(np.abs(out - oracle)) <= 1e-10
 
+    def test_padding_wider_than_the_kernel(self):
+        # the input gradient then crops the output gradient instead of padding it
+        conv = Conv2d(2, 3, kernel=3, padding=3, rng=rng_of(8))
+        conv.bias.data = rng_of(9).standard_normal(3)
+        x = Tensor(rng_of(10).standard_normal((2, 2, 5, 4)), requires_grad=True)
+        oracle = naive_conv2d(x.data, conv.weight.data, conv.bias.data, padding=3)
+        assert np.max(np.abs(conv(x).data - oracle)) <= 1e-10
+        w = Tensor(rng_of(11).standard_normal(oracle.shape))
+        err = finite_difference_check(lambda: T.mean_all(T.mul(conv(x), w)),
+                                      dict(conv.parameters(), x=x), h=1e-5)
+        assert err <= 1e-4
+
     def test_channel_mismatch(self):
         conv = Conv2d(2, 4, kernel=3, padding=1, rng=rng_of(0))
         with pytest.raises(ShapeError):
             conv(Tensor(np.zeros((1, 3, 5, 5))))
 
 
-def samples_per_chunk(channels, height, width=20, kernel=5):
-    """How many samples one im2col chunk holds at this (padded 'same') shape."""
-    return layers._CHUNK_ELEMENTS // (channels * kernel * kernel * height * width)
+def rows_per_chunk(channels, n, width=20, kernel=5):
+    """How many output rows one im2col chunk holds for a batch of ``n`` at this
+    (padded 'same') width."""
+    return layers._CHUNK_ELEMENTS // (channels * kernel * kernel * width * n)
 
 
 class TestConvChunks:
     """Batches that cross the boundaries of the im2col chunks."""
 
-    @pytest.mark.parametrize("channels,height", [(1, 512), (16, 10)],
+    @pytest.mark.parametrize("channels,height,n", [(1, 512, 9), (16, 10, 27)],
                              ids=["high-dim", "low-dim"])
-    def test_matches_naive_across_chunks(self, channels, height):
-        n = 2 * samples_per_chunk(channels, height) + 1
-        assert n >= 3
+    def test_matches_naive_across_chunks(self, channels, height, n):
+        assert height > 2 * rows_per_chunk(channels, n)
         conv = Conv2d(channels, 1, kernel=5, padding=2, rng=rng_of(30))
         conv.bias.data = rng_of(31).standard_normal(1)
         x = rng_of(32).standard_normal((n, channels, height, 20))
@@ -286,7 +297,8 @@ class TestConvChunks:
         assert np.max(np.abs(out - oracle)) <= 1e-10
 
     def test_finite_differences_across_a_chunk_boundary(self):
-        n = samples_per_chunk(16, 20) + 1
+        n = 7
+        assert 20 > rows_per_chunk(16, n)
         conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(33))
         conv.bias.data = rng_of(34).standard_normal(16)
         x = Tensor(rng_of(35).standard_normal((n, 16, 20, 20)), requires_grad=True)
@@ -296,7 +308,8 @@ class TestConvChunks:
         assert err <= 1e-4
 
     def test_no_grad_gives_the_same_output(self):
-        n = 2 * samples_per_chunk(16, 20) + 1
+        n = 13
+        assert 20 > rows_per_chunk(16, n)
         conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(37))
         x = Tensor(rng_of(38).standard_normal((n, 16, 20, 20)))
         recorded = conv(x)
@@ -339,14 +352,15 @@ class TestConvColumnRebuild:
                                   "high-dim-layer1-uneven"])
     def test_rebuilt_weight_grad_matches_full_batch_gemm(self, channels, height, n,
                                                          dtype, rtol):
-        assert n > samples_per_chunk(channels, height)
+        assert height > rows_per_chunk(channels, n)
         d_weight, reference = self.weight_grad(channels, height, n, dtype)
         assert d_weight.dtype == dtype
         assert np.max(np.abs(d_weight - reference)) <= rtol * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_one_chunk_weight_grad_is_the_full_batch_gemm(self, dtype):
-        n = samples_per_chunk(16, 10)
+        n = 13  # the largest batch whose 10 output rows fit in one chunk
+        assert rows_per_chunk(16, n) >= 10 > rows_per_chunk(16, n + 1)
         d_weight, reference = self.weight_grad(16, 10, n, dtype)
         assert np.array_equal(d_weight, reference)
 
@@ -354,7 +368,6 @@ class TestConvColumnRebuild:
         conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(53), dtype=np.float32)
         x = Tensor(rng_of(54).standard_normal((32, 16, 102, 20)).astype(np.float32),
                    requires_grad=True)
-        padded_bytes = 32 * 16 * (102 + 4) * (20 + 4) * 4
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -363,9 +376,82 @@ class TestConvColumnRebuild:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        # the backward rebuilds the columns from the padded input; a full-batch
-        # column buffer would be 400 x 65 280 float32 (104 MB)
-        assert retained <= padded_bytes + layers._CHUNK_ELEMENTS * 4
+        # the backward rebuilds the columns from the node's (C, H, W, N) copy of
+        # the input; a full-batch column buffer would be 400 x 65 280 float32
+        # (104 MB)
+        assert retained <= x.data.nbytes + layers._CHUNK_ELEMENTS * 4
+
+
+class TestConvStack:
+    """The conv stack node against the chain of ``conv2d``, ``maxpool2d`` and
+    ``relu`` nodes, stage by stage, across the stack's row chunks."""
+
+    @staticmethod
+    def stages(kernel, dtype):
+        convs = [Conv2d(c, 4, kernel=5, padding=2, rng=rng_of(80 + i), dtype=dtype)
+                 for i, c in enumerate((1, 4, 4))]
+        for i, conv in enumerate(convs):
+            conv.bias.data = 0.1 * rng_of(90 + i).standard_normal(4).astype(dtype)
+        return convs, [(conv.weight, conv.bias, 2, kernel) for conv in convs]
+
+    @staticmethod
+    def chain(x, convs, kernel):
+        for conv in convs:
+            x = T.relu(neural.maxpool2d(conv(x), kernel))
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("n,height,kernel", [(1, 30, 3), (32, 30, 3), (32, 512, 5)],
+                             ids=["batch1-h30", "batch32-h30", "batch32-h512-chunks"])
+    def test_matches_the_chain(self, n, height, kernel, dtype):
+        # both run the same cores, so even the gradients agree bit for bit
+        assert (height > rows_per_chunk(1, n)) == (height == 512)
+        convs, stages = self.stages(kernel, dtype)
+        data = rng_of(95).standard_normal((n, 1, height, 20)).astype(dtype)
+        results = []
+        for layer in (lambda x: neural.conv_stack(x, stages),
+                      lambda x: self.chain(x, convs, kernel)):
+            x = Tensor(data, requires_grad=True)
+            for conv in convs:
+                conv.weight.grad = conv.bias.grad = None
+            out = layer(x)
+            g = rng_of(96).standard_normal(out.data.shape).astype(dtype)
+            T.sum_all(T.mul(out, Tensor(g))).backward()
+            results.append((out.data, x.grad,
+                            *(p.grad for conv in convs for p in conv.parameters().values())))
+        (stack_out, *stack_grads), (chain_out, *chain_grads) = results
+        assert stack_out.dtype == dtype and np.array_equal(stack_out, chain_out)
+        for mine, theirs in zip(stack_grads, chain_grads):
+            assert mine.dtype == dtype and np.array_equal(mine, theirs)
+
+    def test_finite_differences_across_row_chunks(self, monkeypatch):
+        # a small chunk makes every stage's forward, weight-gradient rebuild
+        # and input-gradient correlation span several row chunks
+        monkeypatch.setattr(layers, "_CHUNK_ELEMENTS", 2000)
+        first = Conv2d(2, 3, kernel=5, padding=2, rng=rng_of(97))
+        second = Conv2d(3, 2, kernel=3, padding=1, rng=rng_of(98))
+        for conv, seed in ((first, 99), (second, 100)):
+            conv.bias.data = rng_of(seed).standard_normal(conv.bias.data.shape)
+        x = Tensor(rng_of(101).standard_normal((3, 2, 17, 6)), requires_grad=True)
+        assert 17 > 2 * rows_per_chunk(2, 3, width=6)
+        w = Tensor(rng_of(102).standard_normal((3, 2, 4, 6)))
+        stages = [(first.weight, first.bias, 2, 2), (second.weight, second.bias, 1, 2)]
+        err = finite_difference_check(
+            lambda: T.mean_all(T.mul(neural.conv_stack(x, stages), w)),
+            {"x": x, **{f"{i}.{k}": p for i, conv in enumerate((first, second))
+                        for k, p in conv.parameters().items()}}, h=1e-5)
+        assert err <= 1e-4
+
+    def test_no_grad_gives_the_same_output_and_records_nothing(self):
+        _, stages = self.stages(5, np.float32)
+        x = Tensor(rng_of(103).standard_normal((32, 1, 512, 20)).astype(np.float32))
+        recorded = neural.conv_stack(x, stages)
+        assert count_graph_nodes(recorded) == 1
+        with neural.no_grad():
+            inference = neural.conv_stack(x, stages)
+        assert not inference.requires_grad and inference._backward_fn is None
+        assert inference._parents == ()
+        assert np.array_equal(recorded.data, inference.data)
 
 
 class TestMaxPool:
@@ -587,13 +673,13 @@ class TestGradientChecks:
             lambda: T.mean_all(T.mul(conv(x), Tensor(w))), params, h=self.H)
         assert err <= self.TOL
 
-    def test_conv_stage(self):
+    def test_one_stage_conv_stack(self):
         conv = Conv2d(2, 3, kernel=5, padding=2, rng=rng_of(16))
         conv.bias.data = rng_of(17).standard_normal(3)
         x = Tensor(rng_of(18).standard_normal((2, 2, 7, 5)), requires_grad=True)
         w = rng_of(19).standard_normal((2, 3, 3, 5))
         err = finite_difference_check(
-            lambda: T.mean_all(T.mul(neural.conv_stage(x, conv.weight, conv.bias, 2, 2),
+            lambda: T.mean_all(T.mul(neural.conv_stack(x, [(conv.weight, conv.bias, 2, 2)]),
                                      Tensor(w))),
             dict(conv.parameters(), x=x), h=self.H)
         assert err <= self.TOL
