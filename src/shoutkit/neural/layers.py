@@ -11,16 +11,18 @@ takes batched input only.
 The conv and pooling cores work on (C, H, W, N) arrays, batch innermost.
 ``conv_stack`` moves its (N, C, H, W) input into that layout once, runs every
 stage there, and views its output back, so no transpose runs between
-stages. Convolution builds its im2col columns a few output rows at a time
-into one chunk-sized buffer, so each GEMM reads columns that are still in
+stages. Convolution builds its GEMM operands a few output rows at a time
+into chunk-sized buffers, so each GEMM reads columns that are still in
 cache, and it writes each chunk's product straight into its rows of the
-output. Each tap copies runs of Wo*N elements (640 at width 20, batch 32),
-and the zero padding is never built: a tap copies only the part of the
-input it reads. A recorded convolution keeps no full-batch column buffer:
-when the output fits in one chunk the weight gradient reuses the columns
-the forward built, otherwise the backward rebuilds them chunk by chunk. The
-input gradient is the transposed correlation (the output gradient against
-the flipped kernel with in/out channels swapped, padded by K - 1 - padding)
+output. A chunk copies only the C*K width taps, in runs of Wo*N elements
+(640 at width 20, batch 32); each height tap is a row-shifted view of them,
+with one GEMM per height tap for C > 1 (see ``_columns``). The zero padding
+is never built: a tap copies only the part of the input it reads. A
+recorded convolution keeps no full-batch column buffer: when the output
+fits in one chunk the weight gradient reuses the operands the forward
+built, otherwise the backward rebuilds them chunk by chunk. The input
+gradient is the transposed correlation (the output gradient against the
+flipped kernel with in/out channels swapped, padded by K - 1 - padding)
 through the same chunked helper, so there is no col2im scatter. Max-pooling
 finds each window's first maximum in one pass over the window rows.
 """
@@ -156,108 +158,135 @@ def conv_stack(x: Tensor, stages) -> Tensor:
 
 def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int):
     """Convolution of a (C, H, W, N) array: the (O, Ho, Wo, N) output, and
-    the im2col columns of the whole input when they fit in one chunk (else
+    the GEMM operands of the whole input when they fit in one chunk (else
     None: the backward rebuilds them chunk by chunk)."""
-    out_ch, in_ch, kh, kw = weight.shape
+    _, in_ch, kh, kw = weight.shape
     c, h, w, _ = x.shape
     if in_ch != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {in_ch}")
     if h + 2 * padding - kh + 1 < 1 or w + 2 * padding - kw + 1 < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w}")
-    return _correlate(x, weight.reshape(out_ch, -1), kh, kw, padding, bias)
+    return _correlate(x, weight, padding, bias)
 
 
 def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, want_x: bool):
     """``(d_x, d_weight, d_bias)`` of a convolution for the (O, Ho, Wo, N)
     output gradient ``g``, a C-contiguous array.
 
-    ``d_weight`` is ``g.reshape(O, -1) @ cols.T``: one GEMM over the columns
-    the forward kept, or, for ``cols`` None, the same sum over each chunk of
-    columns rebuilt from the input ``x``. ``d_x`` (None unless ``want_x``)
-    is the transposed correlation: ``g`` against the flipped kernel with its
-    in/out channels swapped, padded by ``K - 1 - padding``.
+    ``d_weight`` sums ``operand @ g_chunk.T`` over the operands of each
+    chunk (see ``_columns``): those the forward kept, or, for ``cols``
+    None, those rebuilt from the input ``x``. A C > 1 stage adds its height
+    tap ``i`` into ``d_weight[:, :, i, :]``. ``d_x`` (None unless
+    ``want_x``) is the transposed correlation: ``g`` against the flipped
+    kernel with its in/out channels swapped, padded by ``K - 1 - padding``.
     """
     out_ch, in_ch, kh, kw = weight.shape
     g2 = g.reshape(out_ch, -1)
-    if cols is not None:
-        d_weight = g2 @ cols.T
-    else:
-        # block @ g_chunk.T ran 1.5-2x faster than g_chunk @ block.T in
+    step = g[0, 0].size  # columns per output row
+    # rows in (i, c, j) order: one block per height tap for C > 1, and for
+    # C = 1 one block whose (i, j) rows are the operand's
+    d_weight_t = np.zeros((kh, in_ch, kw, out_ch), dtype=np.result_type(g, x))
+    chunks = [(0, g.shape[1], cols)] if cols is not None else _columns(x, kh, kw, padding)
+    for y0, y1, operands in chunks:
+        # operand @ g_chunk.T ran 1.5-2x faster than g_chunk @ operand.T in
         # OpenBLAS at the paper's layer shapes
-        d_weight_t = np.zeros((in_ch * kh * kw, out_ch), dtype=np.result_type(g, x))
-        step = g[0, 0].size  # columns per output row
-        for y0, y1, block in _im2col_rows(x, kh, kw, padding):
-            d_weight_t += block @ g2[:, y0 * step : y1 * step].T
-        d_weight = d_weight_t.T
-    d_weight = d_weight.reshape(weight.shape)
+        g_t = g2[:, y0 * step : y1 * step].T
+        for acc, operand in zip(d_weight_t.reshape(len(operands), -1, out_ch), operands):
+            acc += operand @ g_t
+    d_weight = d_weight_t.transpose(3, 1, 0, 2)
     d_bias = g.sum(axis=(1, 2, 3))
     d_x = None
     if want_x:
-        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_ch, -1)
-        d_x, _ = _correlate(g, flipped, kh, kw, kh - 1 - padding)
+        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        d_x, _ = _correlate(g, flipped, kh - 1 - padding)
     return d_x, d_weight, d_bias
 
 
-# Elements of one chunk of im2col columns: small enough that the GEMM reads
+# Elements of one chunk of GEMM operands: small enough that the GEMMs read
 # columns still in cache, large enough to keep each GEMM efficient.
 _CHUNK_ELEMENTS = 1 << 20
 
 
-def _im2col_rows(x: np.ndarray, kh: int, kw: int, pad: int):
-    """Yield ``(y0, y1, cols)``: the (C*kh*kw, (y1-y0)*Wo*N) im2col columns of
-    output rows ``y0:y1`` of a (C, H, W, N) array zero-padded by ``pad`` on
-    both sides of H and W, columns in (y, x, n) order.
+def _columns(x: np.ndarray, kh: int, kw: int, pad: int):
+    """Yield ``(y0, y1, operands)``: the GEMM operands of output rows
+    ``y0:y1`` of a (C, H, W, N) array zero-padded by ``pad`` on both sides
+    of H and W, each with its columns in (y, x, n) order.
 
-    The padding is never built: each tap copies the part of ``x`` that it
-    reads, in runs of up to Wo*N elements, and the rest of the tap is zero.
-    The rows per chunk are sized by ``_CHUNK_ELEMENTS`` (at least one), and
-    every chunk is written into the same buffer, so a chunk's columns are
-    valid only until the next one is built.
+    Only the C*kw width taps are copied, for the chunk's source rows
+    ``y0 - pad .. y1 + kh - 2 - pad``, into a (C*kw, (y1-y0+kh-1)*Wo*N)
+    buffer with rows in (c, j) order. Height tap ``i`` is then the column
+    range ``[i*Wo*N, (i + y1 - y0)*Wo*N)`` of that buffer: a view with
+    contiguous rows, which BLAS takes without a copy. For C > 1 the operands
+    are those kh views, one per height tap. For C = 1 a GEMM over an inner
+    size of kw is slow, so the kh views are copied into one (kh*kw, ...)
+    operand with rows in (i, j) order, the im2col columns themselves.
+
+    The padding is never built: each width tap copies the part of ``x``
+    that it reads, in runs of up to Wo*N elements, and the rest of the tap
+    is zero. The rows per chunk are sized by ``_CHUNK_ELEMENTS`` against the
+    largest operand's rows (at least one), and every chunk is written into
+    the same buffers, so a chunk's operands are valid only until the next
+    one is built.
     """
     c, h, w, n = x.shape
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    rows = max(1, _CHUNK_ELEMENTS // (c * kh * kw * wo * n))
+    step = wo * n
+    rows = max(1, _CHUNK_ELEMENTS // ((kh if c == 1 else c) * kw * step))
     # the output columns z whose source column z + j - pad lies in x; the
     # rest of each tap's width is written nowhere below, so it stays zero
     spans = []
     for j in range(kw):
         xa = min(max(0, pad - j), wo)
         spans.append((j, xa, max(min(wo, w + pad - j), xa)))
-    buffer = np.zeros((c * kh * kw, min(ho, rows) * wo * n), dtype=x.dtype)
+    buffer = np.zeros((c * kw, (min(ho, rows) + kh - 1) * step), dtype=x.dtype)
+    if c == 1:
+        stacked = np.empty((kh * kw, min(ho, rows) * step), dtype=x.dtype)
     for y0 in range(0, ho, rows):
         y1 = min(y0 + rows, ho)
-        taps = buffer[:, : (y1 - y0) * wo * n].reshape(c, kh, kw, y1 - y0, wo, n)
-        for i in range(kh):
-            # the output rows y whose source row y + i - pad lies in x
-            ya = min(max(y0, pad - i), y1)
-            yb = max(min(y1, h + pad - i), ya)
-            taps[:, i, :, : ya - y0] = 0
-            taps[:, i, :, yb - y0 :] = 0
-            rows_in = x[:, ya + i - pad : yb + i - pad]
-            for j, xa, xb in spans:
-                taps[:, i, j, ya - y0 : yb - y0, xa:xb] = rows_in[:, :, xa + j - pad : xb + j - pad]
-        yield y0, y1, buffer[:, : (y1 - y0) * wo * n]
+        m = y1 - y0 + kh - 1
+        taps = buffer[:, : m * step].reshape(c, kw, m, wo, n)
+        # the buffer rows r whose source row y0 + r - pad lies in x
+        ra = min(max(0, pad - y0), m)
+        rb = max(min(m, h + pad - y0), ra)
+        taps[:, :, :ra] = 0
+        taps[:, :, rb:] = 0
+        rows_in = x[:, ra + y0 - pad : rb + y0 - pad]
+        for j, xa, xb in spans:
+            taps[:, j, ra:rb, xa:xb] = rows_in[:, :, xa + j - pad : xb + j - pad]
+        size = (y1 - y0) * step
+        views = [buffer[:, i * step : i * step + size] for i in range(kh)]
+        if c == 1:
+            views = [np.concatenate(views, out=stacked[:, :size])]
+        yield y0, y1, views
 
 
-def _correlate(x: np.ndarray, w2: np.ndarray, kh: int, kw: int, pad: int, bias=None):
-    """Correlation ``out[o, y, z, n] = sum w2[o, (c, i, j)] * xp[c, y+i, z+j, n]``
+def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None):
+    """Correlation ``out[o, y, z, n] = sum weight[o, c, i, j] * xp[c, y+i, z+j, n]``
     (+ ``bias[o]``) of ``x`` zero-padded by ``pad`` into ``xp``.
 
-    Each chunk of im2col columns (see ``_im2col_rows``) is multiplied by
-    ``w2`` straight into its rows of the (O, Ho, Wo, N) output while it is
-    in cache. Returns the output and, when the output fits in one chunk, its
-    columns (else None).
+    Each chunk's operands (see ``_columns``) are multiplied by the matching
+    slices of ``weight`` and summed straight into the chunk's rows of the
+    (O, Ho, Wo, N) output while they are in cache: one GEMM per height tap
+    for C > 1, one GEMM for C = 1. Returns the output and, when the output
+    fits in one chunk, its operands (else None).
     """
-    c, h, w, n = x.shape
+    out_ch, c, kh, kw = weight.shape
+    _, h, w, n = x.shape
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    out = np.empty((w2.shape[0], ho, wo, n), dtype=np.result_type(x, w2))
-    flat = out.reshape(w2.shape[0], -1)
-    for y0, y1, cols in _im2col_rows(x, kh, kw, pad):
+    if c == 1:
+        taps = weight.reshape(1, out_ch, kh * kw)
+    else:
+        taps = np.ascontiguousarray(weight.transpose(2, 0, 1, 3)).reshape(kh, out_ch, c * kw)
+    out = np.empty((out_ch, ho, wo, n), dtype=np.result_type(x, weight))
+    flat = out.reshape(out_ch, -1)
+    for y0, y1, operands in _columns(x, kh, kw, pad):
         block = flat[:, y0 * wo * n : y1 * wo * n]
-        np.matmul(w2, cols, out=block)
+        np.matmul(taps[0], operands[0], out=block)
+        for tap, operand in zip(taps[1:], operands[1:]):
+            block += tap @ operand
         if bias is not None:
             block += bias[:, None]
-    return out, (cols if y0 == 0 else None)
+    return out, (operands if y0 == 0 else None)
 
 
 class MaxPool2d:

@@ -3,13 +3,15 @@
     python tests/fingerprint.py OUT.json
     python tests/fingerprint.py --compare A.json B.json
 
-The first form writes one entry per group: the sha256 of the group's bytes
-and what the compare needs to say how far two runs moved: a numeric group
-keeps its arrays (dtype, shape and base64 bytes), a file keeps the numbers
-written in it. The second form lists the groups whose digests differ, each
-with its largest relative difference, and exits 1 if any group differs. An
-array's difference is max |a - b| over max |b|; a file's is the largest
-|a - b| / |b| of any one number in it.
+The first form writes the machine facts that the numbers depend on (numpy's
+version, the BLAS name, version and thread count) and one entry per group:
+the sha256 of the group's bytes and what the compare needs to say how far
+two runs moved: a numeric group keeps its arrays (dtype, shape and base64
+bytes), a file keeps the numbers written in it. The second form first names
+each machine fact on which the two files differ, then lists the groups whose
+digests differ, each with its largest relative difference, and exits 1 if
+any group differs. An array's difference is max |a - b| over max |b|; a
+file's is the largest |a - b| / |b| of any one number in it.
 
 Groups:
   build.<arch>.<kind>.<dtype>.weights|forward|grads
@@ -24,13 +26,16 @@ Groups:
       the three files of a 2-fold cnn/mel_spectrogram suite
 
 It runs in a few seconds. No golden digests are kept: BLAS and FFT results
-may differ between machines, so compare two runs made on one machine.
+may differ between machines, and OpenBLAS sums some GEMM shapes in another
+order at another thread count, so compare two runs made on one machine at
+one BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
+import ctypes
 import hashlib
 import json
 import re
@@ -49,6 +54,30 @@ from shoutkit.experiments.training import ClipExample, TrainSettings, train_mode
 from shoutkit.features import FeatureKind  # noqa: E402
 from shoutkit.models import build_single_model  # noqa: E402
 from shoutkit.neural import mse_loss  # noqa: E402
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None if unknown."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+def machine_facts() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas_name": blas.get("name"),
+            "blas_version": blas.get("version"), "blas_threads": blas_threads()}
 
 
 def numeric_group(arrays: dict) -> dict:
@@ -127,7 +156,8 @@ def suite_groups() -> dict:
 
 
 def fingerprint() -> dict:
-    return {**build_groups(), **training_groups(), **suite_groups()}
+    return {"machine": machine_facts(),
+            "groups": {**build_groups(), **training_groups(), **suite_groups()}}
 
 
 def _arrays(group: dict) -> dict:
@@ -161,8 +191,15 @@ def largest_difference(a: dict, b: dict) -> str:
 
 
 def compare(path_a, path_b) -> int:
-    a = json.loads(Path(path_a).read_text())
-    b = json.loads(Path(path_b).read_text())
+    run_a = json.loads(Path(path_a).read_text())
+    run_b = json.loads(Path(path_b).read_text())
+    facts_a, facts_b = run_a["machine"], run_b["machine"]
+    moved = [f"{key} {facts_a.get(key)} against {facts_b.get(key)}"
+             for key in sorted(facts_a.keys() | facts_b.keys())
+             if facts_a.get(key) != facts_b.get(key)]
+    if moved:
+        print(f"machine facts differ: {', '.join(moved)}")
+    a, b = run_a["groups"], run_b["groups"]
     differ = 0
     for name in sorted(a.keys() | b.keys()):
         if name not in a or name not in b:

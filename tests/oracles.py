@@ -31,7 +31,8 @@ def naive_dct2_ortho(x):
 
 
 def naive_conv2d(x, weight, bias, padding):
-    """Direct convolution: loops over batch, channels, positions and taps."""
+    """Direct convolution: loops over channels, positions and taps, each
+    sum taken in that order for the whole batch at once."""
     n, c, h, w = x.shape
     out_ch, _, kh, kw = weight.shape
     ho = h + 2 * padding - kh + 1
@@ -39,29 +40,48 @@ def naive_conv2d(x, weight, bias, padding):
     xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     xp[:, :, padding : padding + h, padding : padding + w] = x
     out = np.zeros((n, out_ch, ho, wo))
-    for b in range(n):
-        for o in range(out_ch):
-            for y in range(ho):
-                for z in range(wo):
-                    acc = bias[o]
-                    for ci in range(c):
-                        for i in range(kh):
-                            for j in range(kw):
-                                acc += weight[o, ci, i, j] * xp[b, ci, y + i, z + j]
-                    out[b, o, y, z] = acc
+    for o in range(out_ch):
+        for y in range(ho):
+            for z in range(wo):
+                acc = np.full(n, bias[o], dtype=np.float64)
+                for ci in range(c):
+                    for i in range(kh):
+                        for j in range(kw):
+                            acc += weight[o, ci, i, j] * xp[:, ci, y + i, z + j]
+                out[:, o, y, z] = acc
     return out
+
+
+def full_batch_conv_columns(x, kernel, padding):
+    """The whole batch's im2col columns of the (N, C, H, W) input ``x``,
+    built from a sliding-window view of the padded input: rows (c, i, j),
+    columns (y, z, n)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    # (N, C, Ho, Wo, K, K) -> rows (c, i, j), columns (y, z, n)
+    return windows.transpose(1, 4, 5, 2, 3, 0).reshape(x.shape[1] * kernel * kernel, -1)
 
 
 def full_batch_conv_weight_grad(x, g, kernel, padding):
     """Conv ``d_weight`` as one GEMM, ``g2 @ cols.T``, over the whole batch's
-    im2col columns, built from a sliding-window view of the padded input.
-    ``x`` and ``g`` are (N, C, H, W); the columns run over (y, z, n)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    # (N, C, Ho, Wo, K, K) -> rows (c, i, j), columns (y, z, n)
-    cols = windows.transpose(1, 4, 5, 2, 3, 0).reshape(x.shape[1] * kernel * kernel, -1)
+    im2col columns. ``x`` and ``g`` are (N, C, H, W)."""
+    cols = full_batch_conv_columns(x, kernel, padding)
     g2 = g.transpose(1, 2, 3, 0).reshape(g.shape[1], -1)
     return (g2 @ cols.T).reshape(g.shape[1], x.shape[1], kernel, kernel)
+
+
+def full_batch_conv_input_grad(g, weight, padding, height, width):
+    """Conv ``d_x`` as one GEMM, ``w2.T @ g2``, whose columns are scattered
+    back onto the padded input (col2im) and cropped. ``g`` is (N, O, Ho, Wo)."""
+    n, out_ch, ho, wo = g.shape
+    _, c, kh, kw = weight.shape
+    g2 = g.transpose(1, 2, 3, 0).reshape(out_ch, -1)
+    d_cols = (weight.reshape(out_ch, -1).T @ g2).reshape(c, kh, kw, ho, wo, n)
+    d_xp = np.zeros((n, c, height + 2 * padding, width + 2 * padding), dtype=d_cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            d_xp[:, :, i : i + ho, j : j + wo] += d_cols[:, i, j].transpose(3, 0, 1, 2)
+    return d_xp[:, :, padding : padding + height, padding : padding + width]
 
 
 def scalar_gru_step(x, h_prev, wi_r, wi_z, wi_n, wh_r, wh_z, wh_n,

@@ -383,6 +383,18 @@ class TestTraining:
         assert log.best_epoch >= 1
         assert len(log.epochs) <= 50
 
+    def test_a_tie_in_validation_loss_keeps_the_earlier_epoch(self, fold_setup, monkeypatch):
+        _, _, _, data = fold_setup
+        model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",
+                                   seed=0, dtype=np.float32)
+        monkeypatch.setattr(training, "evaluate_loss", lambda *args: 0.5)
+        log = train_model(model, data, TrainSettings(epochs=3, batch_size=20,
+                                                     learning_rate=1e-3, shuffle_seed=1))
+        assert [epoch["val_loss"] for epoch in log.epochs] == [0.5, 0.5, 0.5]
+        assert log.best_epoch == 1 and log.best_val_loss == 0.5
+        final = model.state_dict()
+        assert not all(np.array_equal(log.best_state[k], v) for k, v in final.items())
+
     def test_evaluate_across_snrs(self, fold_setup):
         _, cfg, _, data = fold_setup
         model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",

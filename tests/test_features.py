@@ -385,6 +385,14 @@ class TestContainer:
         assert np.array_equal(values, blocks)
 
 
+def test_stats_scale_a_small_spread_to_unit_spread():
+    # a spread of 1e-5 is far above the std floor, so it is scaled, not floored
+    rng = np.random.default_rng(7)
+    matrix = np.vstack([rng.standard_normal(60), 3.0 + 1e-5 * rng.standard_normal(60)])
+    stats = FeatureStats.fit([matrix[:, :25], matrix[:, 25:]])
+    assert np.max(np.abs(stats.apply(matrix).std(axis=1) - 1.0)) < 1e-9
+
+
 def test_stats_round_trip(tmp_path):
     matrix = feature_matrix(clip_with_frames(25), FeatureKind.MEL_SPECTROGRAM)
     stats = FeatureStats.fit([matrix])

@@ -17,6 +17,7 @@ from shoutkit.neural import tensor as T
 
 from oracles import (adam_descent_oracle, adam_textbook, composed_cross_entropy,
                      composed_linear, composed_mse, count_graph_nodes, finite_difference_check,
+                     full_batch_conv_columns, full_batch_conv_input_grad,
                      full_batch_conv_weight_grad, naive_conv2d, naive_logistic,
                      scalar_gru_step, sliced_final_state)
 
@@ -277,15 +278,17 @@ class TestConv:
 
 
 def rows_per_chunk(channels, n, width=20, kernel=5):
-    """How many output rows one im2col chunk holds for a batch of ``n`` at this
-    (padded 'same') width."""
-    return layers._CHUNK_ELEMENTS // (channels * kernel * kernel * width * n)
+    """How many output rows one chunk of GEMM operands holds for a batch of
+    ``n`` at this output width: a chunk's largest operand has C*K rows (the
+    width taps) for C > 1, and K*K rows (the stacked taps) for C = 1."""
+    operand_rows = (kernel if channels == 1 else channels) * kernel
+    return layers._CHUNK_ELEMENTS // (operand_rows * width * n)
 
 
 class TestConvChunks:
     """Batches that cross the boundaries of the im2col chunks."""
 
-    @pytest.mark.parametrize("channels,height,n", [(1, 512, 9), (16, 10, 27)],
+    @pytest.mark.parametrize("channels,height,n", [(1, 512, 9), (16, 10, 132)],
                              ids=["high-dim", "low-dim"])
     def test_matches_naive_across_chunks(self, channels, height, n):
         assert height > 2 * rows_per_chunk(channels, n)
@@ -297,7 +300,7 @@ class TestConvChunks:
         assert np.max(np.abs(out - oracle)) <= 1e-10
 
     def test_finite_differences_across_a_chunk_boundary(self):
-        n = 7
+        n = 33
         assert 20 > rows_per_chunk(16, n)
         conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(33))
         conv.bias.data = rng_of(34).standard_normal(16)
@@ -308,7 +311,7 @@ class TestConvChunks:
         assert err <= 1e-4
 
     def test_no_grad_gives_the_same_output(self):
-        n = 13
+        n = 33
         assert 20 > rows_per_chunk(16, n)
         conv = Conv2d(16, 16, kernel=5, padding=2, rng=rng_of(37))
         x = Tensor(rng_of(38).standard_normal((n, 16, 20, 20)))
@@ -334,7 +337,7 @@ class TestConvChunks:
 
 
 class TestConvColumnRebuild:
-    """A recorded conv keeps its im2col columns only when the batch fits in one
+    """A recorded conv keeps its GEMM operands only when the batch fits in one
     chunk; otherwise the backward rebuilds them chunk by chunk."""
 
     @staticmethod
@@ -347,7 +350,7 @@ class TestConvColumnRebuild:
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-14)],
                              ids=["float32", "float64"])
-    @pytest.mark.parametrize("channels,height,n", [(16, 102, 3), (16, 10, 33), (1, 512, 10)],
+    @pytest.mark.parametrize("channels,height,n", [(16, 102, 7), (16, 10, 66), (1, 512, 10)],
                              ids=["high-dim-layer2", "low-dim-layer2-uneven",
                                   "high-dim-layer1-uneven"])
     def test_rebuilt_weight_grad_matches_full_batch_gemm(self, channels, height, n,
@@ -359,7 +362,7 @@ class TestConvColumnRebuild:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_one_chunk_weight_grad_is_the_full_batch_gemm(self, dtype):
-        n = 13  # the largest batch whose 10 output rows fit in one chunk
+        n = 65  # the largest batch whose 10 output rows fit in one chunk
         assert rows_per_chunk(16, n) >= 10 > rows_per_chunk(16, n + 1)
         d_weight, reference = self.weight_grad(16, 10, n, dtype)
         assert np.array_equal(d_weight, reference)
@@ -380,6 +383,69 @@ class TestConvColumnRebuild:
         # the input; a full-batch column buffer would be 400 x 65 280 float32
         # (104 MB)
         assert retained <= x.data.nbytes + layers._CHUNK_ELEMENTS * 4
+
+
+class TestConvOperands:
+    """The GEMM operands of each chunk: for C = 1 the stacked im2col columns,
+    for C > 1 one row-shifted view of the width taps per height tap."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("n,height,kernel,padding", [(8, 512, 5, 2), (3, 40, 3, 1)],
+                             ids=["h512-k5-chunks", "h40-k3-one-chunk"])
+    def test_one_channel_forward_is_the_full_batch_gemm(self, n, height, kernel, padding,
+                                                       dtype):
+        # stage 1 multiplies exactly the im2col columns, chunk by chunk, so
+        # its output is the full-batch GEMM's bit for bit
+        assert (height > rows_per_chunk(1, n, kernel=kernel)) == (height == 512)
+        conv = Conv2d(1, 16, kernel=kernel, padding=padding, rng=rng_of(104), dtype=dtype)
+        conv.bias.data = rng_of(105).standard_normal(16).astype(dtype)
+        x = rng_of(106).standard_normal((n, 1, height, 20)).astype(dtype)
+        out = conv(Tensor(x)).data
+        cols = full_batch_conv_columns(x, kernel, padding)
+        reference = conv.weight.data.reshape(16, -1) @ cols + conv.bias.data[:, None]
+        assert out.dtype == dtype
+        assert np.array_equal(out.transpose(1, 2, 3, 0), reference.reshape(16, height, 20, n))
+
+    # (kernel, padding, height, width): 'same', 'same' and a pad wider than
+    # the kernel, whose input gradient crops the output gradient
+    SHAPES = [(5, 2, 13, 6), (3, 1, 13, 6), (3, 3, 9, 4)]
+    SHAPE_IDS = ["k5-p2", "k3-p1", "k3-p3"]
+
+    @staticmethod
+    def small_chunks(monkeypatch, kernel, padding, height, width, n):
+        monkeypatch.setattr(layers, "_CHUNK_ELEMENTS", 900)
+        out_height = height + 2 * padding - kernel + 1
+        out_width = width + 2 * padding - kernel + 1
+        assert out_height > 2 * rows_per_chunk(3, n, width=out_width, kernel=kernel)
+        return out_height, out_width
+
+    @pytest.mark.parametrize("kernel,padding,height,width", SHAPES, ids=SHAPE_IDS)
+    def test_multichannel_forward_matches_naive_across_chunks(self, monkeypatch, kernel,
+                                                              padding, height, width):
+        self.small_chunks(monkeypatch, kernel, padding, height, width, n=4)
+        conv = Conv2d(3, 2, kernel=kernel, padding=padding, rng=rng_of(107))
+        conv.bias.data = rng_of(108).standard_normal(2)
+        x = rng_of(109).standard_normal((4, 3, height, width))
+        oracle = naive_conv2d(x, conv.weight.data, conv.bias.data, padding=padding)
+        assert np.max(np.abs(conv(Tensor(x)).data - oracle)) <= 1e-10
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-14)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("kernel,padding,height,width", SHAPES, ids=SHAPE_IDS)
+    def test_multichannel_gradients_match_full_batch_gemms(self, monkeypatch, kernel,
+                                                          padding, height, width, dtype, rtol):
+        out_height, out_width = self.small_chunks(monkeypatch, kernel, padding, height,
+                                                  width, n=4)
+        conv = Conv2d(3, 2, kernel=kernel, padding=padding, rng=rng_of(110), dtype=dtype)
+        x = Tensor(rng_of(111).standard_normal((4, 3, height, width)).astype(dtype),
+                   requires_grad=True)
+        g = rng_of(112).standard_normal((4, 2, out_height, out_width)).astype(dtype)
+        T.sum_all(T.mul(conv(x), Tensor(g))).backward()
+        references = (full_batch_conv_weight_grad(x.data, g, kernel=kernel, padding=padding),
+                      full_batch_conv_input_grad(g, conv.weight.data, padding, height, width))
+        for grad, reference in zip((conv.weight.grad, x.grad), references):
+            assert grad.dtype == dtype
+            assert np.max(np.abs(grad - reference)) <= rtol * np.max(np.abs(reference))
 
 
 class TestConvStack:
@@ -427,7 +493,7 @@ class TestConvStack:
     def test_finite_differences_across_row_chunks(self, monkeypatch):
         # a small chunk makes every stage's forward, weight-gradient rebuild
         # and input-gradient correlation span several row chunks
-        monkeypatch.setattr(layers, "_CHUNK_ELEMENTS", 2000)
+        monkeypatch.setattr(layers, "_CHUNK_ELEMENTS", 600)
         first = Conv2d(2, 3, kernel=5, padding=2, rng=rng_of(97))
         second = Conv2d(3, 2, kernel=3, padding=1, rng=rng_of(98))
         for conv, seed in ((first, 99), (second, 100)):
