@@ -34,14 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .features import BLOCK_FRAMES, FeatureKind, parse_feature_kind
-from .neural import (BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor, conv_stack,
-                     load_checkpoint, no_grad, save_checkpoint)
+from .neural import (BiGRU, Conv2d, Dense, LossKind, Tensor, conv_stack, load_checkpoint,
+                     maxpool2d, no_grad, save_checkpoint)
 from .neural import tensor as T
 from .textio import read_text, write_text
 
@@ -98,7 +99,8 @@ class ModelDimTable:
     """Layer width table: d5 the first dense width, (gru_d1, gru_d2) the
     BiGRU/dense widths of the GRU model, d6 the dense width of the CNN-GRU
     model. The input height is the feature kind's ``dim``; each of the three
-    conv stages floor-divides it by ``pool_kernel``."""
+    conv stages keeps it (5x5 kernel, padding 2) and pools it, which
+    floor-divides it by ``pool_kernel`` (``pooled_heights``)."""
 
     d5: int
     gru_d1: int
@@ -116,6 +118,11 @@ class ModelDimTable:
             d5=shrink(self.d5), gru_d1=max(2, (self.gru_d1 // factor) // 2 * 2),
             gru_d2=shrink(self.gru_d2), d6=shrink(self.d6),
             pool_kernel=self.pool_kernel, channels=max(1, self.channels // factor))
+
+    def pooled_heights(self, dim: int) -> tuple[int, int, int]:
+        """The height after each conv stage for an input of height ``dim``."""
+        k = self.pool_kernel
+        return dim // k, dim // k ** 2, dim // k ** 3
 
 
 HIGH_DIM_TABLE = ModelDimTable(d5=64, gru_d1=1024, gru_d2=64, d6=64, pool_kernel=5)
@@ -271,9 +278,12 @@ class SingleFeatureModel(NetworkGraph):
                                                 rng=rng, dtype=self.dtype)
                 in_ch = d.channels
             self.convs = list(layers.values())
-            self.pools = [MaxPool2d(d.pool_kernel) for _ in self.convs]
+            self.pool_kernel = d.pool_kernel
+            self.pooled_heights = d.pooled_heights(kind.dim)
+            # per-stage pools as nodes; only perfbench/tables.py calls them
+            self.pools = [partial(maxpool2d, kernel=d.pool_kernel) for _ in self.convs]
             # conv output per frame: channels x the height after three pools
-            per_frame = d.channels * (kind.dim // d.pool_kernel ** 3)
+            per_frame = d.channels * self.pooled_heights[-1]
 
         if arch is Arch.CNN:
             layers["dense"] = Dense(per_frame * BLOCK_FRAMES, d.d5, rng, self.dtype)
@@ -290,15 +300,10 @@ class SingleFeatureModel(NetworkGraph):
         self.head = TaskHead(head_kind, self.embedding_dim, rng, self.dtype)
 
     def _conv_stack(self, t: Tensor, ledger: dict) -> Tensor:
-        height = ledger["input_height"] = t.data.shape[2]
-        heights = []
-        for conv, pool in zip(self.convs, self.pools):
-            kernel = conv.weight.data.shape[2]
-            height = (height + 2 * conv.padding - kernel + 1) // pool.kernel
-            heights.append(height)
-        ledger["pooled_heights"] = heights
-        t = conv_stack(t, [(conv.weight, conv.bias, conv.padding, pool.kernel)
-                           for conv, pool in zip(self.convs, self.pools)])
+        ledger["input_height"] = t.data.shape[2]
+        ledger["pooled_heights"] = list(self.pooled_heights)
+        t = conv_stack(t, [(conv.weight, conv.bias, conv.padding, self.pool_kernel)
+                           for conv in self.convs])
         ledger["conv_output"] = list(t.data.shape[1:])
         return t
 
@@ -372,6 +377,9 @@ class FusionModel(NetworkGraph):
         ledger = {} if ledger is None else ledger
         if not isinstance(x, tuple) or len(x) != 2:
             raise ShapeError("fusion model expects a (left_blocks, right_blocks) pair")
+        if len(x[0]) != len(x[1]):
+            raise ShapeError(f"fusion pair holds {len(x[0])} left blocks and "
+                             f"{len(x[1])} right blocks; the counts must match")
         ledger["left"], ledger["right"] = {}, {}
         emb_left = self.left.embed(x[0], ledger["left"])
         emb_right = self.right.embed(x[1], ledger["right"])

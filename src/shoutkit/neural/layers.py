@@ -101,7 +101,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
     ``d_x`` is skipped when ``x`` does not need a gradient.
     """
     source = _to_chwn(x.data)
-    out, cols = _conv_forward(source, weight.data, bias.data, padding)
+    out, cols = _correlate(source, weight.data, padding, bias.data)
 
     def backward(g):
         d_x, d_weight, d_bias = _conv_backward(_to_chwn(g), source, cols, weight.data,
@@ -132,7 +132,7 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     a = _to_chwn(x.data)
     saved = []
     for weight, bias, padding, kernel in stages:
-        conv_out, cols = _conv_forward(a, weight.data, bias.data, padding)
+        conv_out, cols = _correlate(a, weight.data, padding, bias.data)
         out, best = _pool(conv_out, kernel)
         np.maximum(out, 0.0, out=out)
         if keep:
@@ -154,19 +154,6 @@ def conv_stack(x: Tensor, stages) -> Tensor:
         return (None if g is None else g.transpose(3, 0, 1, 2)), *grads
 
     return Tensor._make(a.transpose(3, 0, 1, 2), parents, backward)
-
-
-def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int):
-    """Convolution of a (C, H, W, N) array: the (O, Ho, Wo, N) output, and
-    the GEMM operands of the whole input when they fit in one chunk (else
-    None: the backward rebuilds them chunk by chunk)."""
-    _, in_ch, kh, kw = weight.shape
-    c, h, w, _ = x.shape
-    if in_ch != c:
-        raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {in_ch}")
-    if h + 2 * padding - kh + 1 < 1 or w + 2 * padding - kw + 1 < 1:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w}")
-    return _correlate(x, weight, padding, bias)
 
 
 def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, want_x: bool):
@@ -231,7 +218,8 @@ def _columns(x: np.ndarray, kh: int, kw: int, pad: int):
     c, h, w, n = x.shape
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     step = wo * n
-    rows = max(1, _CHUNK_ELEMENTS // ((kh if c == 1 else c) * kw * step))
+    # max(1, step): an empty batch has step 0 and one empty chunk
+    rows = max(1, _CHUNK_ELEMENTS // ((kh if c == 1 else c) * kw * max(1, step)))
     # the output columns z whose source column z + j - pad lies in x; the
     # rest of each tap's width is written nowhere below, so it stays zero
     spans = []
@@ -268,11 +256,16 @@ def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None):
     slices of ``weight`` and summed straight into the chunk's rows of the
     (O, Ho, Wo, N) output while they are in cache: one GEMM per height tap
     for C > 1, one GEMM for C = 1. Returns the output and, when the output
-    fits in one chunk, its operands (else None).
+    fits in one chunk, its operands (else None). A channel count other than
+    the kernel's, or a kernel larger than the padded input, is a ShapeError.
     """
-    out_ch, c, kh, kw = weight.shape
-    _, h, w, n = x.shape
+    out_ch, in_ch, kh, kw = weight.shape
+    c, h, w, n = x.shape
+    if in_ch != c:
+        raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {in_ch}")
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w}")
     if c == 1:
         taps = weight.reshape(1, out_ch, kh * kw)
     else:
@@ -287,17 +280,6 @@ def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None):
         if bias is not None:
             block += bias[:, None]
     return out, (operands if y0 == 0 else None)
-
-
-class MaxPool2d:
-    """Non-overlapping max pooling along the height (feature) axis; trailing
-    rows beyond a full window are dropped (output H = floor(H / kernel))."""
-
-    def __init__(self, kernel: int):
-        self.kernel = kernel
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return maxpool2d(x, self.kernel)
 
 
 def maxpool2d(x: Tensor, kernel: int) -> Tensor:

@@ -248,6 +248,14 @@ class TestBlocks:
         for i in range(2):  # block i holds frames 20*i .. 20*i + 19 in order
             assert np.array_equal(blocks[i], matrix[:, 20 * i : 20 * (i + 1)])
 
+    @pytest.mark.parametrize("kind", [FeatureKind.SPECTROGRAM, FeatureKind.MEL_SPECTROGRAM],
+                             ids=lambda k: k.value)
+    def test_silence_reads_the_log_floor(self, kind):
+        silence = AudioClip(np.zeros(FRAME_LENGTH + 2 * HOP_LENGTH), 16000, "silence")
+        matrix = feature_matrix(silence, kind)
+        assert matrix.shape == (kind.dim, 3)
+        assert np.all(matrix == np.log(LOG_FLOOR))
+
     def test_19_frames_rejected(self):
         with pytest.raises(DegenerateInputError):
             assemble_blocks(clip_with_frames(19), FeatureKind.TMFCC)

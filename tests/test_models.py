@@ -6,9 +6,9 @@ import pytest
 from shoutkit import neural
 from shoutkit.errors import ConfigError, DegenerateInputError, ShapeError, ShoutKitError
 from shoutkit.features import FeatureKind
-from shoutkit.models import (Arch, HeadKind, SingleFeatureModel, build_baseline_mlp,
-                             build_fusion_model, build_single_model, check_cell, load_model,
-                             predict_clip, save_model)
+from shoutkit.models import (HIGH_DIM_TABLE, LOW_DIM_TABLE, Arch, HeadKind, SingleFeatureModel,
+                             build_baseline_mlp, build_fusion_model, build_single_model,
+                             check_cell, load_model, predict_clip, save_model)
 
 from oracles import count_graph_nodes
 
@@ -195,12 +195,53 @@ class TestBuildErrors:
         with pytest.raises(ConfigError, match="mlp_baseline_standin"):
             check_cell("mlp_baseline_standin", pair)
 
+    def test_a_fusion_pair_of_unequal_block_counts_is_refused_before_either_branch_runs(self):
+        fusion = build_fusion_model(
+            build_single_model("cnn", LOW[0], "binary", seed=0, width_scale=8),
+            build_single_model("cnn", LOW[1], "binary", seed=1, width_scale=8))
+
+        def branch_ran(*args):
+            raise AssertionError("a branch ran")
+
+        fusion.left.embed = fusion.right.embed = branch_ran
+        pair = (blocks_for(LOW[0], 3), blocks_for(LOW[1], 2))
+        for call in (fusion.embed, fusion.forward, lambda x: predict_clip(fusion, x)):
+            with pytest.raises(ShapeError, match="3 left blocks and 2 right blocks"):
+                call(pair)
+
     def test_a_fusion_model_is_no_branch(self):
         fusion = build_fusion_model(
             build_single_model("cnn", LOW[0], "binary", seed=0, width_scale=8),
             build_single_model("cnn", LOW[1], "binary", seed=1, width_scale=8))
         with pytest.raises(ConfigError, match="single-feature"):
             build_fusion_model(fusion, fusion)
+
+
+@pytest.mark.parametrize("table", [HIGH_DIM_TABLE, LOW_DIM_TABLE], ids=["high", "low"])
+def test_pooled_heights_follow_each_stage(table):
+    # each stage's 5x5 conv with padding 2 keeps the height, and its pool
+    # floor-divides it by the table's kernel
+    for dim in range(1, 700):
+        height, heights = dim, []
+        for _ in range(3):
+            height = (height + 2 * 2 - 5 + 1) // table.pool_kernel
+            heights.append(height)
+        assert table.pooled_heights(dim) == tuple(heights), dim
+
+
+@pytest.mark.parametrize("arch", [a.value for a in Arch] + ["cnn_fusion"])
+def test_an_empty_batch_forwards_to_no_rows(arch):
+    # training._forward_chunks forwards an empty input once
+    single = lambda a, kind, seed: build_single_model(a, kind, "four_class", seed=seed,
+                                                      width_scale=8)
+    if arch == "cnn_fusion":
+        model = build_fusion_model(single("cnn", LOW[0], 0), single("cnn", LOW[1], 1), seed=2)
+    elif arch == "mlp_baseline_standin":
+        model = single(arch, FeatureKind.MFCC_DELTA_DELTA, 0)
+    else:
+        model = single(arch, FeatureKind.SPECTROGRAM, 0)
+    x = model.batch({k: np.zeros((0, k.dim, 20)) for k in model.kinds})
+    assert model.forward(x).data.shape == (0, 4)
 
 
 @pytest.mark.parametrize("arch", [a.value for a in Arch])
@@ -561,7 +602,6 @@ def _unbatched(shape):
 
 @pytest.mark.parametrize("call", [
     lambda: neural.Conv2d(1, 2, 5, 2, np.random.default_rng(0))(_unbatched((1, 8, 8))),
-    lambda: neural.MaxPool2d(2)(_unbatched((1, 8, 8))),
     lambda: neural.maxpool2d(_unbatched((1, 8, 8)), 2),
     lambda: neural.BiGRU(3, 2, np.random.default_rng(0))(_unbatched((5, 3))),
     lambda: build_single_model("cnn", FeatureKind.TMFCC, "binary", width_scale=4).forward(
@@ -569,7 +609,7 @@ def _unbatched(shape):
     lambda: build_single_model("gru", FeatureKind.TMFCC, "binary", width_scale=4).forward(
         np.zeros((30, 20))),
     lambda: build_baseline_mlp("binary", width_scale=4).forward(np.zeros((60, 20))),
-], ids=["Conv2d", "MaxPool2d", "maxpool2d", "BiGRU", "cnn", "gru", "mlp"])
+], ids=["Conv2d", "maxpool2d", "BiGRU", "cnn", "gru", "mlp"])
 def test_unbatched_input_refused(call):
     with pytest.raises(ShapeError):
         call()

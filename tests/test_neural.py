@@ -8,7 +8,7 @@ import pytest
 
 from shoutkit import neural
 from shoutkit.errors import NumericError, RangeError, ShapeError, StateError
-from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, LossKind, MaxPool2d, Tensor,
+from shoutkit.neural import (Adam, BiGRU, Conv2d, Dense, LossKind, Tensor,
                              cross_entropy_loss, gru_sequence, load_checkpoint, loss,
                              mse_loss, save_checkpoint)
 from shoutkit.neural import layers, optim
@@ -276,6 +276,29 @@ class TestConv:
         with pytest.raises(ShapeError):
             conv(Tensor(np.zeros((1, 3, 5, 5))))
 
+    @pytest.mark.parametrize("node", ["conv2d", "conv_stack"])
+    def test_nodes_refuse_a_channel_mismatch_and_a_kernel_beyond_the_padded_input(self, node):
+        weight, bias = Tensor(np.zeros((2, 3, 5, 5))), Tensor(np.zeros(2))
+        if node == "conv2d":
+            call = lambda x, pad: neural.conv2d(x, weight, bias, pad)
+        else:
+            call = lambda x, pad: neural.conv_stack(x, [(weight, bias, pad, 1)])
+        with pytest.raises(ShapeError, match="channel mismatch: input 2, kernel 3"):
+            call(Tensor(np.zeros((1, 2, 8, 8))), 2)
+        # 2 rows padded by 1 leave no room for 5 kernel rows
+        with pytest.raises(ShapeError, match="kernel 5x5 larger than padded input 2x8"):
+            call(Tensor(np.zeros((1, 3, 2, 8))), 1)
+
+    def test_empty_batch(self):
+        conv = Conv2d(2, 3, kernel=5, padding=2, rng=rng_of(0))
+        x = Tensor(np.zeros((0, 2, 9, 7)), requires_grad=True)
+        out = conv(x)
+        assert out.data.shape == (0, 3, 9, 7)
+        T.sum_all(out).backward()
+        assert x.grad.shape == x.data.shape
+        assert conv.weight.grad.shape == conv.weight.data.shape and not conv.weight.grad.any()
+        assert conv.bias.grad.shape == (3,) and not conv.bias.grad.any()
+
 
 def rows_per_chunk(channels, n, width=20, kernel=5):
     """How many output rows one chunk of GEMM operands holds for a batch of
@@ -508,6 +531,18 @@ class TestConvStack:
                         for k, p in conv.parameters().items()}}, h=1e-5)
         assert err <= 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_empty_batch(self, dtype):
+        convs, stages = self.stages(3, dtype)
+        x = Tensor(np.zeros((0, 1, 30, 20), dtype=dtype), requires_grad=True)
+        out = neural.conv_stack(x, stages)
+        assert out.data.shape == (0, 4, 1, 20)
+        T.sum_all(out).backward()
+        assert x.grad.shape == x.data.shape
+        for conv in convs:
+            for p in (conv.weight, conv.bias):
+                assert p.grad.shape == p.data.shape and not p.grad.any()
+
     def test_no_grad_gives_the_same_output_and_records_nothing(self):
         _, stages = self.stages(5, np.float32)
         x = Tensor(rng_of(103).standard_normal((32, 1, 512, 20)).astype(np.float32))
@@ -522,24 +557,20 @@ class TestConvStack:
 
 class TestMaxPool:
     def test_high_dim_heights(self):
-        pool = MaxPool2d(5)
-        out = pool(Tensor(np.zeros((1, 16, 512, 20))))
+        out = neural.maxpool2d(Tensor(np.zeros((1, 16, 512, 20))), 5)
         assert out.data.shape == (1, 16, 102, 20)
 
     def test_low_dim_heights(self):
-        pool = MaxPool2d(3)
-        out = pool(Tensor(np.zeros((1, 16, 30, 20))))
+        out = neural.maxpool2d(Tensor(np.zeros((1, 16, 30, 20))), 3)
         assert out.data.shape == (1, 16, 10, 20)
 
     def test_constant_input(self):
-        pool = MaxPool2d(5)
-        out = pool(Tensor(np.full((1, 1, 10, 4), 2.5)))
+        out = neural.maxpool2d(Tensor(np.full((1, 1, 10, 4), 2.5)), 5)
         assert np.all(out.data == 2.5)
 
     def test_kernel_larger_than_input(self):
-        pool = MaxPool2d(5)
         with pytest.raises(ShapeError):
-            pool(Tensor(np.zeros((1, 1, 4, 4))))
+            neural.maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), 5)
 
     def test_tie_routes_to_lowest_index(self):
         x = Tensor(np.zeros((1, 1, 4, 1)), requires_grad=True)

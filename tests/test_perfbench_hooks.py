@@ -5,14 +5,17 @@
 the optimiser's first step (``step_count == 1``) as warm-up; its end-to-end
 training metrics come from those records. ``--trace 1`` also swaps module
 attributes (``predict_clip``, ``feature_matrix``, ...) for timing wrappers and
-divides by the call count of ``models.predict_clip``, and measures every build
-that ``tables._builds`` makes. A hook that moves, a clip path that stops
-calling ``predict_clip`` or a builder that changes its signature breaks the
-benchmark; these tests catch all three without running it. They only read
-``perfbench/``.
+divides by the call count of ``models.predict_clip``, measures every build
+that ``tables._builds`` makes, and times each layer in ``tables.layer_table``
+through ``cnn.convs`` and ``cnn.pools``. A hook that moves, a clip path that
+stops calling ``predict_clip``, a builder that changes its signature or a
+layer the table can no longer call breaks the benchmark; these tests catch
+all four without running it. They only read ``perfbench/`` and
+``BENCHMARK.json``.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -26,7 +29,8 @@ from shoutkit.experiments.training import ClipExample, TrainSettings, train_mode
 from shoutkit.features import FeatureKind, FeatureStats, feature_matrix
 from shoutkit.models import build_fusion_model, build_single_model
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
 
 
 def load_perfbench(name: str):
@@ -65,6 +69,19 @@ def test_every_benchmark_build_builds():
         assert model.parameters(), prefix
         assert model.kinds and all(isinstance(k, FeatureKind) for k in model.kinds), prefix
         assert prefix.startswith(f"models.{model.arch.value}."), prefix
+
+
+def test_layer_table_times_every_benchmark_layer():
+    tables = load_perfbench("tables")
+    rng = np.random.default_rng(6)
+    batches = {kind: rng.standard_normal((tables.BATCH, kind.dim, 20)).astype(np.float32)
+               for kind in FeatureKind}
+    metrics = tables.layer_table(sk, batches, seed=0, reps=1)
+    # the benchmark's per-layer neural.* names; .calls and .s are span totals
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(metrics) == {m["name"] for m in declared if m["name"].startswith("neural.")
+                            and not m["name"].endswith((".calls", ".s"))}
+    assert all(math.isfinite(value) for value in metrics.values())
 
 
 @pytest.mark.parametrize("per_block", [False, True], ids=["per-clip", "per-block"])
