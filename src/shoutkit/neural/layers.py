@@ -18,13 +18,15 @@ output. A chunk copies only the C*K width taps, in runs of Wo*N elements
 (640 at width 20, batch 32); each height tap is a row-shifted view of them,
 with one GEMM per height tap for C > 1 (see ``_columns``). The zero padding
 is never built: a tap copies only the part of the input it reads. A
-recorded convolution keeps no full-batch column buffer: when the output
-fits in one chunk the weight gradient reuses the operands the forward
-built, otherwise the backward rebuilds them chunk by chunk. The input
-gradient is the transposed correlation (the output gradient against the
-flipped kernel with in/out channels swapped, padded by K - 1 - padding)
-through the same chunked helper, so there is no col2im scatter. Max-pooling
-finds each window's first maximum in one pass over the window rows.
+model's first stage, whose input needs no gradient, max-pools each chunk's
+product in cache and never builds its conv output. A recorded convolution
+keeps no full-batch column buffer: when the output fits in one chunk the
+weight gradient reuses the operands the forward built, otherwise the
+backward rebuilds them chunk by chunk. The input gradient is the
+transposed correlation (the output gradient against the flipped kernel with
+in/out channels swapped, padded by K - 1 - padding) through the same
+chunked helper, so there is no col2im scatter. Max-pooling finds each
+window's first maximum in one pass over the window rows.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
     ``d_x`` is skipped when ``x`` does not need a gradient.
     """
     source = _to_chwn(x.data)
-    out, cols = _correlate(source, weight.data, padding, bias.data)
+    out, _, cols = _correlate(source, weight.data, padding, bias.data)
 
     def backward(g):
         d_x, d_weight, d_bias = _conv_backward(_to_chwn(g), source, cols, weight.data,
@@ -119,11 +121,12 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     It takes and returns (N, C, H, W), and runs every stage in (C, H, W, N):
     the only transposes are of its input and output. The forward equals the
     chain of ``conv2d``, ``maxpool2d`` and ``relu`` nodes bit for bit; the
-    ReLU mask is ``out > 0`` on each stage's own output. A recorded forward
-    keeps each stage's conv output, and the backward writes the pool
-    gradient into it, since nothing reads it after pooling (into a new array
-    when the gradient's dtype differs). ``d_x`` is skipped when ``x`` does
-    not need a gradient.
+    ReLU mask is ``out > 0`` on each stage's own output. A stage whose
+    input needs a gradient keeps its conv output in a recorded forward, and
+    the backward writes the pool gradient into it, since nothing reads it
+    after pooling (into a new array when the gradient's dtype differs). The
+    first stage of an ``x`` that needs no gradient pools in cache instead
+    (see ``_correlate``) and keeps no conv output.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv_stack expects (N, C, H, W), got {x.data.shape}")
@@ -131,9 +134,13 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     keep = T.records(*parents)
     a = _to_chwn(x.data)
     saved = []
-    for weight, bias, padding, kernel in stages:
-        conv_out, cols = _correlate(a, weight.data, padding, bias.data)
-        out, best = _pool(conv_out, kernel)
+    for s, (weight, bias, padding, kernel) in enumerate(stages):
+        if s > 0 or x.requires_grad:
+            conv_out, _, cols = _correlate(a, weight.data, padding, bias.data)
+            out, best = _pool(conv_out, kernel)
+        else:  # nothing needs this stage's d_x: pool each chunk, build no conv output
+            conv_out = None
+            out, best, cols = _correlate(a, weight.data, padding, bias.data, kernel)
         np.maximum(out, 0.0, out=out)
         if keep:
             saved.append((a, conv_out, cols, best, out))
@@ -146,46 +153,60 @@ def conv_stack(x: Tensor, stages) -> Tensor:
             weight, _, padding, kernel = stages[s]
             source, conv_out, cols, best, out = saved[s]
             g = np.multiply(g, out > 0.0, order="C")
-            d_conv = conv_out if conv_out.dtype == g.dtype else np.empty(conv_out.shape, g.dtype)
-            _unpool(g, best, kernel, d_conv)
-            g, d_weight, d_bias = _conv_backward(d_conv, source, cols, weight.data, padding,
-                                                 s > 0 or x.requires_grad)
+            if conv_out is not None:
+                d_conv = conv_out if conv_out.dtype == g.dtype else np.empty_like(conv_out, g.dtype)
+                _unpool(g, best, kernel, d_conv)
+                g, best = d_conv, None
+            g, d_weight, d_bias = _conv_backward(g, source, cols, weight.data, padding,
+                                                 conv_out is not None, best, kernel)
             grads[:0] = [d_weight, d_bias]
         return (None if g is None else g.transpose(3, 0, 1, 2)), *grads
 
     return Tensor._make(a.transpose(3, 0, 1, 2), parents, backward)
 
 
-def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, want_x: bool):
+def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, want_x: bool,
+                   best=None, kernel: int = 1):
     """``(d_x, d_weight, d_bias)`` of a convolution for the (O, Ho, Wo, N)
-    output gradient ``g``, a C-contiguous array.
+    output gradient ``g``, a C-contiguous array, or, given ``best``, for
+    the gradient ``g`` of that output max-pooled by ``kernel``.
 
-    ``d_weight`` sums ``operand @ g_chunk.T`` over the operands of each
-    chunk (see ``_columns``): those the forward kept, or, for ``cols``
-    None, those rebuilt from the input ``x``. A C > 1 stage adds its height
-    tap ``i`` into ``d_weight[:, :, i, :]``. ``d_x`` (None unless
-    ``want_x``) is the transposed correlation: ``g`` against the flipped
-    kernel with its in/out channels swapped, padded by ``K - 1 - padding``.
+    ``d_weight`` sums ``operand @ g_chunk.T``, and ``d_bias`` ``g_chunk``,
+    over each chunk (see ``_columns``) with the operands the forward kept,
+    or, for ``cols`` None, those rebuilt from the input ``x``. A pooled
+    ``g`` is unpooled chunk by chunk. A C > 1 stage adds its height tap
+    ``i`` into ``d_weight[:, :, i, :]``. ``d_x`` (None unless ``want_x``)
+    is the transposed correlation: ``g`` against the flipped kernel with
+    its in/out channels swapped, padded by ``K - 1 - padding``.
     """
     out_ch, in_ch, kh, kw = weight.shape
-    g2 = g.reshape(out_ch, -1)
+    ho = x.shape[1] + 2 * padding - kh + 1
     step = g[0, 0].size  # columns per output row
     # rows in (i, c, j) order: one block per height tap for C > 1, and for
     # C = 1 one block whose (i, j) rows are the operand's
     d_weight_t = np.zeros((kh, in_ch, kw, out_ch), dtype=np.result_type(g, x))
-    chunks = [(0, g.shape[1], cols)] if cols is not None else _columns(x, kh, kw, padding)
+    d_bias = np.zeros(out_ch, dtype=g.dtype)
+    chunks = [(0, ho, cols)] if cols is not None else _columns(x, kh, kw, padding)
     for y0, y1, operands in chunks:
+        if best is None:
+            g_chunk = g.reshape(out_ch, -1)[:, y0 * step : y1 * step]
+        else:  # the whole windows w0:w1 over the chunk; rows past the last are zero
+            w0, w1 = y0 // kernel, min(-(-y1 // kernel), best.shape[1])
+            if y0 == 0:  # the first chunk is the largest
+                d_rows = np.empty((out_ch, y1 + 2 * kernel, *g.shape[2:]), g.dtype)
+            d_y = d_rows[:, : max(y1, w1 * kernel) - w0 * kernel]
+            _unpool(g[:, w0:w1], best[:, w0:w1], kernel, d_y)
+            g_chunk = d_y[:, y0 - w0 * kernel : y1 - w0 * kernel].reshape(out_ch, -1)
         # operand @ g_chunk.T ran 1.5-2x faster than g_chunk @ operand.T in
         # OpenBLAS at the paper's layer shapes
-        g_t = g2[:, y0 * step : y1 * step].T
         for acc, operand in zip(d_weight_t.reshape(len(operands), -1, out_ch), operands):
-            acc += operand @ g_t
+            acc += operand @ g_chunk.T
+        d_bias += g_chunk.sum(axis=1)
     d_weight = d_weight_t.transpose(3, 1, 0, 2)
-    d_bias = g.sum(axis=(1, 2, 3))
     d_x = None
     if want_x:
         flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        d_x, _ = _correlate(g, flipped, kh - 1 - padding)
+        d_x, _, _ = _correlate(g, flipped, kh - 1 - padding)
     return d_x, d_weight, d_bias
 
 
@@ -194,7 +215,7 @@ def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, wan
 _CHUNK_ELEMENTS = 1 << 20
 
 
-def _columns(x: np.ndarray, kh: int, kw: int, pad: int):
+def _columns(x: np.ndarray, kh: int, kw: int, pad: int, window: int = 1):
     """Yield ``(y0, y1, operands)``: the GEMM operands of output rows
     ``y0:y1`` of a (C, H, W, N) array zero-padded by ``pad`` on both sides
     of H and W, each with its columns in (y, x, n) order.
@@ -211,15 +232,16 @@ def _columns(x: np.ndarray, kh: int, kw: int, pad: int):
     The padding is never built: each width tap copies the part of ``x``
     that it reads, in runs of up to Wo*N elements, and the rest of the tap
     is zero. The rows per chunk are sized by ``_CHUNK_ELEMENTS`` against the
-    largest operand's rows (at least one), and every chunk is written into
-    the same buffers, so a chunk's operands are valid only until the next
-    one is built.
+    largest operand's rows, cut to whole windows of ``window`` rows (at
+    least one), and every chunk is written into the same buffers, so a
+    chunk's operands are valid only until the next one is built.
     """
     c, h, w, n = x.shape
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     step = wo * n
     # max(1, step): an empty batch has step 0 and one empty chunk
     rows = max(1, _CHUNK_ELEMENTS // ((kh if c == 1 else c) * kw * max(1, step)))
+    rows = max(window, rows - rows % window)
     # the output columns z whose source column z + j - pad lies in x; the
     # rest of each tap's width is written nowhere below, so it stays zero
     spans = []
@@ -248,16 +270,20 @@ def _columns(x: np.ndarray, kh: int, kw: int, pad: int):
         yield y0, y1, views
 
 
-def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None):
+def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None, pool: int = 1):
     """Correlation ``out[o, y, z, n] = sum weight[o, c, i, j] * xp[c, y+i, z+j, n]``
     (+ ``bias[o]``) of ``x`` zero-padded by ``pad`` into ``xp``.
 
     Each chunk's operands (see ``_columns``) are multiplied by the matching
     slices of ``weight`` and summed straight into the chunk's rows of the
     (O, Ho, Wo, N) output while they are in cache: one GEMM per height tap
-    for C > 1, one GEMM for C = 1. Returns the output and, when the output
-    fits in one chunk, its operands (else None). A channel count other than
-    the kernel's, or a kernel larger than the padded input, is a ShapeError.
+    for C > 1, one GEMM for C = 1. With ``pool`` > 1 the chunks hold whole
+    pool windows and each chunk's product is max-pooled (see ``_pool``) in
+    a chunk-sized buffer, so only the pooled output is built. Returns the
+    output, its windows' first-maximum rows (None for ``pool`` 1) and, when
+    the output fits in one chunk, its operands (else None). A channel count
+    other than the kernel's, or a kernel or pool larger than the padded
+    input, is a ShapeError.
     """
     out_ch, in_ch, kh, kw = weight.shape
     c, h, w, n = x.shape
@@ -266,20 +292,30 @@ def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None):
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w}")
+    if ho < pool:
+        raise ShapeError(f"pool kernel {pool} exceeds input height {ho}")
     if c == 1:
         taps = weight.reshape(1, out_ch, kh * kw)
     else:
         taps = np.ascontiguousarray(weight.transpose(2, 0, 1, 3)).reshape(kh, out_ch, c * kw)
-    out = np.empty((out_ch, ho, wo, n), dtype=np.result_type(x, weight))
-    flat = out.reshape(out_ch, -1)
-    for y0, y1, operands in _columns(x, kh, kw, pad):
-        block = flat[:, y0 * wo * n : y1 * wo * n]
+    dtype = np.result_type(x, weight)
+    out = np.empty((out_ch, ho // pool, wo, n), dtype=dtype)
+    best = None if pool == 1 else np.empty(out.shape, np.min_scalar_type(pool - 1))
+    for y0, y1, operands in _columns(x, kh, kw, pad, pool):
+        if pool == 1:
+            block = out.reshape(out_ch, -1)[:, y0 * wo * n : y1 * wo * n]
+        else:  # the first chunk is the largest
+            scratch = np.empty((out_ch, y1 * wo * n), dtype) if y0 == 0 else scratch
+            block = scratch[:, : (y1 - y0) * wo * n]
         np.matmul(taps[0], operands[0], out=block)
         for tap, operand in zip(taps[1:], operands[1:]):
             block += tap @ operand
         if bias is not None:
             block += bias[:, None]
-    return out, (operands if y0 == 0 else None)
+        if pool > 1:
+            windows = slice(y0 // pool, y1 // pool)
+            _pool(block.reshape(out_ch, y1 - y0, wo, n), pool, out[:, windows], best[:, windows])
+    return out, best, (operands if y0 == 0 else None)
 
 
 def maxpool2d(x: Tensor, kernel: int) -> Tensor:
@@ -306,16 +342,19 @@ def maxpool2d(x: Tensor, kernel: int) -> Tensor:
     return Tensor._make(out.transpose(3, 0, 1, 2), (x,), backward)
 
 
-def _pool(y: np.ndarray, kernel: int):
-    """The max-pooling forward of a (C, H, W, N) array along H: the output
-    and each window's first-maximum row, both in ``y``'s memory order."""
+def _pool(y: np.ndarray, kernel: int, out=None, best=None):
+    """The max-pooling forward of a (C, H, W, N) array along H: each window's
+    max and first-maximum row, into ``out`` and ``best`` (one window per
+    row of ``out``), new arrays in ``y``'s memory order if not given."""
     c, h, w, n = y.shape
-    if h < kernel:
-        raise ShapeError(f"pool kernel {kernel} exceeds input height {h}")
-    ho = h // kernel
-    rows = y[:, : ho * kernel].reshape(c, ho, kernel, w, n)
-    out = rows[:, :, 0].copy(order="K")
-    best = np.zeros_like(out, dtype=np.min_scalar_type(kernel - 1))
+    if out is None:
+        if h < kernel:
+            raise ShapeError(f"pool kernel {kernel} exceeds input height {h}")
+        out = np.empty_like(y[:, : h // kernel])
+        best = np.empty_like(out, dtype=np.min_scalar_type(kernel - 1))
+    rows = y[:, : out.shape[1] * kernel].reshape(c, out.shape[1], kernel, w, n)
+    out[...] = rows[:, :, 0]
+    best[...] = 0
     for r in range(1, kernel):
         greater = rows[:, :, r] > out
         np.maximum(out, rows[:, :, r], out=out)

@@ -24,6 +24,13 @@ Groups:
       per-epoch losses and final state dict
   suite.<file>
       the three files of a 2-fold cnn/mel_spectrogram suite
+  corpus.<task>
+      a tiny synth corpus of the binary, four_class and regression task:
+      its samples, clip lengths, task labels and sentence ids
+  folds.<task>
+      the first fold's data built from that corpus (float32, spectrogram and
+      cepstrogram): the train and validation blocks and labels and each
+      kind's stats
 
 It runs in a few seconds. No golden digests are kept: BLAS and FFT results
 may differ between machines, and OpenBLAS sums some GEMM shapes in another
@@ -49,8 +56,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shoutkit.audio_io import CLEAN  # noqa: E402
 from shoutkit.experiments import ExperimentConfig, run_suite  # noqa: E402
-from shoutkit.experiments.synthetic import make_classification_corpus  # noqa: E402
-from shoutkit.experiments.training import ClipExample, TrainSettings, train_model  # noqa: E402
+from shoutkit.experiments.folds import plan_folds  # noqa: E402
+from shoutkit.experiments.synthetic import (make_classification_corpus,  # noqa: E402
+                                            make_intensity_corpus)
+from shoutkit.experiments.training import (ClipExample, TrainSettings,  # noqa: E402
+                                           build_fold_data, train_model)
 from shoutkit.features import FeatureKind  # noqa: E402
 from shoutkit.models import build_single_model  # noqa: E402
 from shoutkit.neural import mse_loss  # noqa: E402
@@ -155,9 +165,41 @@ def suite_groups() -> dict:
         return {f"suite.{path.name}": file_group(path) for path in sorted(Path(tmp).iterdir())}
 
 
+def corpus_groups() -> dict:
+    corpora = {
+        "binary": [(s, s.class_index) for s in make_classification_corpus(
+            n_clips=8, n_speakers=4, seed=21)],
+        "four_class": [(s, s.class_index) for s in make_classification_corpus(
+            n_clips=16, n_speakers=4, n_classes=4, seed=22)],
+        "regression": [(s, s.intensity) for s in make_intensity_corpus(
+            n_clips=8, n_speakers=4, seed=23)],
+    }
+    kinds = (FeatureKind.SPECTROGRAM, FeatureKind.CEPSTROGRAM)
+    groups = {}
+    for task, corpus in corpora.items():
+        groups[f"corpus.{task}"] = numeric_group({
+            "samples": np.concatenate([s.clip.samples for s, _ in corpus]),
+            "lengths": np.array([len(s.clip.samples) for s, _ in corpus]),
+            "labels": np.array([label for _, label in corpus], dtype=np.float64),
+            "sentences": np.array([s.sentence_id for s, _ in corpus])})
+        examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id, clip=s.clip,
+                                label=label) for s, label in corpus]
+        cfg = ExperimentConfig(task=task, dtype="float32", n_folds=2, seed=24)
+        fold = plan_folds(sorted({e.speaker_id for e in examples}), seed=cfg.seed,
+                          n_folds=cfg.n_folds).folds[0]
+        data = build_fold_data(examples, fold, kinds, cfg)
+        groups[f"folds.{task}"] = numeric_group({
+            "train_y": data.train_y, "val_y": data.val_y,
+            **{f"{kind.value}.{name}": value for kind in kinds for name, value in (
+                ("train_x", data.train_x[kind]), ("val_x", data.val_x[kind]),
+                ("mean", data.stats[kind].mean), ("std", data.stats[kind].std))}})
+    return groups
+
+
 def fingerprint() -> dict:
     return {"machine": machine_facts(),
-            "groups": {**build_groups(), **training_groups(), **suite_groups()}}
+            "groups": {**build_groups(), **training_groups(), **suite_groups(),
+                       **corpus_groups()}}
 
 
 def _arrays(group: dict) -> dict:

@@ -84,7 +84,7 @@ MUTANTS = [
            "d_y[:, ho * kernel :] = d_y[:, ho * kernel :]",
            "the rows pooling dropped keep whatever the gradient buffer held"),
     Mutant("conv_buffer_dtype", "neural/layers.py",
-           "d_conv = conv_out if conv_out.dtype == g.dtype else np.empty(conv_out.shape, g.dtype)",
+           "d_conv = conv_out if conv_out.dtype == g.dtype else np.empty_like(conv_out, g.dtype)",
            "d_conv = conv_out",
            "a float64 pool gradient is written into the float32 conv output"),
     Mutant("relu_mask", "neural/layers.py",
@@ -119,6 +119,14 @@ MUTANTS = [
            "if ho < 1 or wo < 1:",
            "if ho < 0 or wo < 0:",
            "a kernel one row larger than the padded input is not refused"),
+    Mutant("pooled_chunk_windows", "neural/layers.py",
+           "rows = max(window, rows - rows % window)",
+           "rows = max(window, rows)",
+           "a pooled conv chunk ends inside a window, so later windows start off their rows"),
+    Mutant("chunk_bias_sum", "neural/layers.py",
+           "d_bias += g_chunk.sum(axis=1)",
+           "d_bias = g_chunk.sum(axis=1)",
+           "a conv's bias gradient keeps only its last row chunk's sum"),
 ]
 
 

@@ -513,6 +513,44 @@ class TestConvStack:
         for mine, theirs in zip(stack_grads, chain_grads):
             assert mine.dtype == dtype and np.array_equal(mine, theirs)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("n", [32, 40, 7], ids=["batch32", "batch40", "batch7"])
+    def test_data_input_matches_the_chain(self, n, dtype):
+        # the path every model runs: stage 1's input needs no gradient, so the
+        # stack pools each chunk in cache; at batch 40 a chunk of 52 rows is
+        # cut to 50, whole windows of 5, while the chain's conv keeps 52
+        assert rows_per_chunk(1, n) < 512 and (n != 40 or rows_per_chunk(1, n) == 52)
+        convs, stages = self.stages(5, dtype)
+        data = rng_of(110).standard_normal((n, 1, 512, 20)).astype(dtype)
+        results = []
+        for layer in (lambda x: neural.conv_stack(x, stages),
+                      lambda x: self.chain(x, convs, 5)):
+            for conv in convs:
+                conv.weight.grad = conv.bias.grad = None
+            out = layer(Tensor(data))
+            g = rng_of(111).standard_normal(out.data.shape).astype(dtype)
+            T.sum_all(T.mul(out, Tensor(g))).backward()
+            results.append((out.data,
+                            *(p.grad for conv in convs for p in conv.parameters().values())))
+        for mine, theirs in zip(*results):
+            assert mine.dtype == dtype and np.array_equal(mine, theirs)
+
+    def test_data_input_keeps_no_conv_output(self):
+        conv = Conv2d(1, 16, kernel=5, padding=2, rng=rng_of(112), dtype=np.float32)
+        x = Tensor(rng_of(113).standard_normal((32, 1, 512, 20)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = neural.conv_stack(x, [(conv.weight, conv.bias, 2, 5)])
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # kept: the (C, H, W, N) copy of the input, one argmax byte per pooled
+        # value and at most the chunk buffers; the (16, 512, 20, 32) float32
+        # conv output would be 21 MB
+        assert retained <= x.data.nbytes + out.data.size + layers._CHUNK_ELEMENTS * 4
+
     def test_finite_differences_across_row_chunks(self, monkeypatch):
         # a small chunk makes every stage's forward, weight-gradient rebuild
         # and input-gradient correlation span several row chunks
@@ -530,6 +568,32 @@ class TestConvStack:
             {"x": x, **{f"{i}.{k}": p for i, conv in enumerate((first, second))
                         for k, p in conv.parameters().items()}}, h=1e-5)
         assert err <= 1e-4
+
+    def test_finite_differences_of_data_input_across_windowed_chunks(self, monkeypatch):
+        # stage 1 pools 6-row forward chunks (8 rows cut to two windows of 3;
+        # the last chunk holds only row 18, which pooling drops), and its
+        # backward unpools the windows over each 8-row chunk of the chain
+        monkeypatch.setattr(layers, "_CHUNK_ELEMENTS", 600)
+        assert rows_per_chunk(1, 2, width=4, kernel=3) == 8
+        first = Conv2d(1, 3, kernel=3, padding=1, rng=rng_of(114))
+        second = Conv2d(3, 2, kernel=3, padding=1, rng=rng_of(115))
+        for conv, seed in ((first, 116), (second, 117)):
+            conv.bias.data = rng_of(seed).standard_normal(conv.bias.data.shape)
+        x = Tensor(rng_of(118).standard_normal((2, 1, 19, 4)))
+        w = Tensor(rng_of(119).standard_normal((2, 2, 3, 4)))
+        stages = [(first.weight, first.bias, 1, 3), (second.weight, second.bias, 1, 2)]
+        err = finite_difference_check(
+            lambda: T.mean_all(T.mul(neural.conv_stack(x, stages), w)),
+            {f"{i}.{k}": p for i, conv in enumerate((first, second))
+             for k, p in conv.parameters().items()}, h=1e-5, max_coords=60)
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("requires_grad", [True, False], ids=["x-grad", "x-data"])
+    def test_a_pool_taller_than_the_first_conv_output_is_refused(self, requires_grad):
+        _, stages = self.stages(5, np.float64)
+        x = Tensor(np.zeros((2, 1, 4, 20)), requires_grad=requires_grad)
+        with pytest.raises(ShapeError):
+            neural.conv_stack(x, stages[:1])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_empty_batch(self, dtype):
