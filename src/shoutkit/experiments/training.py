@@ -224,6 +224,11 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
     saved. With early_stop_patience > 0, training stops after that many
     epochs without validation improvement and the best-validation parameters
     are restored onto the model instead.
+
+    A step's gradients live from its backward to the next step's
+    ``model.zero_grad()``, and its loss graph is dropped before the next
+    forward. The gradients are released when training ends, so the returned
+    model holds only its weights.
     """
     if data is not None:
         train_x, train_y = data.train_x, data.train_y
@@ -257,6 +262,7 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
                                    f"batch starting {start}")
             batch_loss.backward()
             optimizer.step()
+            del out, batch_loss     # the step's graph goes before the next forward
             epoch_loss += value * len(idx)
         epoch_loss /= n
         val_loss = None
@@ -276,6 +282,7 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
                 break
     if settings.early_stop_patience and log.best_state is not None:
         model.load_state_dict(log.best_state)
+    optimizer.zero_grad()
     return log
 
 

@@ -215,8 +215,15 @@ class NetworkGraph:
                 for tensor, p in layer.parameters().items()}
 
     def zero_grad(self):
+        """Release every parameter's gradient (``grad = None``); allocates nothing.
+
+        The next backward gives each parameter the gradient that zero-filling
+        and accumulating would (see ``Tensor.backward``), so a step starts
+        with no gradient memory held. ``Tensor.zero_grad`` fills one tensor's
+        gradient with zeros instead.
+        """
         for p in self.parameters().values():
-            p.zero_grad()
+            p.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters().items()}

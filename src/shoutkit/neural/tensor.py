@@ -45,7 +45,7 @@ def records(*tensors: "Tensor") -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -73,6 +73,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
+        """Fill this tensor's gradient with zeros of its shape and dtype."""
         self.grad = np.zeros_like(self.data)
 
     # -- backward ------------------------------------------------------------
@@ -81,8 +82,13 @@ class Tensor:
         """Populate gradients of all reachable requires_grad tensors.
 
         The receiver must be a scalar produced by a recorded forward pass.
-        Gradients accumulate into ``grad`` (call zero_grad on parameters
-        first if fresh gradients are wanted).
+        Gradients accumulate into ``grad``. A leaf whose ``grad`` is None
+        takes its first contribution plus a zero of its own dtype, so it
+        gets the same bytes (+0.0 for -0.0) and dtype as a zero-filled
+        ``grad`` (``Tensor.zero_grad``) would. Releasing gradients
+        (``grad = None``) before a backward therefore equals zero-filling
+        them. The graph stays intact; it is freed when the last reference
+        to the receiver goes.
         """
         if self._backward_fn is None:
             raise StateError("backward called without a recorded forward pass")
@@ -117,7 +123,7 @@ class Tensor:
                     # Leaf: accumulate directly into .grad when requested.
                     if parent.requires_grad:
                         if parent.grad is None:
-                            parent.grad = np.array(grad_in, copy=True)
+                            parent.grad = np.add(grad_in, np.zeros((), parent.data.dtype))
                         else:
                             parent.grad = parent.grad + grad_in
                     continue

@@ -31,6 +31,12 @@ Groups:
       the first fold's data built from that corpus (float32, spectrogram and
       cepstrogram): the train and validation blocks and labels and each
       kind's stats
+  cli.<file>
+      the files that ``shoutkit train`` (a 2-epoch float32 cnn on
+      mel_spectrogram), ``evaluate`` (clean and 0 dB) and ``extract`` (an
+      SKFB container of one clip, z-scored with the trained stats) write
+      for a tiny synth corpus; a checkpoint or SKFB file is hashed as bytes
+      and compared by the arrays read back from it
 
 It runs in a few seconds. No golden digests are kept: BLAS and FFT results
 may differ between machines, and OpenBLAS sums some GEMM shapes in another
@@ -42,8 +48,10 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
 import re
 import sys
@@ -55,15 +63,16 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shoutkit.audio_io import CLEAN  # noqa: E402
+from shoutkit.cli import main as cli  # noqa: E402
 from shoutkit.experiments import ExperimentConfig, run_suite  # noqa: E402
 from shoutkit.experiments.folds import plan_folds  # noqa: E402
 from shoutkit.experiments.synthetic import (make_classification_corpus,  # noqa: E402
                                             make_intensity_corpus)
 from shoutkit.experiments.training import (ClipExample, TrainSettings,  # noqa: E402
                                            build_fold_data, train_model)
-from shoutkit.features import FeatureKind  # noqa: E402
+from shoutkit.features import FeatureKind, load_blocks  # noqa: E402
 from shoutkit.models import build_single_model  # noqa: E402
-from shoutkit.neural import mse_loss  # noqa: E402
+from shoutkit.neural import load_checkpoint, mse_loss  # noqa: E402
 
 
 def blas_threads():
@@ -107,11 +116,19 @@ def numeric_group(arrays: dict) -> dict:
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
-def file_group(path: Path) -> dict:
-    """A written file: the sha256 of its bytes and every number in it, in order."""
+def file_group(path: Path, root: Path | None = None) -> dict:
+    """A written text file: the sha256 of its bytes and every number in it,
+    in order. A path under ``root`` in the text is hashed as ``<root>/...``."""
     data = path.read_bytes()
+    if root is not None:
+        data = data.replace(str(root).encode(), b"<root>")
     numbers = [float(v) for v in _NUMBER.findall(data.decode("utf-8"))]
     return {"sha256": hashlib.sha256(data).hexdigest(), "numbers": numbers}
+
+
+def binary_group(path: Path, arrays: dict) -> dict:
+    """A written binary file: the sha256 of its bytes and the arrays read back from it."""
+    return {**numeric_group(arrays), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def build_groups() -> dict:
@@ -196,10 +213,44 @@ def corpus_groups() -> dict:
     return groups
 
 
+def _shoutkit(*argv: str) -> None:
+    if cli(list(argv)) != 0:
+        raise RuntimeError(f"shoutkit {argv[0]} failed")
+
+
+def cli_groups() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus, run = root / "corpus", root / "run"
+        settings = ["task=binary", "archs=cnn", "features=mel_spectrogram", "epochs=2",
+                    "batch_size=8", "learning_rate=0.001", "dtype=float32", "n_folds=2",
+                    "snrs_db=clean,0", f"noise={corpus / 'noise.wav'}",
+                    f"manifest={corpus / 'manifest.csv'}", f"audio_root={corpus}"]
+        config = [arg for setting in settings for arg in ("--set", setting)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            _shoutkit("synth", "--clips", "16", "--speakers", "4", "--seed", "25",
+                      "--noise-seconds", "2", "--output", str(corpus))
+            _shoutkit("train", *config, "--output", str(run), "--name", "m")
+            _shoutkit("evaluate", *config, "--model", str(run / "m.descriptor"),
+                      "--output", str(run / "evaluate.json"))
+            _shoutkit("extract", str(min((corpus / "wav").iterdir())), str(run / "clip.skfb"),
+                      "--kind", "mel_spectrogram",
+                      "--stats", str(run / "m.stats.mel_spectrogram.json"))
+        groups = {}
+        for path in sorted(run.iterdir()):
+            if path.suffix == ".ckpt":
+                groups[f"cli.{path.name}"] = binary_group(path, load_checkpoint(path))
+            elif path.suffix == ".skfb":
+                groups[f"cli.{path.name}"] = binary_group(path, {"blocks": load_blocks(path)[1]})
+            else:
+                groups[f"cli.{path.name}"] = file_group(path, root)
+        return groups
+
+
 def fingerprint() -> dict:
     return {"machine": machine_facts(),
             "groups": {**build_groups(), **training_groups(), **suite_groups(),
-                       **corpus_groups()}}
+                       **corpus_groups(), **cli_groups()}}
 
 
 def _arrays(group: dict) -> dict:

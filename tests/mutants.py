@@ -127,6 +127,26 @@ MUTANTS = [
            "d_bias += g_chunk.sum(axis=1)",
            "d_bias = g_chunk.sum(axis=1)",
            "a conv's bias gradient keeps only its last row chunk's sum"),
+    Mutant("train_release", "experiments/training.py",
+           "    optimizer.zero_grad()\n    return log",
+           "    return log",
+           "a trained model keeps its last step's gradients"),
+    Mutant("step_graph_kept", "experiments/training.py",
+           "del out, batch_loss",
+           "del out",
+           "a step's loss graph stays alive through the next step's forward"),
+    Mutant("model_zero_fill", "models.py",
+           "            p.grad = None",
+           "            p.zero_grad()",
+           "model.zero_grad() allocates zero-filled gradients again"),
+    Mutant("first_contribution_copy", "neural/tensor.py",
+           "np.add(grad_in, np.zeros((), parent.data.dtype))",
+           "np.array(grad_in, copy=True)",
+           "a released gradient keeps a -0.0 that zero-filling would turn into +0.0"),
+    Mutant("adam_block_end", "neural/optim.py",
+           "slice(start, start + rows)",
+           "slice(start, start + rows - 1)",
+           "each Adam block stops one row short, so one row per block is never updated"),
 ]
 
 

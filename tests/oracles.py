@@ -126,6 +126,22 @@ def adam_textbook(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return w
 
 
+def adam_one_pass(params, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over whole arrays, in each parameter's own dtype and in the
+    operation order of ``Adam.step``; returns (weights, first moments,
+    second moments), which a blocked step must match bit for bit."""
+    w = {name: np.array(p) for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in w.items()}
+    v = {name: np.zeros_like(p) for name, p in w.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        correct1, correct2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for name, g in grads.items():
+            m[name] = m[name] * beta1 + g * (1.0 - beta1)
+            v[name] = v[name] * beta2 + (g * g) * (1.0 - beta2)
+            w[name] = w[name] - m[name] / (np.sqrt(v[name] / correct2) + eps) * (lr / correct1)
+    return w, m, v
+
+
 def naive_logistic(x):
     """1 / (1 + exp(-x)) in float64; no overflow for |x| <= 700."""
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))

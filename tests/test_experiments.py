@@ -4,6 +4,7 @@ import ast
 import json
 import re
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -382,6 +383,40 @@ class TestTraining:
                                                      early_stop_patience=2))
         assert log.best_epoch >= 1
         assert len(log.epochs) <= 50
+
+    @pytest.mark.parametrize("patience", [0, 2], ids=["final", "restored"])
+    def test_a_trained_model_holds_no_gradient(self, fold_setup, patience):
+        _, _, _, data = fold_setup
+        model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",
+                                   seed=0, dtype=np.float32)
+        log = train_model(model, data, TrainSettings(epochs=3, batch_size=20,
+                                                     learning_rate=1e-3, shuffle_seed=1,
+                                                     early_stop_patience=patience))
+        assert (log.best_state is not None) and len(log.epochs) == 3
+        assert all(p.grad is None for p in model.parameters().values())
+
+    def test_a_step_graph_is_gone_before_the_next_forward(self, fold_setup, monkeypatch):
+        _, _, _, data = fold_setup
+        model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",
+                                   seed=0, dtype=np.float32)
+        losses, live = [], []
+        loss_fn, forward = training.loss_fn, model.forward
+
+        def recorded(*args):
+            out = loss_fn(*args)
+            losses.append(weakref.ref(out))
+            return out
+
+        def checked(x):
+            live.append(sum(ref() is not None for ref in losses))
+            return forward(x)
+
+        monkeypatch.setattr(training, "loss_fn", recorded)
+        model.forward = checked
+        train_model(model, data, TrainSettings(epochs=2, batch_size=20,
+                                               learning_rate=1e-3, shuffle_seed=1))
+        assert len(losses) > 2 and len(live) > 2
+        assert live == [0] * len(live)
 
     def test_a_tie_in_validation_loss_keeps_the_earlier_epoch(self, fold_setup, monkeypatch):
         _, _, _, data = fold_setup

@@ -23,7 +23,7 @@ def test_two_processes_give_identical_digests(tmp_path, capsys):
     assert runs[0]["machine"] == runs[1]["machine"]
     assert runs[0]["machine"]["numpy"] == np.__version__
     first, second = (run["groups"] for run in runs)
-    assert len(first) == 3 * 2 * 2 * 3 + 2 + 3 + 3 * 2
+    assert len(first) == 3 * 2 * 2 * 3 + 2 + 3 + 3 * 2 + 7
     assert {name: g["sha256"] for name, g in first.items()} == \
         {name: g["sha256"] for name, g in second.items()}
     assert fingerprint.compare(tmp_path / "run0.json", tmp_path / "run1.json") == 0

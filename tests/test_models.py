@@ -1,5 +1,7 @@
 """models: shape ledgers, heads, fusion wiring, clip prediction, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -594,6 +596,57 @@ def test_loss_graph_is_one_node_per_layer(arch, nodes):
     rng = np.random.default_rng(3)
     x = m.batch({k: rng.standard_normal((4, k.dim, 20)).astype(np.float32) for k in m.kinds})
     assert count_graph_nodes(neural.mse_loss(m.forward(x), np.ones((4, 1)))) <= nodes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", ["cnn", "gru", "cnn_gru", "mlp_baseline_standin",
+                                  "cnn_fusion_high", "cnn_fusion_low"])
+def test_released_gradients_equal_zero_filled_ones(arch, dtype):
+    # model.zero_grad() releases the gradients; one backward must then give
+    # every parameter the bytes that zero-filling each one would, so that no
+    # parameter is left without a gradient for Adam to skip
+    single = lambda a, kind, seed: build_single_model(a, kind, "binary", seed=seed,
+                                                      dtype=dtype, width_scale=8)
+    if arch.startswith("cnn_fusion"):
+        left, right = HIGH if arch.endswith("high") else LOW
+        m = build_fusion_model(single("cnn", left, 0), single("cnn", right, 1), seed=2)
+    elif arch == "mlp_baseline_standin":
+        m = single(arch, FeatureKind.MFCC_DELTA_DELTA, 0)
+    else:
+        m = single(arch, FeatureKind.SPECTROGRAM, 0)
+    rng = np.random.default_rng(3)
+    x = m.batch({k: rng.standard_normal((4, k.dim, 20)).astype(dtype) for k in m.kinds})
+    y = np.array([[1.0], [0.0], [1.0], [0.0]], dtype=dtype)
+    params = m.parameters()
+
+    for p in params.values():
+        p.zero_grad()
+    neural.mse_loss(m.forward(x), y).backward()
+    filled = {name: p.grad for name, p in params.items()}
+    m.zero_grad()
+    assert all(p.grad is None for p in params.values())
+    neural.mse_loss(m.forward(x), y).backward()
+    for name, p in params.items():
+        assert p.grad is not None, name
+        assert p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype, name
+        want = filled[name]
+        assert np.ascontiguousarray(p.grad).tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+def test_model_zero_grad_allocates_nothing():
+    m = build_single_model("cnn", FeatureKind.SPECTROGRAM, "binary", seed=0, dtype=np.float32)
+    x = np.random.default_rng(1).standard_normal((2, 512, 20)).astype(np.float32)
+    neural.mse_loss(m.forward(x), np.ones((2, 1), np.float32)).backward()
+    held = sum(p.grad.nbytes for p in m.parameters().values())
+    tracemalloc.start()
+    try:
+        m.zero_grad()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is None for p in m.parameters().values())
+    # the parameter-name dict only; zero-filling would take every gradient's bytes again
+    assert peak < 8 * 1024 < held
 
 
 def _unbatched(shape):

@@ -15,7 +15,7 @@ from shoutkit.neural import layers, optim
 from shoutkit.neural.losses import PROB_FLOOR
 from shoutkit.neural import tensor as T
 
-from oracles import (adam_descent_oracle, adam_textbook, composed_cross_entropy,
+from oracles import (adam_descent_oracle, adam_one_pass, adam_textbook, composed_cross_entropy,
                      composed_linear, composed_mse, count_graph_nodes, finite_difference_check,
                      full_batch_conv_columns, full_batch_conv_input_grad,
                      full_batch_conv_weight_grad, naive_conv2d, naive_logistic,
@@ -50,6 +50,19 @@ class TestAutogradBasics:
         unused.zero_grad()
         T.mul(x, x).backward()
         assert np.array_equal(unused.grad, np.zeros(()))
+
+    def test_a_released_gradient_ends_as_a_zero_filled_one(self):
+        # the first contribution is added to a zero, so -0.0 reads +0.0 as 0 + (-0.0) does
+        grads = []
+        for fill in (False, True):
+            x = Tensor(np.array([2.0, 3.0], dtype=np.float32), requires_grad=True)
+            if fill:
+                x.zero_grad()
+            T.sum_all(T.mul(x, np.array([-0.0, 1.0]))).backward()
+            grads.append(x.grad)
+        assert grads[0].dtype == grads[1].dtype == np.float32
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert not np.signbit(grads[0]).any()
 
     def test_grad_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
@@ -1020,7 +1033,7 @@ class TestAdam:
             assert np.array_equal(opt.state.first_moment[name], m)
             assert np.array_equal(opt.state.second_moment[name], v)
 
-    def test_warm_step_allocates_one_parameter_of_scratch(self):
+    def test_warm_step_allocates_one_block_of_scratch(self):
         rng = rng_of(63)
         p = Tensor(rng.standard_normal((512, 1536)).astype(np.float32), requires_grad=True)
         opt = Adam({"p": p})
@@ -1032,7 +1045,42 @@ class TestAdam:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= p.data.nbytes + 64 * 1024
+        # a block is 21 rows of 1536 (32,256 elements), 1/24 of the parameter
+        assert peak <= optim.BLOCK_ELEMENTS * 4 + 64 * 1024 < p.data.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_update_equals_one_pass(self, dtype):
+        rng = rng_of(64)
+        # several blocks with a short last one; rows longer than a block; a 0-d parameter
+        shapes = {"rows": (70, 1000), "flat": (100_000,), "wide": (3, 40_000),
+                  "conv": (64, 64, 5, 5), "s": ()}
+        params = {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                  for name, shape in shapes.items()}
+        start = {name: p.data.copy() for name, p in params.items()}
+        grad_steps = []
+        for _ in range(3):
+            grads = {name: rng.standard_normal(shape).astype(dtype)
+                     for name, shape in shapes.items()}
+            # a conv's weight gradient is a transposed view, not C-contiguous
+            grads["conv"] = np.ascontiguousarray(grads["conv"].transpose(1, 0, 2, 3)) \
+                .transpose(1, 0, 2, 3)
+            grad_steps.append(grads)
+        assert not grad_steps[0]["conv"].flags.c_contiguous
+        for name in ("rows", "flat", "wide", "conv"):
+            blocks = optim._blocks(start[name])
+            assert len(blocks) >= 3, name
+            assert (blocks[-1].stop > len(start[name])) == (name != "wide"), name
+        opt = Adam(params, lr=0.01)
+        for grads in grad_steps:
+            for name, g in grads.items():
+                params[name].grad = g
+            opt.step()
+        want, first, second = adam_one_pass(start, grad_steps, lr=0.01)
+        for name, p in params.items():
+            assert p.data.dtype == dtype and p.data.shape == shapes[name]
+            assert p.data.tobytes() == want[name].tobytes(), name
+            assert opt.state.first_moment[name].tobytes() == first[name].tobytes(), name
+            assert opt.state.second_moment[name].tobytes() == second[name].tobytes(), name
 
     def test_only_the_learning_rate_is_settable(self):
         # betas and epsilon are the paper's fixed constants, not arguments
