@@ -43,6 +43,7 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read what ``save_checkpoint`` wrote; a non-finite value is a FormatError."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEAD.size:
         raise FormatError(f"checkpoint too short: {path}")
@@ -71,6 +72,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             if offset + n_bytes > len(raw):
                 raise FormatError(f"truncated payload in checkpoint {path}")
             payload = np.frombuffer(raw, dtype=dtype, count=n_items, offset=offset)
+            if not np.isfinite(payload).all():
+                raise FormatError(f"tensor {name!r} holds a non-finite value in checkpoint {path}")
             offset += n_bytes
             tensors[name] = payload.reshape(shape).astype(dtype.newbyteorder("="))
         if offset != len(raw):

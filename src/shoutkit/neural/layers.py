@@ -17,16 +17,16 @@ cache, and it writes each chunk's product straight into its rows of the
 output. A chunk copies only the C*K width taps, in runs of Wo*N elements
 (640 at width 20, batch 32); each height tap is a row-shifted view of them,
 with one GEMM per height tap for C > 1 (see ``_columns``). The zero padding
-is never built: a tap copies only the part of the input it reads. A
-model's first stage, whose input needs no gradient, max-pools each chunk's
-product in cache and never builds its conv output. A recorded convolution
-keeps no full-batch column buffer: when the output fits in one chunk the
-weight gradient reuses the operands the forward built, otherwise the
-backward rebuilds them chunk by chunk. The input gradient is the
-transposed correlation (the output gradient against the flipped kernel with
-in/out channels swapped, padded by K - 1 - padding) through the same
-chunked helper, so there is no col2im scatter. Max-pooling finds each
-window's first maximum in one pass over the window rows.
+is never built: a tap copies only the part of the input it reads. Every
+stage of ``conv_stack`` max-pools each chunk's product in cache and never
+builds its conv output. A recorded convolution keeps no full-batch column
+buffer: when the output fits in one chunk the weight gradient reuses the
+operands the forward built, otherwise the backward rebuilds them chunk by
+chunk. The input gradient is the transposed correlation (the output
+gradient against the flipped kernel with in/out channels swapped, padded by
+K - 1 - padding) through the same chunked helper, so there is no col2im
+scatter. Max-pooling finds each window's first maximum in one pass over the
+window rows.
 """
 
 from __future__ import annotations
@@ -121,12 +121,12 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     It takes and returns (N, C, H, W), and runs every stage in (C, H, W, N):
     the only transposes are of its input and output. The forward equals the
     chain of ``conv2d``, ``maxpool2d`` and ``relu`` nodes bit for bit; the
-    ReLU mask is ``out > 0`` on each stage's own output. A stage whose
-    input needs a gradient keeps its conv output in a recorded forward, and
-    the backward writes the pool gradient into it, since nothing reads it
-    after pooling (into a new array when the gradient's dtype differs). The
-    first stage of an ``x`` that needs no gradient pools in cache instead
-    (see ``_correlate``) and keeps no conv output.
+    ReLU mask is ``out > 0`` on each stage's own output. Every stage pools
+    each row chunk in cache (see ``_correlate``): a recorded forward keeps
+    each stage's input, argmax rows and pooled output, and the operands of a
+    conv output that fits in one chunk, but no conv output. The backward is
+    one ``_conv_backward`` call per stage; only the first stage of an ``x``
+    that needs no gradient gives no ``d_x``.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv_stack expects (N, C, H, W), got {x.data.shape}")
@@ -134,16 +134,11 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     keep = T.records(*parents)
     a = _to_chwn(x.data)
     saved = []
-    for s, (weight, bias, padding, kernel) in enumerate(stages):
-        if s > 0 or x.requires_grad:
-            conv_out, _, cols = _correlate(a, weight.data, padding, bias.data)
-            out, best = _pool(conv_out, kernel)
-        else:  # nothing needs this stage's d_x: pool each chunk, build no conv output
-            conv_out = None
-            out, best, cols = _correlate(a, weight.data, padding, bias.data, kernel)
+    for weight, bias, padding, kernel in stages:
+        out, best, cols = _correlate(a, weight.data, padding, bias.data, kernel)
         np.maximum(out, 0.0, out=out)
         if keep:
-            saved.append((a, conv_out, cols, best, out))
+            saved.append((a, cols, best, out))
         a = out
 
     def backward(g):
@@ -151,14 +146,10 @@ def conv_stack(x: Tensor, stages) -> Tensor:
         grads = []
         for s in reversed(range(len(stages))):
             weight, _, padding, kernel = stages[s]
-            source, conv_out, cols, best, out = saved[s]
+            source, cols, best, out = saved[s]
             g = np.multiply(g, out > 0.0, order="C")
-            if conv_out is not None:
-                d_conv = conv_out if conv_out.dtype == g.dtype else np.empty_like(conv_out, g.dtype)
-                _unpool(g, best, kernel, d_conv)
-                g, best = d_conv, None
             g, d_weight, d_bias = _conv_backward(g, source, cols, weight.data, padding,
-                                                 conv_out is not None, best, kernel)
+                                                 s > 0 or x.requires_grad, best, kernel)
             grads[:0] = [d_weight, d_bias]
         return (None if g is None else g.transpose(3, 0, 1, 2)), *grads
 
@@ -174,10 +165,11 @@ def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, wan
     ``d_weight`` sums ``operand @ g_chunk.T``, and ``d_bias`` ``g_chunk``,
     over each chunk (see ``_columns``) with the operands the forward kept,
     or, for ``cols`` None, those rebuilt from the input ``x``. A pooled
-    ``g`` is unpooled chunk by chunk. A C > 1 stage adds its height tap
-    ``i`` into ``d_weight[:, :, i, :]``. ``d_x`` (None unless ``want_x``)
-    is the transposed correlation: ``g`` against the flipped kernel with
-    its in/out channels swapped, padded by ``K - 1 - padding``.
+    ``g`` is unpooled chunk by chunk, or with ``want_x`` whole, once, into
+    an array of its dtype, since ``d_x`` reads all of it. A C > 1 stage adds
+    its height tap ``i`` into ``d_weight[:, :, i, :]``. ``d_x`` (None unless
+    ``want_x``) is the transposed correlation: ``g`` against the flipped
+    kernel with its in/out channels swapped, padded by ``K - 1 - padding``.
     """
     out_ch, in_ch, kh, kw = weight.shape
     ho = x.shape[1] + 2 * padding - kh + 1
@@ -186,6 +178,10 @@ def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, wan
     # C = 1 one block whose (i, j) rows are the operand's
     d_weight_t = np.zeros((kh, in_ch, kw, out_ch), dtype=np.result_type(g, x))
     d_bias = np.zeros(out_ch, dtype=g.dtype)
+    if best is not None and want_x:  # d_x reads the whole output gradient
+        d_y = np.empty((out_ch, ho, *g.shape[2:]), g.dtype)
+        _unpool(g, best, kernel, d_y)
+        g, best = d_y, None
     chunks = [(0, ho, cols)] if cols is not None else _columns(x, kh, kw, padding)
     for y0, y1, operands in chunks:
         if best is None:

@@ -19,6 +19,12 @@ Groups:
       mel_spectrogram, in float32 and float64: its initial weights, the
       output and MSE loss of a fixed batch of 4 blocks, and the gradients
       of one backward of that loss
+  conv_stack.<dtype>.x-grad|x-data
+      a 16-channel three-stage ``conv_stack`` (512 -> 102 -> 20 -> 4 rows)
+      over a batch of 40, in float32 and float64, with an input that needs
+      a gradient and one that does not: its output and every gradient of
+      one backward of a fixed weighted sum of it; unlike the builds, whose
+      batch of 4 fits one row chunk, it crosses chunk and pool-window cuts
   train.losses, train.state
       a 3-epoch float32 cnn/spectrogram training run (width_scale 4): its
       per-epoch losses and final state dict
@@ -72,7 +78,8 @@ from shoutkit.experiments.training import (ClipExample, TrainSettings,  # noqa: 
                                            build_fold_data, train_model)
 from shoutkit.features import FeatureKind, load_blocks  # noqa: E402
 from shoutkit.models import build_single_model  # noqa: E402
-from shoutkit.neural import load_checkpoint, mse_loss  # noqa: E402
+from shoutkit.neural import (Conv2d, Tensor, conv_stack, load_checkpoint,  # noqa: E402
+                             mse_loss, mul, sum_all)
 
 
 def blas_threads():
@@ -151,6 +158,29 @@ def build_groups() -> dict:
                                                              "loss": loss.data})
                 groups[f"{prefix}.grads"] = numeric_group(
                     {name: p.grad for name, p in model.parameters().items()})
+    return groups
+
+
+def conv_stack_groups() -> dict:
+    groups = {}
+    for dtype in (np.float32, np.float64):
+        convs = [Conv2d(c, 16, kernel=5, padding=2, rng=np.random.default_rng(31 + i),
+                        dtype=dtype) for i, c in enumerate((1, 16, 16))]
+        for i, conv in enumerate(convs):
+            conv.bias.data = 0.1 * np.random.default_rng(34 + i).standard_normal(16).astype(dtype)
+        stages = [(conv.weight, conv.bias, 2, 5) for conv in convs]
+        data = np.random.default_rng(37).standard_normal((40, 1, 512, 20)).astype(dtype)
+        for requires_grad, mode in ((True, "x-grad"), (False, "x-data")):
+            x = Tensor(data, requires_grad=requires_grad)
+            for conv in convs:
+                conv.weight.grad = conv.bias.grad = None
+            out = conv_stack(x, stages)
+            g = np.random.default_rng(38).standard_normal(out.data.shape).astype(dtype)
+            sum_all(mul(out, Tensor(g))).backward()
+            arrays = {"output": out.data, **({"x": x.grad} if requires_grad else {}),
+                      **{f"{s}.{name}": p.grad for s, conv in enumerate(convs)
+                         for name, p in conv.parameters().items()}}
+            groups[f"conv_stack.{np.dtype(dtype).name}.{mode}"] = numeric_group(arrays)
     return groups
 
 
@@ -249,8 +279,8 @@ def cli_groups() -> dict:
 
 def fingerprint() -> dict:
     return {"machine": machine_facts(),
-            "groups": {**build_groups(), **training_groups(), **suite_groups(),
-                       **corpus_groups(), **cli_groups()}}
+            "groups": {**build_groups(), **conv_stack_groups(), **training_groups(),
+                       **suite_groups(), **corpus_groups(), **cli_groups()}}
 
 
 def _arrays(group: dict) -> dict:

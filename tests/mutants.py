@@ -84,9 +84,13 @@ MUTANTS = [
            "d_y[:, ho * kernel :] = d_y[:, ho * kernel :]",
            "the rows pooling dropped keep whatever the gradient buffer held"),
     Mutant("conv_buffer_dtype", "neural/layers.py",
-           "d_conv = conv_out if conv_out.dtype == g.dtype else np.empty_like(conv_out, g.dtype)",
-           "d_conv = conv_out",
-           "a float64 pool gradient is written into the float32 conv output"),
+           "d_y = np.empty((out_ch, ho, *g.shape[2:]), g.dtype)",
+           "d_y = np.empty((out_ch, ho, *g.shape[2:]), x.dtype)",
+           "a float64 pool gradient is unpooled into a float32 buffer"),
+    Mutant("conv_stack_want_x", "neural/layers.py",
+           "s > 0 or x.requires_grad, best, kernel)",
+           "s > 0, best, kernel)",
+           "the conv stack gives no input gradient to an x that needs one"),
     Mutant("relu_mask", "neural/layers.py",
            'g = np.multiply(g, out > 0.0, order="C")',
            'g = np.multiply(g, out >= 0.0, order="C")',
@@ -147,6 +151,10 @@ MUTANTS = [
            "slice(start, start + rows)",
            "slice(start, start + rows - 1)",
            "each Adam block stops one row short, so one row per block is never updated"),
+    Mutant("checkpoint_finite", "neural/checkpoint.py",
+           "if not np.isfinite(payload).all():",
+           "if False:",
+           "a checkpoint holding NaN loads, and evaluate writes NaN metrics"),
 ]
 
 

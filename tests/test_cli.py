@@ -17,6 +17,7 @@ from shoutkit.experiments import MetricsReport, prepare_clip
 from shoutkit.features import (FeatureKind, FeatureStats, assemble_blocks, feature_matrix,
                                load_blocks)
 from shoutkit.models import build_single_model, save_model
+from shoutkit.neural import save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,28 @@ def test_evaluate_finds_the_stats_of_a_name_ending_in_descriptor(corpus_dir, tmp
     assert main(["evaluate", *[a for s in settings for a in ("--set", s)], "--fold", "0",
                  "--model", str(descriptor), "--output", str(result)]) == 0
     assert "clean" in json.loads(result.read_text())["metrics"]
+
+
+def test_evaluate_refuses_a_checkpoint_holding_nan(corpus_dir, tmp_path, capsys):
+    # with the stats and the corpus in place, a NaN weight is all that is wrong
+    out, kind = tmp_path / "run", FeatureKind.MEL_SPECTROGRAM
+    model = build_single_model("cnn", kind, "binary", seed=0, dtype=np.float32, width_scale=8)
+    descriptor = save_model(model, out, "m")
+    state = model.state_dict()
+    name = min(state)
+    state[name].flat[0] = np.nan
+    save_checkpoint(state, out / "m.ckpt")
+    FeatureStats(mean=np.zeros(kind.dim), std=np.ones(kind.dim)).save(
+        out / f"m.stats.{kind.value}.json", kind)
+    settings = ["n_folds=2", "snrs_db=clean", f"manifest={corpus_dir / 'manifest.csv'}",
+                f"audio_root={corpus_dir}"]
+    result = tmp_path / "eval.json"
+    assert main(["evaluate", *[a for s in settings for a in ("--set", s)], "--fold", "0",
+                 "--model", str(descriptor), "--output", str(result)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert f"tensor {name!r} holds a non-finite value" in err
+    assert not result.exists()
 
 
 def test_non_standard_split_adds_no_stderr_line(corpus_dir, tmp_path):

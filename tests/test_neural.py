@@ -503,11 +503,16 @@ class TestConvStack:
         return x
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    @pytest.mark.parametrize("n,height,kernel", [(1, 30, 3), (32, 30, 3), (32, 512, 5)],
-                             ids=["batch1-h30", "batch32-h30", "batch32-h512-chunks"])
+    @pytest.mark.parametrize("n,height,kernel", [(1, 30, 3), (32, 30, 3), (32, 512, 5),
+                                                 (40, 512, 5), (7, 512, 5)],
+                             ids=["batch1-h30", "batch32-h30", "batch32-h512-chunks",
+                                  "batch40-h512-cut-chunks", "batch7-h512-cut-chunks"])
     def test_matches_the_chain(self, n, height, kernel, dtype):
-        # both run the same cores, so even the gradients agree bit for bit
+        # both run the same cores, so even the gradients agree bit for bit; at
+        # batches 40 and 7 the stack's stage-1 chunks of 52 and 299 rows are
+        # cut to whole windows of 5, while the chain's conv keeps 52 and 299
         assert (height > rows_per_chunk(1, n)) == (height == 512)
+        assert n not in (40, 7) or rows_per_chunk(1, n) % kernel
         convs, stages = self.stages(kernel, dtype)
         data = rng_of(95).standard_normal((n, 1, height, 20)).astype(dtype)
         results = []
@@ -563,6 +568,34 @@ class TestConvStack:
         # value and at most the chunk buffers; the (16, 512, 20, 32) float32
         # conv output would be 21 MB
         assert retained <= x.data.nbytes + out.data.size + layers._CHUNK_ELEMENTS * 4
+
+    @pytest.mark.parametrize("requires_grad", [True, False], ids=["x-grad", "x-data"])
+    def test_recorded_stack_keeps_no_conv_output(self, requires_grad):
+        # the full-width stack: 16 channels, 512 -> 102 -> 20 -> 4 rows
+        convs = [Conv2d(c, 16, kernel=5, padding=2, rng=rng_of(120 + i), dtype=np.float32)
+                 for i, c in enumerate((1, 16, 16))]
+        stages = [(conv.weight, conv.bias, 2, 5) for conv in convs]
+        x = Tensor(rng_of(123).standard_normal((32, 1, 512, 20)).astype(np.float32),
+                   requires_grad=requires_grad)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = neural.conv_stack(x, stages)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # kept: the (C, H, W, N) copy of the input, each stage's pooled output
+        # (the next stage's input), 4 bytes a value plus one argmax byte, and
+        # the width taps of a stage whose conv output fits in one chunk of
+        # whole windows (stage 3); the smallest conv output, stage 3's
+        # (16, 20, 20, 32) float32, would be 819 kB
+        kept = x.data.nbytes
+        for channels, height in ((1, 512), (16, 102), (16, 20)):
+            kept += 16 * (height // 5) * 20 * 32 * 5
+            if rows_per_chunk(channels, 32) // 5 * 5 >= height:
+                kept += channels * 5 * (height + 4) * 20 * 32 * 4
+        assert retained <= kept + 65_536
 
     def test_finite_differences_across_row_chunks(self, monkeypatch):
         # a small chunk makes every stage's forward, weight-gradient rebuild
@@ -1117,6 +1150,17 @@ class TestCheckpoint:
         for name in tensors:
             assert np.array_equal(back[name], tensors[name])
             assert back[name].dtype == tensors[name].dtype
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_a_non_finite_value_is_refused(self, tmp_path, bad, dtype):
+        from shoutkit.errors import FormatError
+        weight = np.ones((3, 4), dtype=dtype)
+        weight[2, 1] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"b.bias": np.zeros(4, dtype=dtype), "a.weight": weight}, path)
+        with pytest.raises(FormatError, match="'a.weight' holds a non-finite value"):
+            load_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path):
         from shoutkit.errors import FormatError
