@@ -6,6 +6,7 @@ is involved (noise segment selection, synthetic noise), take an explicit seed.
 
 from __future__ import annotations
 
+import io
 import math
 import wave
 from dataclasses import dataclass, replace
@@ -13,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, FormatError, NumericError, UnsupportedError
+from .textio import read_bytes
 
 # Sentinel SNR for the clean (no noise) condition.
 CLEAN = math.inf
@@ -84,7 +86,7 @@ def load_wav(path) -> AudioClip:
     payload shorter than the header's frame count, raise FormatError.
     """
     try:
-        with wave.open(str(path), "rb") as wf:
+        with wave.open(io.BytesIO(read_bytes(path, "WAV file")), "rb") as wf:
             nchannels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
             comptype = wf.getcomptype()

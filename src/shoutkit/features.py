@@ -22,7 +22,6 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio_io import SAMPLE_RATE, AudioClip
 from .errors import (ConfigError, DegenerateInputError, FormatError, NumericError, ShapeError,
                      UnsupportedError)
-from .textio import read_text, write_csv, write_text
+from .textio import read_bytes, read_text, write_csv, write_text
 
 FRAME_LENGTH = 1024
 HOP_LENGTH = 512
@@ -333,7 +332,7 @@ def save_blocks(blocks: np.ndarray, kind: FeatureKind, path) -> None:
 
 def load_blocks(path) -> tuple[FeatureKind, np.ndarray]:
     """Read an SKFB container back into its kind and (n_blocks, D, 20) array."""
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path, "block container")
     if len(raw) < _HEADER.size:
         raise FormatError(f"block container too short: {path}")
     magic, version, code, dim, frames, count = _HEADER.unpack_from(raw)

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FormatError, UnsupportedError
+from ..textio import read_bytes
 
 _MAGIC = b"SKCP"
 _HEAD = struct.Struct("<4sHI")
@@ -44,7 +45,7 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read what ``save_checkpoint`` wrote; a non-finite value is a FormatError."""
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path, "checkpoint")
     if len(raw) < _HEAD.size:
         raise FormatError(f"checkpoint too short: {path}")
     magic, version, count = _HEAD.unpack_from(raw)

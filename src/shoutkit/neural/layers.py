@@ -19,14 +19,13 @@ output. A chunk copies only the C*K width taps, in runs of Wo*N elements
 with one GEMM per height tap for C > 1 (see ``_columns``). The zero padding
 is never built: a tap copies only the part of the input it reads. Every
 stage of ``conv_stack`` max-pools each chunk's product in cache and never
-builds its conv output. A recorded convolution keeps no full-batch column
-buffer: when the output fits in one chunk the weight gradient reuses the
-operands the forward built, otherwise the backward rebuilds them chunk by
-chunk. The input gradient is the transposed correlation (the output
-gradient against the flipped kernel with in/out channels swapped, padded by
-K - 1 - padding) through the same chunked helper, so there is no col2im
-scatter. Max-pooling finds each window's first maximum in one pass over the
-window rows.
+builds its conv output. A recorded convolution keeps no GEMM operands: the
+backward rebuilds them chunk by chunk from the stage input, and they are
+freed before the input gradient builds its own. The input gradient is the
+transposed correlation (the output gradient against the flipped kernel
+with in/out channels swapped, padded by K - 1 - padding) through the same
+chunked helper, so there is no col2im scatter. Max-pooling finds each
+window's first maximum in one pass over the window rows.
 """
 
 from __future__ import annotations
@@ -103,11 +102,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int) -> Tensor:
     ``d_x`` is skipped when ``x`` does not need a gradient.
     """
     source = _to_chwn(x.data)
-    out, _, cols = _correlate(source, weight.data, padding, bias.data)
+    out, _ = _correlate(source, weight.data, padding, bias.data)
 
     def backward(g):
-        d_x, d_weight, d_bias = _conv_backward(_to_chwn(g), source, cols, weight.data,
-                                               padding, x.requires_grad)
+        d_x, d_weight, d_bias = _conv_backward(_to_chwn(g), source, weight.data, padding,
+                                               x.requires_grad)
         return (None if d_x is None else d_x.transpose(3, 0, 1, 2)), d_weight, d_bias
 
     return Tensor._make(out.transpose(3, 0, 1, 2), (x, weight, bias), backward)
@@ -123,10 +122,10 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     chain of ``conv2d``, ``maxpool2d`` and ``relu`` nodes bit for bit; the
     ReLU mask is ``out > 0`` on each stage's own output. Every stage pools
     each row chunk in cache (see ``_correlate``): a recorded forward keeps
-    each stage's input, argmax rows and pooled output, and the operands of a
-    conv output that fits in one chunk, but no conv output. The backward is
-    one ``_conv_backward`` call per stage; only the first stage of an ``x``
-    that needs no gradient gives no ``d_x``.
+    each stage's input, argmax rows and pooled output, and neither a conv
+    output nor GEMM operands. The backward is one ``_conv_backward`` call
+    per stage; only the first stage of an ``x`` that needs no gradient gives
+    no ``d_x``.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv_stack expects (N, C, H, W), got {x.data.shape}")
@@ -135,10 +134,10 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     a = _to_chwn(x.data)
     saved = []
     for weight, bias, padding, kernel in stages:
-        out, best, cols = _correlate(a, weight.data, padding, bias.data, kernel)
+        out, best = _correlate(a, weight.data, padding, bias.data, kernel)
         np.maximum(out, 0.0, out=out)
         if keep:
-            saved.append((a, cols, best, out))
+            saved.append((a, best, out))
         a = out
 
     def backward(g):
@@ -146,9 +145,9 @@ def conv_stack(x: Tensor, stages) -> Tensor:
         grads = []
         for s in reversed(range(len(stages))):
             weight, _, padding, kernel = stages[s]
-            source, cols, best, out = saved[s]
+            source, best, out = saved[s]
             g = np.multiply(g, out > 0.0, order="C")
-            g, d_weight, d_bias = _conv_backward(g, source, cols, weight.data, padding,
+            g, d_weight, d_bias = _conv_backward(g, source, weight.data, padding,
                                                  s > 0 or x.requires_grad, best, kernel)
             grads[:0] = [d_weight, d_bias]
         return (None if g is None else g.transpose(3, 0, 1, 2)), *grads
@@ -156,20 +155,21 @@ def conv_stack(x: Tensor, stages) -> Tensor:
     return Tensor._make(a.transpose(3, 0, 1, 2), parents, backward)
 
 
-def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, want_x: bool,
+def _conv_backward(g: np.ndarray, x, weight: np.ndarray, padding: int, want_x: bool,
                    best=None, kernel: int = 1):
     """``(d_x, d_weight, d_bias)`` of a convolution for the (O, Ho, Wo, N)
     output gradient ``g``, a C-contiguous array, or, given ``best``, for
     the gradient ``g`` of that output max-pooled by ``kernel``.
 
     ``d_weight`` sums ``operand @ g_chunk.T``, and ``d_bias`` ``g_chunk``,
-    over each chunk (see ``_columns``) with the operands the forward kept,
-    or, for ``cols`` None, those rebuilt from the input ``x``. A pooled
-    ``g`` is unpooled chunk by chunk, or with ``want_x`` whole, once, into
-    an array of its dtype, since ``d_x`` reads all of it. A C > 1 stage adds
-    its height tap ``i`` into ``d_weight[:, :, i, :]``. ``d_x`` (None unless
-    ``want_x``) is the transposed correlation: ``g`` against the flipped
-    kernel with its in/out channels swapped, padded by ``K - 1 - padding``.
+    over each chunk (see ``_columns``) with the operands rebuilt from the
+    input ``x``. A pooled ``g`` is unpooled chunk by chunk, or with
+    ``want_x`` whole, once, into an array of its dtype, since ``d_x`` reads
+    all of it. A C > 1 stage adds its height tap ``i`` into
+    ``d_weight[:, :, i, :]``. ``d_x`` (None unless ``want_x``) is the
+    transposed correlation: ``g`` against the flipped kernel with its in/out
+    channels swapped, padded by ``K - 1 - padding``; the rebuilt operands
+    are freed before it builds its own.
     """
     out_ch, in_ch, kh, kw = weight.shape
     ho = x.shape[1] + 2 * padding - kh + 1
@@ -182,8 +182,7 @@ def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, wan
         d_y = np.empty((out_ch, ho, *g.shape[2:]), g.dtype)
         _unpool(g, best, kernel, d_y)
         g, best = d_y, None
-    chunks = [(0, ho, cols)] if cols is not None else _columns(x, kh, kw, padding)
-    for y0, y1, operands in chunks:
+    for y0, y1, operands in _columns(x, kh, kw, padding):
         if best is None:
             g_chunk = g.reshape(out_ch, -1)[:, y0 * step : y1 * step]
         else:  # the whole windows w0:w1 over the chunk; rows past the last are zero
@@ -198,11 +197,12 @@ def _conv_backward(g: np.ndarray, x, cols, weight: np.ndarray, padding: int, wan
         for acc, operand in zip(d_weight_t.reshape(len(operands), -1, out_ch), operands):
             acc += operand @ g_chunk.T
         d_bias += g_chunk.sum(axis=1)
+    del operands, operand  # the last views of the rebuilt buffer
     d_weight = d_weight_t.transpose(3, 1, 0, 2)
     d_x = None
     if want_x:
         flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        d_x, _, _ = _correlate(g, flipped, kh - 1 - padding)
+        d_x, _ = _correlate(g, flipped, kh - 1 - padding)
     return d_x, d_weight, d_bias
 
 
@@ -227,10 +227,12 @@ def _columns(x: np.ndarray, kh: int, kw: int, pad: int, window: int = 1):
 
     The padding is never built: each width tap copies the part of ``x``
     that it reads, in runs of up to Wo*N elements, and the rest of the tap
-    is zero. The rows per chunk are sized by ``_CHUNK_ELEMENTS`` against the
-    largest operand's rows, cut to whole windows of ``window`` rows (at
-    least one), and every chunk is written into the same buffers, so a
-    chunk's operands are valid only until the next one is built.
+    (its width edges and the rows outside ``x``) is zeroed, so each element
+    of the buffer, which is allocated empty, is written once per chunk. The
+    rows per chunk are sized by ``_CHUNK_ELEMENTS`` against the largest
+    operand's rows, cut to whole windows of ``window`` rows (at least one),
+    and every chunk is written into the same buffers, so a chunk's operands
+    are valid only until the next one is built.
     """
     c, h, w, n = x.shape
     ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
@@ -238,13 +240,12 @@ def _columns(x: np.ndarray, kh: int, kw: int, pad: int, window: int = 1):
     # max(1, step): an empty batch has step 0 and one empty chunk
     rows = max(1, _CHUNK_ELEMENTS // ((kh if c == 1 else c) * kw * max(1, step)))
     rows = max(window, rows - rows % window)
-    # the output columns z whose source column z + j - pad lies in x; the
-    # rest of each tap's width is written nowhere below, so it stays zero
+    # the output columns z whose source column z + j - pad lies in x
     spans = []
     for j in range(kw):
         xa = min(max(0, pad - j), wo)
         spans.append((j, xa, max(min(wo, w + pad - j), xa)))
-    buffer = np.zeros((c * kw, (min(ho, rows) + kh - 1) * step), dtype=x.dtype)
+    buffer = np.empty((c * kw, (min(ho, rows) + kh - 1) * step), dtype=x.dtype)
     if c == 1:
         stacked = np.empty((kh * kw, min(ho, rows) * step), dtype=x.dtype)
     for y0 in range(0, ho, rows):
@@ -259,6 +260,7 @@ def _columns(x: np.ndarray, kh: int, kw: int, pad: int, window: int = 1):
         rows_in = x[:, ra + y0 - pad : rb + y0 - pad]
         for j, xa, xb in spans:
             taps[:, j, ra:rb, xa:xb] = rows_in[:, :, xa + j - pad : xb + j - pad]
+            taps[:, j, ra:rb, :xa] = taps[:, j, ra:rb, xb:] = 0
         size = (y1 - y0) * step
         views = [buffer[:, i * step : i * step + size] for i in range(kh)]
         if c == 1:
@@ -276,10 +278,9 @@ def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None, pool: int
     for C > 1, one GEMM for C = 1. With ``pool`` > 1 the chunks hold whole
     pool windows and each chunk's product is max-pooled (see ``_pool``) in
     a chunk-sized buffer, so only the pooled output is built. Returns the
-    output, its windows' first-maximum rows (None for ``pool`` 1) and, when
-    the output fits in one chunk, its operands (else None). A channel count
-    other than the kernel's, or a kernel or pool larger than the padded
-    input, is a ShapeError.
+    output and its windows' first-maximum rows (None for ``pool`` 1). A
+    channel count other than the kernel's, or a kernel or pool larger than
+    the padded input, is a ShapeError.
     """
     out_ch, in_ch, kh, kw = weight.shape
     c, h, w, n = x.shape
@@ -311,7 +312,7 @@ def _correlate(x: np.ndarray, weight: np.ndarray, pad: int, bias=None, pool: int
         if pool > 1:
             windows = slice(y0 // pool, y1 // pool)
             _pool(block.reshape(out_ch, y1 - y0, wo, n), pool, out[:, windows], best[:, windows])
-    return out, best, (operands if y0 == 0 else None)
+    return out, best
 
 
 def maxpool2d(x: Tensor, kernel: int) -> Tensor:
@@ -380,9 +381,11 @@ def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
     n_t = tanh(x_t Wi_n + bi_n + r_t * (h Wh_n + bh_n))
     h_t = (1 - z_t) * n_t + z_t * h
 
-    The input projection of all steps is one GEMM. The backward runs the
-    recurrence in reverse and takes ``d_w_input`` and ``d_w_hidden`` as one
-    GEMM each over all steps; ``d_x`` is skipped when ``x`` needs no gradient.
+    The input projection of all steps is one GEMM. A recorded node keeps the
+    time-major input, the states and the gates, but not that projection.
+    The backward runs the recurrence in reverse and takes ``d_w_input`` and
+    ``d_w_hidden`` as one GEMM each over all steps; ``d_x`` is skipped when
+    ``x`` needs no gradient.
     """
     n, steps, f = x.data.shape
     k = w_hidden.data.shape[0]
@@ -406,9 +409,9 @@ def gru_sequence(x: Tensor, w_input: Tensor, w_hidden: Tensor, b_input: Tensor,
         states[s + 1] = (1 - z) * cand + z * states[s]
 
     def backward(g):
-        d_gi = np.empty_like(gi)  # time order, like time_major
-        d_gh = np.empty_like(gi)  # step order, like states
-        d_h = np.zeros((n, k), dtype=gi.dtype)
+        d_gi = np.empty((steps, n, 3 * k), states.dtype)  # time order, like time_major
+        d_gh = np.empty_like(d_gi)  # step order, like states
+        d_h = np.zeros((n, k), dtype=states.dtype)
         for s in reversed(range(steps)):
             t = order[s]
             d_h = d_h + g[:, t]

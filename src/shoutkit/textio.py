@@ -2,6 +2,8 @@
 stats and reports, and CSVs. All are UTF-8, and a file that is not is a
 FormatError whichever command reads it. CSVs are in the csv module's default
 dialect: comma separated, quoted only where needed, lines ending in ``\\r\\n``.
+Binary inputs (WAV, checkpoint, SKFB) are read through ``read_bytes`` too, so
+a path that no file can have is a FormatError for every reader.
 """
 
 from __future__ import annotations
@@ -15,11 +17,20 @@ from .errors import FormatError
 ENCODING = "utf-8"
 
 
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of ``path``. A path holding a NUL byte, which no file can
+    have and for which ``open`` raises a bare ValueError, is a FormatError
+    naming ``what``."""
+    if "\0" in str(path):
+        raise FormatError(f"{what} path {str(path)!r} holds a NUL byte")
+    return Path(path).read_bytes()
+
+
 def read_text(path, what: str) -> str:
     """The text of ``path`` with its line ends as stored; ``what`` names the
     file in the error raised when it is not UTF-8."""
     try:
-        return Path(path).read_bytes().decode(ENCODING)
+        return read_bytes(path, what).decode(ENCODING)
     except UnicodeDecodeError:
         raise FormatError(f"{what} {path} is not UTF-8 text") from None
 

@@ -19,12 +19,19 @@ Groups:
       mel_spectrogram, in float32 and float64: its initial weights, the
       output and MSE loss of a fixed batch of 4 blocks, and the gradients
       of one backward of that loss
-  conv_stack.<dtype>.x-grad|x-data
+  conv_stack.<dtype>.x-grad|x-data, conv_stack.batch32.<dtype>.x-grad|x-data
       a 16-channel three-stage ``conv_stack`` (512 -> 102 -> 20 -> 4 rows)
-      over a batch of 40, in float32 and float64, with an input that needs
-      a gradient and one that does not: its output and every gradient of
-      one backward of a fixed weighted sum of it; unlike the builds, whose
-      batch of 4 fits one row chunk, it crosses chunk and pool-window cuts
+      over a batch of 40 and one of 32, in float32 and float64, with an
+      input that needs a gradient and one that does not: its output and
+      every gradient of one backward of a fixed weighted sum of it; unlike
+      the builds, whose batch of 4 fits one row chunk, batch 40 crosses
+      chunk and pool-window cuts at every stage, and batch 32, the
+      benchmark's, runs stage 3 in one chunk
+  gru_sequence.<dtype>
+      both directions of a 512 -> 512 ``gru_sequence`` over a batch of 32
+      and 20 steps, in float32 and float64: each one's output and its five
+      gradients (input, both weights, both biases) of one backward of a
+      fixed weighted sum of it
   train.losses, train.state
       a 3-epoch float32 cnn/spectrogram training run (width_scale 4): its
       per-epoch losses and final state dict
@@ -58,6 +65,7 @@ import contextlib
 import ctypes
 import hashlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -78,8 +86,8 @@ from shoutkit.experiments.training import (ClipExample, TrainSettings,  # noqa: 
                                            build_fold_data, train_model)
 from shoutkit.features import FeatureKind, load_blocks  # noqa: E402
 from shoutkit.models import build_single_model  # noqa: E402
-from shoutkit.neural import (Conv2d, Tensor, conv_stack, load_checkpoint,  # noqa: E402
-                             mse_loss, mul, sum_all)
+from shoutkit.neural import (Conv2d, Tensor, conv_stack, gru_sequence,  # noqa: E402
+                             load_checkpoint, mse_loss, mul, sum_all)
 
 
 def blas_threads():
@@ -163,13 +171,15 @@ def build_groups() -> dict:
 
 def conv_stack_groups() -> dict:
     groups = {}
-    for dtype in (np.float32, np.float64):
+    for (batch, prefix), dtype in itertools.product(((40, "conv_stack"),
+                                                     (32, "conv_stack.batch32")),
+                                                    (np.float32, np.float64)):
         convs = [Conv2d(c, 16, kernel=5, padding=2, rng=np.random.default_rng(31 + i),
                         dtype=dtype) for i, c in enumerate((1, 16, 16))]
         for i, conv in enumerate(convs):
             conv.bias.data = 0.1 * np.random.default_rng(34 + i).standard_normal(16).astype(dtype)
         stages = [(conv.weight, conv.bias, 2, 5) for conv in convs]
-        data = np.random.default_rng(37).standard_normal((40, 1, 512, 20)).astype(dtype)
+        data = np.random.default_rng(37).standard_normal((batch, 1, 512, 20)).astype(dtype)
         for requires_grad, mode in ((True, "x-grad"), (False, "x-data")):
             x = Tensor(data, requires_grad=requires_grad)
             for conv in convs:
@@ -180,7 +190,28 @@ def conv_stack_groups() -> dict:
             arrays = {"output": out.data, **({"x": x.grad} if requires_grad else {}),
                       **{f"{s}.{name}": p.grad for s, conv in enumerate(convs)
                          for name, p in conv.parameters().items()}}
-            groups[f"conv_stack.{np.dtype(dtype).name}.{mode}"] = numeric_group(arrays)
+            groups[f"{prefix}.{np.dtype(dtype).name}.{mode}"] = numeric_group(arrays)
+    return groups
+
+
+def gru_groups() -> dict:
+    groups = {}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(39)
+        x = Tensor(rng.standard_normal((32, 20, 512)).astype(dtype), requires_grad=True)
+        arrays = {}
+        for direction, reverse in (("fwd", False), ("bwd", True)):
+            weights = {name: Tensor(rng.uniform(-0.04, 0.04, shape).astype(dtype),
+                                    requires_grad=True)
+                       for name, shape in (("w_input", (512, 1536)), ("w_hidden", (512, 1536)),
+                                           ("b_input", (1536,)), ("b_hidden", (1536,)))}
+            x.grad = None
+            out = gru_sequence(x, *weights.values(), reverse=reverse)
+            g = rng.standard_normal(out.data.shape).astype(dtype)
+            sum_all(mul(out, Tensor(g))).backward()
+            arrays.update({f"{direction}.output": out.data, f"{direction}.x": x.grad,
+                           **{f"{direction}.{name}": p.grad for name, p in weights.items()}})
+        groups[f"gru_sequence.{np.dtype(dtype).name}"] = numeric_group(arrays)
     return groups
 
 
@@ -279,8 +310,9 @@ def cli_groups() -> dict:
 
 def fingerprint() -> dict:
     return {"machine": machine_facts(),
-            "groups": {**build_groups(), **conv_stack_groups(), **training_groups(),
-                       **suite_groups(), **corpus_groups(), **cli_groups()}}
+            "groups": {**build_groups(), **conv_stack_groups(), **gru_groups(),
+                       **training_groups(), **suite_groups(), **corpus_groups(),
+                       **cli_groups()}}
 
 
 def _arrays(group: dict) -> dict:

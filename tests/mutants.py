@@ -155,6 +155,18 @@ MUTANTS = [
            "if not np.isfinite(payload).all():",
            "if False:",
            "a checkpoint holding NaN loads, and evaluate writes NaN metrics"),
+    Mutant("gru_keeps_projection", "neural/layers.py",
+           "d_gi = np.empty((steps, n, 3 * k), states.dtype)",
+           "d_gi = np.empty_like(gi)",
+           "a recorded GRU direction keeps its (T, N, 3k) input projection"),
+    Mutant("conv_operands_through_d_x", "neural/layers.py",
+           "    del operands, operand  # the last views of the rebuilt buffer\n",
+           "",
+           "a conv's rebuilt operands stay alive while its input gradient builds its own"),
+    Mutant("width_edge_zeroing", "neural/layers.py",
+           "taps[:, j, ra:rb, :xa] = taps[:, j, ra:rb, xb:] = 0",
+           "taps[:, j, ra:rb, :xa] = 0",
+           "the width taps' right edges hold whatever memory the allocator handed back"),
 ]
 
 

@@ -662,10 +662,14 @@ FILE_SLOTS = {
 MALFORMED = ["empty", "non-utf8", "plain-text", "json-list", "wav-cut-to-60",
              "bare-riff-header", "wav-at-0-hz", "directory", "missing",
              "csv-field-over-the-limit"]
+# every malformed file in every slot, and a NUL byte in a path that a file
+# names: a manifest's path column, and a config's path value
+SLOT_CASES = [(slot, malformed) for slot in FILE_SLOTS for malformed in MALFORMED] + [
+    ("train-manifest", "nul-in-a-manifest-path"), ("train-config", "nul-in-a-config-path")]
 
 
-@pytest.mark.parametrize("malformed", MALFORMED)
-@pytest.mark.parametrize("slot", list(FILE_SLOTS))
+@pytest.mark.parametrize("slot,malformed", SLOT_CASES,
+                         ids=[f"{slot}-{malformed}" for slot, malformed in SLOT_CASES])
 def test_malformed_file_in_any_slot_fails_in_one_line(corpus_dir, tmp_path, capsys, slot,
                                                       malformed):
     reads, argv = FILE_SLOTS[slot]
@@ -681,7 +685,10 @@ def test_malformed_file_in_any_slot_fails_in_one_line(corpus_dir, tmp_path, caps
                 # the sample rate and byte rate fields of the fmt chunk set to 0
                 "wav-at-0-hz": riff[:24] + bytes(8) + riff[32:],
                 # the csv module refuses a field over 131072 characters
-                "csv-field-over-the-limit": b"a" * 200_000 + b",x\n"}
+                "csv-field-over-the-limit": b"a" * 200_000 + b",x\n",
+                "nul-in-a-manifest-path":
+                    (corpus_dir / "manifest.csv").read_bytes().replace(b"wav/", b"wav/\0"),
+                "nul-in-a-config-path": b"manifest = manifest\0.csv\n"}
     if malformed == "directory":
         bad.mkdir()
     elif malformed != "missing":
@@ -697,3 +704,5 @@ def test_malformed_file_in_any_slot_fails_in_one_line(corpus_dir, tmp_path, caps
         assert code == 3 and "is not UTF-8 text" in err
     if reads == "wav" and malformed in ("wav-cut-to-60", "bare-riff-header"):
         assert code == 3 and "truncated WAV file" in err
+    if malformed.startswith("nul-in-"):
+        assert code == 3 and "holds a NUL byte" in err

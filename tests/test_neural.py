@@ -373,8 +373,8 @@ class TestConvChunks:
 
 
 class TestConvColumnRebuild:
-    """A recorded conv keeps its GEMM operands only when the batch fits in one
-    chunk; otherwise the backward rebuilds them chunk by chunk."""
+    """A recorded conv keeps no GEMM operands: the backward rebuilds them
+    chunk by chunk, in one chunk when the conv output fits in one."""
 
     @staticmethod
     def weight_grad(channels, height, n, dtype):
@@ -483,6 +483,24 @@ class TestConvOperands:
             assert grad.dtype == dtype
             assert np.max(np.abs(grad - reference)) <= rtol * np.max(np.abs(reference))
 
+    @pytest.mark.parametrize("channels", [1, 3], ids=["one-channel", "multichannel"])
+    def test_width_taps_hold_no_stale_memory(self, channels):
+        # the width-tap buffer is allocated empty, and each chunk zeroes only
+        # what no tap copies; an array of its size, filled with NaN and freed
+        # just before, is what the allocator most likely hands back, so an
+        # edge left unzeroed shows as NaN
+        n, height, width = 4, 12, 6
+        x = rng_of(113).standard_normal((n, channels, height, width))
+        source = layers._to_chwn(x)
+        stale = np.full((channels * 5, (height + 4) * width * n), np.nan)
+        del stale
+        (y0, y1, operands), = layers._columns(source, 5, 5, 2)
+        assert (y0, y1) == (0, height)
+        columns = full_batch_conv_columns(x, 5, 2)
+        if channels > 1:  # one (c, j) block per height tap i
+            columns = columns.reshape(channels, 5, 5, -1).transpose(1, 0, 2, 3)
+        assert np.array_equal(np.stack(operands).reshape(columns.shape), columns)
+
 
 class TestConvStack:
     """The conv stack node against the chain of ``conv2d``, ``maxpool2d`` and
@@ -585,17 +603,47 @@ class TestConvStack:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        # kept: the (C, H, W, N) copy of the input, each stage's pooled output
-        # (the next stage's input), 4 bytes a value plus one argmax byte, and
-        # the width taps of a stage whose conv output fits in one chunk of
-        # whole windows (stage 3); the smallest conv output, stage 3's
-        # (16, 20, 20, 32) float32, would be 819 kB
+        # kept: the (C, H, W, N) copy of the input and each stage's pooled
+        # output (the next stage's input), 4 bytes a value plus one argmax
+        # byte; no GEMM operands, not even those of stage 3, whose conv
+        # output fits in one chunk (its width taps would be 4.9 MB); the
+        # smallest conv output, stage 3's (16, 20, 20, 32) float32, would be
+        # 819 kB
+        assert rows_per_chunk(16, 32) >= 20
         kept = x.data.nbytes
-        for channels, height in ((1, 512), (16, 102), (16, 20)):
+        for height in (512, 102, 20):
             kept += 16 * (height // 5) * 20 * 32 * 5
-            if rows_per_chunk(channels, 32) // 5 * 5 >= height:
-                kept += channels * 5 * (height + 4) * 20 * 32 * 4
         assert retained <= kept + 65_536
+
+    def test_backward_holds_one_chunk_of_operands(self):
+        # the full-width stack as a model runs it; its backward peaks in
+        # stage 2's input-gradient correlation
+        convs = [Conv2d(c, 16, kernel=5, padding=2, rng=rng_of(130 + i), dtype=np.float32)
+                 for i, c in enumerate((1, 16, 16))]
+        stages = [(conv.weight, conv.bias, 2, 5) for conv in convs]
+        x = Tensor(rng_of(133).standard_normal((32, 1, 512, 20)).astype(np.float32))
+        g = rng_of(134).standard_normal((32, 16, 4, 20)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = neural.conv_stack(x, stages)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            out._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # beside the kept graph: stage 2's whole unpooled gradient and its
+        # input gradient, (16, 102, 20, 32) float32 each, one chunk of its
+        # rebuilt operands, 20 rows and the 4-row halo of 16 x 5 width taps,
+        # and two arrays of its pooled gradient's size (that gradient and a
+        # chunk's GEMM product), plus slack; the operands the weight
+        # gradient rebuilt would be another 4.9 MB
+        assert rows_per_chunk(16, 32) == 20
+        unpooled = 16 * 102 * 20 * 32 * 4
+        operands = 16 * 5 * (20 + 4) * 20 * 32 * 4
+        pooled = 16 * 20 * 20 * 32 * 4
+        assert peak <= kept + 2 * unpooled + operands + 2 * pooled + 512 * 1024
 
     def test_finite_differences_across_row_chunks(self, monkeypatch):
         # a small chunk makes every stage's forward, weight-gradient rebuild
@@ -792,6 +840,26 @@ class TestBiGru:
         assert np.array_equal(final.data[:, :3], seq.data[:, -1, :3])
         assert np.array_equal(final.data[:, 3:], seq.data[:, 0, 3:])
         assert count_graph_nodes(final) == 3  # two gru_sequence nodes and the final state
+
+    def test_recorded_sequence_keeps_no_input_projection(self):
+        n, steps, f, k = 32, 20, 512, 512
+        x = Tensor(rng_of(11).standard_normal((n, steps, f)).astype(np.float32))
+        weights = [Tensor(rng_of(12 + i).uniform(-0.05, 0.05, shape).astype(np.float32),
+                          requires_grad=True)
+                   for i, shape in enumerate(((f, 3 * k), (k, 3 * k), (3 * k,), (3 * k,)))]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = gru_sequence(x, *weights, reverse=False)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # kept: the time-major input, every state from h = 0 and each step's
+        # four gate blocks, float32; the (T, N, 3k) input projection, 3.9 MB,
+        # is not kept
+        kept = steps * n * f * 4 + (steps + 1) * n * k * 4 + steps * n * 4 * k * 4
+        assert retained <= kept + 65_536
 
     def test_input_dim_mismatch(self):
         gru = BiGRU(3, 2, rng_of(0))

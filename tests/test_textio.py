@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from shoutkit import textio
+from shoutkit.audio_io import load_wav
 from shoutkit.errors import FormatError
+from shoutkit.features import load_blocks
+from shoutkit.neural import load_checkpoint
 
 SOURCE_ROOT = Path(textio.__file__).parent
 
@@ -67,6 +70,15 @@ def test_non_utf8_text_is_a_format_error_naming_the_file(tmp_path):
         textio.read_text(path, "config")
     with pytest.raises(FormatError, match="manifest .* is not UTF-8 text"):
         textio.read_csv(path, "manifest")
+
+
+@pytest.mark.parametrize("read", [lambda p: textio.read_text(p, "config"), load_wav,
+                                  load_checkpoint, load_blocks],
+                         ids=["text", "wav", "checkpoint", "block-container"])
+def test_a_path_holding_a_nul_byte_is_a_format_error(tmp_path, read):
+    # open raises a bare ValueError for it, which the CLI would not map
+    with pytest.raises(FormatError, match="holds a NUL byte"):
+        read(tmp_path / "a\0b")
 
 
 def test_csv_field_over_the_csv_module_limit_is_a_format_error(tmp_path):
