@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, FormatError, NumericError, UnsupportedError
-from .textio import read_bytes
+from .textio import read_bytes, write_bytes
 
 # Sentinel SNR for the clean (no noise) condition.
 CLEAN = math.inf
@@ -118,11 +118,13 @@ def write_wav(clip: AudioClip, path) -> None:
     load_wav(write_wav(...)).
     """
     ints = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    rendered = io.BytesIO()
+    with wave.open(rendered, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(clip.sample_rate)
         wf.writeframes(ints.tobytes())
+    write_bytes(path, rendered.getvalue(), "WAV file")
 
 
 # Decimation filter: windowed-sinc low-pass, 127 taps, cutoff 7.6 kHz at 48 kHz.

@@ -209,12 +209,10 @@ def class_counts(records: list[UtteranceRecord]) -> dict[str, int]:
 
 def validate_manifest(records: list[UtteranceRecord], expect_full_corpus: bool = False):
     """Cross-record checks; per-row invariants are enforced by parse_manifest."""
-    if expect_full_corpus:
-        counts = class_counts(records)
-        if counts != FULL_CORPUS_COUNTS:
-            raise ManifestError(f"full corpus expects counts {FULL_CORPUS_COUNTS}, "
-                                f"got {counts}")
-    return class_counts(records)
+    counts = class_counts(records)
+    if expect_full_corpus and counts != FULL_CORPUS_COUNTS:
+        raise ManifestError(f"full corpus expects counts {FULL_CORPUS_COUNTS}, got {counts}")
+    return counts
 
 
 # -- sentence class voting ----------------------------------------------------------

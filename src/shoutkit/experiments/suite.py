@@ -18,7 +18,7 @@ import numpy as np
 from ..corpus import parse_manifest
 from ..errors import ConfigError, ShoutKitError
 from ..models import check_cell
-from ..textio import write_csv, write_text
+from ..textio import make_dirs, write_csv, write_text
 from .config import ExperimentConfig, derive_seed, snr_label
 from .folds import FoldPlan, plan_folds
 from .metrics import MetricsReport, validate_report
@@ -106,8 +106,7 @@ def run_suite(cfg: ExperimentConfig, out_dir, examples: list[ClipExample] | None
 
     # nothing is written until the corpus, folds and noise have all loaded
     # and the noise is known to mix into every clip
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dirs(out_dir)
     result = SuiteResult()
     for arch in cfg.archs:
         for features in cfg.features:
@@ -148,8 +147,7 @@ def write_aggregate_table(reports: list[dict], cfg: ExperimentConfig, path) -> N
 
 def export_plot_csvs(report: dict, out_dir) -> list[Path]:
     """Plot-ready CSVs: confusion matrices and regression scatter pairs."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dirs(out_dir)
     written = []
     base = cell_name(report["arch"], report["features"])
     for key, counts in report.get("confusions", {}).items():

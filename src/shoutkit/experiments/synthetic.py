@@ -17,6 +17,7 @@ import numpy as np
 from ..audio_io import DEFAULT_TARGET_PEAK, SAMPLE_RATE, AudioClip, write_wav
 from ..corpus import ShoutClass, Style, UtteranceRecord, class_for_sentence, write_manifest
 from ..errors import ConfigError
+from ..textio import make_dirs
 
 # dB per octave around the 250 Hz reference
 TWO_CLASS_TILTS = (-7.0, 3.0)
@@ -156,7 +157,7 @@ def make_intensity_corpus(n_clips: int = 200, n_speakers: int = 10, seed: int = 
 def write_synth_corpus(examples: list[SynthExample], directory) -> Path:
     """Dump clips as WAV files plus a manifest; returns the manifest path."""
     directory = Path(directory)
-    (directory / "wav").mkdir(parents=True, exist_ok=True)
+    make_dirs(directory / "wav")
     records = []
     for ex in examples:
         rel = f"wav/{ex.clip_id}.wav"

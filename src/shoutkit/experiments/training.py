@@ -12,8 +12,8 @@ from ..audio_io import (CLEAN, SAMPLE_RATE, AudioClip, NoiseSpec, load_wav,
 from ..corpus import ShoutClass, Style, UtteranceRecord
 from ..errors import ConfigError, DegenerateInputError, NumericError
 from ..features import BLOCK_FRAMES, FeatureKind, FeatureStats, feature_matrix, split_blocks
-from ..models import (HeadKind, NetworkGraph, build_fusion_model, build_single_model,
-                      parse_feature_set, predict_clip)
+from ..models import (NetworkGraph, build_fusion_model, build_single_model, parse_feature_set,
+                      predict_clip)
 from ..neural import Adam, Tensor, loss as loss_fn, no_grad
 from .config import ExperimentConfig, derive_seed, parse_pink_spec, snr_label
 from .folds import Fold, check_speaker_independence, split_train_validation
@@ -209,12 +209,6 @@ def _forward_chunks(model: NetworkGraph, x: dict) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _targets(y: np.ndarray, head: HeadKind, dtype):
-    if head is HeadKind.FOUR_CLASS:
-        return y.astype(np.int64)
-    return y.astype(dtype).reshape(-1, 1)
-
-
 def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSettings,
                 train_x=None, train_y=None, val_x=None, val_y=None) -> TrainingLog:
     """Seeded mini-batch training with Adam; logs per-epoch losses.
@@ -233,8 +227,7 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
     if data is not None:
         train_x, train_y = data.train_x, data.train_y
         val_x, val_y = data.val_x, data.val_y
-    head = model.head.kind
-    loss_kind = head.loss_kind
+    head = model.head_kind
     n = len(train_y)
     if n == 0:
         raise ConfigError("empty training set")
@@ -242,9 +235,9 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
     rng = np.random.default_rng(settings.shuffle_seed)
     log = TrainingLog()
     patience_left = settings.early_stop_patience
-    y_train = _targets(train_y, head, model.dtype)
+    y_train = head.targets(train_y, model.dtype)
     has_val = val_y is not None and len(val_y) > 0
-    y_val = _targets(val_y, head, model.dtype) if has_val else None
+    y_val = head.targets(val_y, model.dtype) if has_val else None
 
     for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(n)
@@ -255,7 +248,7 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
             target = y_train[idx]
             model.zero_grad()
             out = model.forward(batch)
-            batch_loss = loss_fn(out, target, loss_kind)
+            batch_loss = loss_fn(out, target, head.loss_kind)
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, "
@@ -267,7 +260,7 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
         epoch_loss /= n
         val_loss = None
         if has_val:
-            val_loss = evaluate_loss(model, val_x, y_val, loss_kind)
+            val_loss = evaluate_loss(model, val_x, y_val)
         log.epochs.append({"epoch": epoch, "train_loss": epoch_loss,
                            "val_loss": val_loss})
         if has_val and val_loss < log.best_val_loss:
@@ -286,9 +279,11 @@ def train_model(model: NetworkGraph, data: FoldData | None, settings: TrainSetti
     return log
 
 
-def evaluate_loss(model: NetworkGraph, x: dict, y, loss_kind) -> float:
+def evaluate_loss(model: NetworkGraph, x: dict, y) -> float:
+    """The model's loss on per-kind blocks ``x`` and targets ``y`` (as
+    ``HeadKind.targets`` gives them), forwarded without a graph."""
     out = Tensor(_forward_chunks(model, x))
-    return loss_fn(out, y, loss_kind).item()
+    return loss_fn(out, y, model.head_kind.loss_kind).item()
 
 
 # -- evaluation under the SNR sweep ----------------------------------------------------
@@ -308,7 +303,7 @@ def evaluate_model(model: NetworkGraph, test_examples: list[ClipExample],
     """
     if not test_examples:
         raise ConfigError("empty test set")
-    head = model.head.kind
+    head = model.head_kind
     if head.value != task:
         raise ConfigError(f"a {head.value} model cannot be scored on task {task!r}")
     check_noise(snrs_db, noise, test_examples)
@@ -357,38 +352,27 @@ def build_cell_model(arch: str, kinds: tuple[FeatureKind, ...], cfg: ExperimentC
     Fusion cells pretrain each branch on its own feature, then fine-tune the
     fused network end to end. ``raw_logs`` collects each stage's TrainingLog.
     """
-    head = HeadKind(cfg.task)
-    dtype = np.dtype(cfg.dtype)
-    pretrain_epochs = cfg.pretrain_epochs or cfg.epochs
-    finetune_epochs = cfg.finetune_epochs or cfg.epochs
-    common = dict(batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-                  early_stop_patience=cfg.early_stop_patience)
 
-    def single(kind: FeatureKind, tag: str, epochs: int):
-        model = build_single_model(arch, kind, head,
-                                   seed=derive_seed(cfg.seed, "model", tag, fold_index),
-                                   dtype=dtype, width_scale=cfg.width_scale)
-        settings = TrainSettings(epochs=epochs,
-                                 shuffle_seed=derive_seed(cfg.seed, "shuffle", tag, fold_index),
-                                 **common)
+    def trained(model: NetworkGraph, stage: str, epochs: int, *shuffle_tag) -> NetworkGraph:
+        settings = TrainSettings(epochs=epochs, batch_size=cfg.batch_size,
+                                 learning_rate=cfg.learning_rate,
+                                 shuffle_seed=derive_seed(cfg.seed, *shuffle_tag, fold_index),
+                                 early_stop_patience=cfg.early_stop_patience)
         log = train_model(model, data, settings)
-        log.stage, log.fold = tag, fold_index
+        log.stage, log.fold = stage, fold_index
         if raw_logs is not None:
             raw_logs.append(log)
         return model
 
+    def single(kind: FeatureKind, tag: str, epochs: int) -> NetworkGraph:
+        model = build_single_model(arch, kind, cfg.task,
+                                   seed=derive_seed(cfg.seed, "model", tag, fold_index),
+                                   dtype=cfg.dtype, width_scale=cfg.width_scale)
+        return trained(model, tag, epochs, "shuffle", tag)
+
     if len(kinds) == 1:
         return single(kinds[0], kinds[0].value, cfg.epochs)
-
-    left = single(kinds[0], f"left.{kinds[0].value}", pretrain_epochs)
-    right = single(kinds[1], f"right.{kinds[1].value}", pretrain_epochs)
-    fusion = build_fusion_model(left, right,
-                                seed=derive_seed(cfg.seed, "fusion", fold_index))
-    settings = TrainSettings(epochs=finetune_epochs,
-                             shuffle_seed=derive_seed(cfg.seed, "shuffle.fusion", fold_index),
-                             **common)
-    log = train_model(fusion, data, settings)
-    log.stage, log.fold = "fusion", fold_index
-    if raw_logs is not None:
-        raw_logs.append(log)
-    return fusion
+    left = single(kinds[0], f"left.{kinds[0].value}", cfg.pretrain_epochs or cfg.epochs)
+    right = single(kinds[1], f"right.{kinds[1].value}", cfg.pretrain_epochs or cfg.epochs)
+    fusion = build_fusion_model(left, right, seed=derive_seed(cfg.seed, "fusion", fold_index))
+    return trained(fusion, "fusion", cfg.finetune_epochs or cfg.epochs, "shuffle.fusion")

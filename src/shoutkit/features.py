@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio_io import SAMPLE_RATE, AudioClip
 from .errors import (ConfigError, DegenerateInputError, FormatError, NumericError, ShapeError,
                      UnsupportedError)
-from .textio import read_bytes, read_text, write_csv, write_text
+from .textio import read_bytes, read_text, write_bytes, write_csv, write_text
 
 FRAME_LENGTH = 1024
 HOP_LENGTH = 512
@@ -324,10 +324,9 @@ def save_blocks(blocks: np.ndarray, kind: FeatureKind, path) -> None:
                          f"got {blocks.shape}")
     if len(blocks) == 0:
         raise DegenerateInputError("no blocks to save")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CONTAINER_MAGIC, 1, kind.code, kind.dim,
-                              BLOCK_FRAMES, len(blocks)))
-        fh.write(np.ascontiguousarray(blocks, dtype="<f4").tobytes())
+    header = _HEADER.pack(_CONTAINER_MAGIC, 1, kind.code, kind.dim, BLOCK_FRAMES, len(blocks))
+    write_bytes(path, header + np.ascontiguousarray(blocks, dtype="<f4").tobytes(),
+                "block container")
 
 
 def load_blocks(path) -> tuple[FeatureKind, np.ndarray]:

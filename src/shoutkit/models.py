@@ -1,6 +1,12 @@
 """Model assembly: single-feature networks, the two-branch fusion network,
 and the three task heads.
 
+A task head is a ``HeadKind``: the paper's shouted vs normal (binary), shout
+type (four_class) and shout intensity (regression, 1-7) tasks. It owns every
+rule of its task: the output count, the output mapping (``activate``), the
+training targets (``targets``), the loss and the clip decision (``decide``).
+A model's ``head`` is its final ``Dense`` layer and ``head_kind`` its task.
+
 Architectures operate on 20-frame feature blocks:
 
   cnn      3 x (conv 5x5/16ch, max-pool along the feature axis, ReLU),
@@ -44,7 +50,7 @@ from .features import BLOCK_FRAMES, FeatureKind, parse_feature_kind
 from .neural import (BiGRU, Conv2d, Dense, LossKind, Tensor, conv_stack, load_checkpoint,
                      maxpool2d, no_grad, save_checkpoint)
 from .neural import tensor as T
-from .textio import read_text, write_text
+from .textio import make_dirs, read_text, write_text
 
 
 class Arch(Enum):
@@ -68,6 +74,24 @@ class HeadKind(Enum):
         if self is HeadKind.FOUR_CLASS:
             return LossKind.CROSS_ENTROPY
         return LossKind.MEAN_SQUARED_ERROR
+
+    def activate(self, z: Tensor) -> Tensor:
+        """The output mapping of the head layer's (n, outputs) output: a
+        sigmoid probability (binary), a softmax over the four classes, or an
+        intensity bounded smoothly into [1, 7] as 1 + 6 * sigmoid(z), so
+        gradients exist everywhere (regression)."""
+        if self is HeadKind.BINARY:
+            return T.sigmoid(z)
+        if self is HeadKind.FOUR_CLASS:
+            return T.softmax(z, axis=1)
+        return T.add(T.mul(T.sigmoid(z), 6.0), 1.0)
+
+    def targets(self, y: np.ndarray, dtype) -> np.ndarray:
+        """The loss targets of labels ``y``: int64 class indices (four-class)
+        or an (n, 1) column in the model's ``dtype``."""
+        if self is HeadKind.FOUR_CLASS:
+            return y.astype(np.int64)
+        return y.astype(dtype).reshape(-1, 1)
 
     def decide(self, rows: np.ndarray) -> np.ndarray:
         """The decision rule, one decision per (n, outputs) row: a binary
@@ -165,37 +189,23 @@ def check_cell(arch: Arch | str, kinds: tuple[FeatureKind, ...]) -> Arch:
     return arch
 
 
-class TaskHead:
-    """Final dense layer plus the task-specific output mapping."""
-
-    def __init__(self, kind: HeadKind, embedding_dim: int, rng, dtype):
-        self.kind = kind
-        self.dense = Dense(embedding_dim, kind.n_outputs, rng, dtype)
-
-    def __call__(self, embedding: Tensor) -> Tensor:
-        z = self.dense(embedding)
-        if self.kind is HeadKind.BINARY:
-            return T.sigmoid(z)
-        if self.kind is HeadKind.FOUR_CLASS:
-            return T.softmax(z, axis=1)
-        # Regression output bounded into [1, 7] smoothly, so gradients exist
-        # everywhere: 1 + 6 * sigmoid(z).
-        return T.add(T.mul(T.sigmoid(z), 6.0), 1.0)
-
-
 class NetworkGraph:
     """A built architecture instance: layers, dimension ledger, task head.
 
     Each subclass lists its trainable layers once, in ``layers`` (name ->
-    ``Conv2d`` / ``BiGRU`` / ``Dense``, in parameter order), and sets ``head``;
-    ``parameters`` derives every parameter name from them. A backward pass
+    ``Conv2d`` / ``BiGRU`` / ``Dense``, in parameter order), and sets
+    ``head``, the final ``Dense`` with ``head_kind.n_outputs`` outputs;
+    ``parameters`` derives every parameter name from them. ``forward`` maps
+    the head's output through ``head_kind.activate``. A backward pass
     writes the parameters' gradients and an optimiser step their values;
     inference calls leave a trained model unchanged.
     """
 
-    def __init__(self, arch: Arch, kinds: tuple[FeatureKind, ...], dtype, width_scale: int):
+    def __init__(self, arch: Arch, kinds: tuple[FeatureKind, ...], head_kind: HeadKind, dtype,
+                 width_scale: int):
         self.arch = arch
         self.kinds = kinds
+        self.head_kind = head_kind
         self.dtype = np.dtype(dtype)
         self.width_scale = width_scale
         self.layers: dict[str, Conv2d | BiGRU | Dense] = {}
@@ -204,13 +214,13 @@ class NetworkGraph:
         raise NotImplementedError
 
     def forward(self, x) -> Tensor:
-        return self.head(self.embed(x))
+        return self.head_kind.activate(self.head(self.embed(x)))
 
     __call__ = forward
 
     def parameters(self) -> dict[str, Tensor]:
         """``<layer>.<tensor>`` for each entry of ``layers``, then ``head.<tensor>``."""
-        named = dict(self.layers, head=self.head.dense)
+        named = dict(self.layers, head=self.head)
         return {f"{name}.{tensor}": p for name, layer in named.items()
                 for tensor, p in layer.parameters().items()}
 
@@ -267,7 +277,7 @@ class SingleFeatureModel(NetworkGraph):
 
     def __init__(self, arch: Arch, kind: FeatureKind, head_kind: HeadKind, seed: int,
                  dtype=np.float64, width_scale: int = 1):
-        super().__init__(arch, (kind,), dtype, width_scale)
+        super().__init__(arch, (kind,), head_kind, dtype, width_scale)
         self.kind = kind
         rng = np.random.default_rng(seed)
         layers = self.layers
@@ -304,7 +314,7 @@ class SingleFeatureModel(NetworkGraph):
         self.bigru = layers.get("bigru")  # None for cnn and the MLP
         self.dense = [*layers.values()][-1]  # every arch ends in a dense layer
         self.embedding_dim = self.dense.n_out
-        self.head = TaskHead(head_kind, self.embedding_dim, rng, self.dtype)
+        self.head = Dense(self.embedding_dim, head_kind.n_outputs, rng, self.dtype)
 
     def _conv_stack(self, t: Tensor, ledger: dict) -> Tensor:
         ledger["input_height"] = t.data.shape[2]
@@ -362,11 +372,12 @@ class FusionModel(NetworkGraph):
         if left.arch is not right.arch:
             raise ConfigError(f"fusion branches must share an architecture family, "
                               f"got {left.arch.value} and {right.arch.value}")
-        if left.head.kind is not right.head.kind:
+        if left.head_kind is not right.head_kind:
             raise ConfigError(f"fusion branches must share a task head, got "
-                              f"{left.head.kind.value} and {right.head.kind.value}")
+                              f"{left.head_kind.value} and {right.head_kind.value}")
         check_cell(left.arch, (left.kind, right.kind))
-        super().__init__(left.arch, (left.kind, right.kind), left.dtype, left.width_scale)
+        super().__init__(left.arch, (left.kind, right.kind), left.head_kind, left.dtype,
+                         left.width_scale)
         self.left = left
         self.right = right
         self.concat_dim = left.embedding_dim + right.embedding_dim
@@ -378,7 +389,7 @@ class FusionModel(NetworkGraph):
                        for side, branch in (("left", left), ("right", right))
                        for name, layer in branch.layers.items()}
         self.layers["fusion"] = self.fusion_dense
-        self.head = TaskHead(left.head.kind, self.concat_dim, rng, self.dtype)
+        self.head = Dense(self.concat_dim, self.head_kind.n_outputs, rng, self.dtype)
 
     def embed(self, x, ledger=None) -> Tensor:
         ledger = {} if ledger is None else ledger
@@ -444,7 +455,7 @@ def predict_clip(model: NetworkGraph, x) -> ClipPrediction:
         raise DegenerateInputError("predict_clip needs at least one feature block")
     with no_grad():
         mean = model.forward(x).data.mean(axis=0)
-    return ClipPrediction(mean=mean, decision=model.head.kind.decide(mean[None]).item())
+    return ClipPrediction(mean=mean, decision=model.head_kind.decide(mean[None]).item())
 
 
 # -- descriptor + checkpoint persistence -----------------------------------------
@@ -453,14 +464,13 @@ def predict_clip(model: NetworkGraph, x) -> ClipPrediction:
 def save_model(model: NetworkGraph, directory, name: str) -> Path:
     """Write <name>.ckpt and a human-readable <name>.descriptor; returns the
     descriptor path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_dirs(directory)
     ckpt = directory / f"{name}.ckpt"
     save_checkpoint(model.state_dict(), ckpt)
     lines = [
         f"arch = {model.arch.value}",
         f"features = {'+'.join(k.value for k in model.kinds)}",
-        f"head = {model.head.kind.value}",
+        f"head = {model.head_kind.value}",
         f"dtype = {np.dtype(model.dtype).name}",
         f"width_scale = {model.width_scale}",
         f"checkpoint = {ckpt.name}",

@@ -15,12 +15,11 @@ Binary layout, all integers little-endian:
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import FormatError, UnsupportedError
-from ..textio import read_bytes
+from ..textio import read_bytes, write_bytes
 
 _MAGIC = b"SKCP"
 _HEAD = struct.Struct("<4sHI")
@@ -40,7 +39,7 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path) -> None:
         parts.append(struct.pack("<BB", _DTYPE_CODES[array.dtype], array.ndim))
         parts.append(struct.pack(f"<{array.ndim}I", *array.shape))
         parts.append(np.ascontiguousarray(array).astype(array.dtype.newbyteorder("<")).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_bytes(path, b"".join(parts), "checkpoint")
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -69,7 +69,6 @@ class Conv2d:
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  padding: int, rng: np.random.Generator, dtype=np.float64):
-        self.in_channels = in_channels
         self.padding = padding
         fan_in = in_channels * kernel * kernel
         fan_out = out_channels * kernel * kernel
@@ -79,9 +78,8 @@ class Conv2d:
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 4 or x.data.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"conv2d expects (N, {self.in_channels}, H, W), got {x.data.shape}")
+        if x.data.ndim != 4:
+            raise ShapeError(f"conv2d expects (N, C, H, W), got {x.data.shape}")
         return conv2d(x, self.weight, self.bias, self.padding)
 
     def parameters(self):

@@ -19,6 +19,11 @@ Groups:
       mel_spectrogram, in float32 and float64: its initial weights, the
       output and MSE loss of a fixed batch of 4 blocks, and the gradients
       of one backward of that loss
+  heads.<head>.<dtype>
+      a cnn/mel_spectrogram build (width_scale 4) with the four_class and
+      the regression head, in float32 and float64: the output and loss of a
+      fixed batch of 4 blocks and the gradients of one backward of that loss
+      (the builds above cover the binary head)
   conv_stack.<dtype>.x-grad|x-data, conv_stack.batch32.<dtype>.x-grad|x-data
       a 16-channel three-stage ``conv_stack`` (512 -> 102 -> 20 -> 4 rows)
       over a batch of 40 and one of 32, in float32 and float64, with an
@@ -35,6 +40,10 @@ Groups:
   train.losses, train.state
       a 3-epoch float32 cnn/spectrogram training run (width_scale 4): its
       per-epoch losses and final state dict
+  fusion_cell
+      a four_class cnn mel_spectrogram+tmfcc cell (float32, width_scale 4,
+      early stopping) trained by ``build_cell_model``: the fused model's
+      weights and each stage's loss curve and log summary
   suite.<file>
       the three files of a 2-fold cnn/mel_spectrogram suite
   corpus.<task>
@@ -46,10 +55,11 @@ Groups:
       kind's stats
   cli.<file>
       the files that ``shoutkit train`` (a 2-epoch float32 cnn on
-      mel_spectrogram), ``evaluate`` (clean and 0 dB) and ``extract`` (an
-      SKFB container of one clip, z-scored with the trained stats) write
-      for a tiny synth corpus; a checkpoint or SKFB file is hashed as bytes
-      and compared by the arrays read back from it
+      mel_spectrogram), ``evaluate`` (clean and 0 dB), ``extract`` (an
+      SKFB container of one clip, z-scored with the trained stats) and
+      ``mix`` (that clip at 0 dB) write for a tiny synth corpus; a
+      checkpoint, SKFB or WAV file is hashed as bytes and compared by the
+      arrays read back from it
 
 It runs in a few seconds. No golden digests are kept: BLAS and FFT results
 may differ between machines, and OpenBLAS sums some GEMM shapes in another
@@ -76,18 +86,18 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from shoutkit.audio_io import CLEAN  # noqa: E402
+from shoutkit.audio_io import CLEAN, load_wav  # noqa: E402
 from shoutkit.cli import main as cli  # noqa: E402
 from shoutkit.experiments import ExperimentConfig, run_suite  # noqa: E402
 from shoutkit.experiments.folds import plan_folds  # noqa: E402
 from shoutkit.experiments.synthetic import (make_classification_corpus,  # noqa: E402
                                             make_intensity_corpus)
 from shoutkit.experiments.training import (ClipExample, TrainSettings,  # noqa: E402
-                                           build_fold_data, train_model)
+                                           build_cell_model, build_fold_data, train_model)
 from shoutkit.features import FeatureKind, load_blocks  # noqa: E402
-from shoutkit.models import build_single_model  # noqa: E402
+from shoutkit.models import HeadKind, build_single_model  # noqa: E402
 from shoutkit.neural import (Conv2d, Tensor, conv_stack, gru_sequence,  # noqa: E402
-                             load_checkpoint, mse_loss, mul, sum_all)
+                             load_checkpoint, loss, mse_loss, mul, sum_all)
 
 
 def blas_threads():
@@ -169,6 +179,26 @@ def build_groups() -> dict:
     return groups
 
 
+def head_groups() -> dict:
+    groups = {}
+    kind = FeatureKind.MEL_SPECTROGRAM
+    for head, dtype in itertools.product((HeadKind.FOUR_CLASS, HeadKind.REGRESSION),
+                                         (np.float32, np.float64)):
+        model = build_single_model("cnn", kind, head, seed=16, dtype=dtype, width_scale=4)
+        x = np.random.default_rng(17).standard_normal((4, kind.dim, 20)).astype(dtype)
+        # class indices, or intensities as an (n, 1) column in the model dtype
+        y = (np.array([0, 3, 1, 2]) if head is HeadKind.FOUR_CLASS
+             else np.array([[2.0], [6.5], [4.0], [1.0]], dtype=dtype))
+        model.zero_grad()
+        out = model.forward(x)
+        value = loss(out, y, head.loss_kind)
+        value.backward()
+        groups[f"heads.{head.value}.{np.dtype(dtype).name}"] = numeric_group({
+            "output": out.data, "loss": value.data,
+            **{f"grad.{name}": p.grad for name, p in model.parameters().items()}})
+    return groups
+
+
 def conv_stack_groups() -> dict:
     groups = {}
     for (batch, prefix), dtype in itertools.product(((40, "conv_stack"),
@@ -228,6 +258,31 @@ def training_groups() -> dict:
     losses = np.array([epoch["train_loss"] for epoch in log.epochs])
     return {"train.losses": numeric_group({"train_loss": losses}),
             "train.state": numeric_group(model.state_dict())}
+
+
+def fusion_cell_groups() -> dict:
+    synth = make_classification_corpus(n_clips=16, n_speakers=4, n_classes=4, seed=26)
+    examples = [ClipExample(clip_id=s.clip_id, speaker_id=s.speaker_id, clip=s.clip,
+                            label=s.class_index) for s in synth]
+    # every stage but the left branch stops early
+    cfg = ExperimentConfig(task="four_class", epochs=5, pretrain_epochs=4, finetune_epochs=4,
+                           batch_size=8, learning_rate=3e-2, early_stop_patience=1,
+                           dtype="float32", n_folds=2, seed=27, width_scale=4)
+    fold = plan_folds(sorted({e.speaker_id for e in examples}), seed=cfg.seed,
+                      n_folds=cfg.n_folds).folds[0]
+    kinds = (FeatureKind.MEL_SPECTROGRAM, FeatureKind.TMFCC)
+    logs = []
+    model = build_cell_model("cnn", kinds, cfg, build_fold_data(examples, fold, kinds, cfg), 0,
+                             raw_logs=logs)
+    arrays = {f"weights.{name}": value for name, value in model.state_dict().items()}
+    for log in logs:
+        summary = log.summary()
+        arrays[f"{log.stage}.curve"] = np.array([[e["train_loss"], e["val_loss"]]
+                                                 for e in log.epochs])
+        arrays[f"{log.stage}.summary"] = np.array(
+            [summary[key] for key in ("fold", "epochs_run", "best_epoch", "best_val_loss",
+                                      "stopped_early", "final_train_loss")], dtype=np.float64)
+    return {"fusion_cell": numeric_group(arrays)}
 
 
 def suite_groups() -> dict:
@@ -294,15 +349,19 @@ def cli_groups() -> dict:
             _shoutkit("train", *config, "--output", str(run), "--name", "m")
             _shoutkit("evaluate", *config, "--model", str(run / "m.descriptor"),
                       "--output", str(run / "evaluate.json"))
-            _shoutkit("extract", str(min((corpus / "wav").iterdir())), str(run / "clip.skfb"),
-                      "--kind", "mel_spectrogram",
+            wav = str(min((corpus / "wav").iterdir()))
+            _shoutkit("extract", wav, str(run / "clip.skfb"), "--kind", "mel_spectrogram",
                       "--stats", str(run / "m.stats.mel_spectrogram.json"))
+            _shoutkit("mix", wav, str(run / "mixed.wav"), "--noise", str(corpus / "noise.wav"),
+                      "--snr", "0", "--seed", "26")
         groups = {}
         for path in sorted(run.iterdir()):
             if path.suffix == ".ckpt":
                 groups[f"cli.{path.name}"] = binary_group(path, load_checkpoint(path))
             elif path.suffix == ".skfb":
                 groups[f"cli.{path.name}"] = binary_group(path, {"blocks": load_blocks(path)[1]})
+            elif path.suffix == ".wav":
+                groups[f"cli.{path.name}"] = binary_group(path, {"samples": load_wav(path).samples})
             else:
                 groups[f"cli.{path.name}"] = file_group(path, root)
         return groups
@@ -310,9 +369,9 @@ def cli_groups() -> dict:
 
 def fingerprint() -> dict:
     return {"machine": machine_facts(),
-            "groups": {**build_groups(), **conv_stack_groups(), **gru_groups(),
-                       **training_groups(), **suite_groups(), **corpus_groups(),
-                       **cli_groups()}}
+            "groups": {**build_groups(), **head_groups(), **conv_stack_groups(),
+                       **gru_groups(), **training_groups(), **fusion_cell_groups(),
+                       **suite_groups(), **corpus_groups(), **cli_groups()}}
 
 
 def _arrays(group: dict) -> dict:

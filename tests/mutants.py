@@ -167,6 +167,22 @@ MUTANTS = [
            "taps[:, j, ra:rb, :xa] = taps[:, j, ra:rb, xb:] = 0",
            "taps[:, j, ra:rb, :xa] = 0",
            "the width taps' right edges hold whatever memory the allocator handed back"),
+    Mutant("four_class_target_dtype", "models.py",
+           "return y.astype(np.int64)",
+           "return y.astype(dtype)",
+           "four-class targets are cast to the model dtype instead of int64 class indices"),
+    Mutant("regression_scale", "models.py",
+           "T.add(T.mul(T.sigmoid(z), 6.0), 1.0)",
+           "T.add(T.mul(T.sigmoid(z), 5.0), 1.0)",
+           "the regression head maps onto [1, 6] instead of the 1-7 intensity scale"),
+    Mutant("fusion_shuffle_tag", "experiments/training.py",
+           '"shuffle.fusion")',
+           '"shuffle")',
+           "the fusion stage shuffles with another seed than its documented one"),
+    Mutant("write_nul_check", "textio.py",
+           "_checked(path, what).write_bytes(data)",
+           "Path(path).write_bytes(data)",
+           "a NUL byte in an output path ends in a bare ValueError and a traceback"),
 ]
 
 

@@ -706,3 +706,37 @@ def test_malformed_file_in_any_slot_fails_in_one_line(corpus_dir, tmp_path, caps
         assert code == 3 and "truncated WAV file" in err
     if malformed.startswith("nul-in-"):
         assert code == 3 and "holds a NUL byte" in err
+
+
+# a NUL byte in a path that a command writes: every file and output directory
+# is written through textio, so each is a data error in one line
+TRAIN_SETTINGS = ["archs=cnn", "features=mel_spectrogram", "epochs=1", "dtype=float32",
+                  "n_folds=2", "width_scale=4", "manifest={manifest}", "audio_root={corpus}"]
+NUL_OUTPUTS = {
+    "mix": ["mix", "{wav}", "{nul}", "--snr", "clean"],
+    "extract": ["extract", "{wav}", "{nul}", "--kind", "tmfcc"],
+    "extract-csv": ["extract", "{wav}", "{out}", "--kind", "tmfcc", "--csv", "{nul}"],
+    "synth": ["synth", "--clips", "4", "--speakers", "2", "--noise-seconds", "0",
+              "--output", "{nul}"],
+    "train": ["train", *(a for s in TRAIN_SETTINGS for a in ("--set", s)), "--output", "{nul}"],
+    "report": ["report", "{suite}", "--output", "{nul}"],
+    "folds": ["folds", "{manifest}", "--n-folds", "2", "--output", "{nul}"],
+}
+
+
+@pytest.mark.parametrize("command", NUL_OUTPUTS)
+def test_a_nul_byte_in_an_output_path_fails_in_one_line(corpus_dir, tmp_path, capsys, command):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    report = MetricsReport(task="four_class", arch="cnn", features="tmfcc",
+                           numeric_mode="float32", seed=1,
+                           confusions={"fold0/clean": [[1, 0], [0, 1]]})
+    (suite_dir / "cell.json").write_text(json.dumps(report.to_dict()))
+    argv = [a.format(wav=next((corpus_dir / "wav").glob("*.wav")), nul=tmp_path / "a\0b",
+                     out=tmp_path / "out", suite=suite_dir, corpus=corpus_dir,
+                     manifest=corpus_dir / "manifest.csv") for a in NUL_OUTPUTS[command]]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("data error:") and err.count("\n") == 1, (code, err)
+    assert "holds a NUL byte" in err
+    assert not (tmp_path / "a").exists()

@@ -26,7 +26,7 @@ from shoutkit import neural
 from shoutkit.experiments import suite, training
 from shoutkit.experiments.training import ClipExample, evaluate_loss
 from shoutkit.features import FeatureKind, feature_matrix
-from shoutkit.models import Arch, build_baseline_mlp, build_single_model
+from shoutkit.models import Arch, build_baseline_mlp, build_fusion_model, build_single_model
 from shoutkit.corpus import parse_manifest, validate_manifest
 
 from oracles import (stacked_fold_blocks, tally_binary_f1, tally_confusion, tally_rmse,
@@ -309,8 +309,7 @@ class TestTraining:
         model = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, "binary",
                                    seed=0, dtype=np.float32)
         y = data.train_y.astype(np.float32).reshape(-1, 1)
-        value = evaluate_loss(model, data.train_x, y,
-                              model.head.kind.loss_kind)
+        value = evaluate_loss(model, data.train_x, y)
         assert abs(value - 0.25) < 0.07
 
     def test_training_reduces_loss(self, fold_setup):
@@ -360,6 +359,41 @@ class TestTraining:
         assert all(np.array_equal(state[k], v) for k, v in expected.state_dict().items())
         with pytest.raises(ConfigError, match="mfcc_delta_delta"):
             training.build_cell_model("mlp_baseline_standin", (FeatureKind.TMFCC,), cfg, data, 0)
+
+    def test_fusion_cell_trains_three_stages_through_one_recipe(self):
+        # two branches pretrained and the fusion fine-tuned, each stage built
+        # and trained by hand with the cell's derived seeds and settings
+        examples = synth_examples(n_clips=16, n_speakers=4, n_classes=4)
+        cfg = ExperimentConfig(task="four_class", epochs=5, pretrain_epochs=2, finetune_epochs=3,
+                               batch_size=8, learning_rate=1e-2, early_stop_patience=1,
+                               dtype="float32", n_folds=2, width_scale=4)
+        plan = plan_folds(sorted({e.speaker_id for e in examples}), seed=1, n_folds=2)
+        kinds = (FeatureKind.MEL_SPECTROGRAM, FeatureKind.TMFCC)
+        data = build_fold_data(examples, plan.folds[1], kinds, cfg)
+        logs = []
+        model = training.build_cell_model("cnn", kinds, cfg, data, 1, raw_logs=logs)
+        assert [(log.stage, log.fold) for log in logs] == [
+            ("left.mel_spectrogram", 1), ("right.tmfcc", 1), ("fusion", 1)]
+        assert logs[-1].stopped_early  # the fusion stage restores its best epoch
+
+        def settings(epochs, *shuffle_tag):
+            return TrainSettings(epochs=epochs, batch_size=8, learning_rate=1e-2,
+                                 shuffle_seed=derive_seed(cfg.seed, *shuffle_tag, 1),
+                                 early_stop_patience=1)
+
+        branches, expected_logs = [], []
+        for side, kind in zip(("left", "right"), kinds):
+            tag = f"{side}.{kind.value}"
+            branch = build_single_model("cnn", kind, "four_class", dtype=np.float32, width_scale=4,
+                                        seed=derive_seed(cfg.seed, "model", tag, 1))
+            expected_logs.append(train_model(branch, data, settings(2, "shuffle", tag)))
+            branches.append(branch)
+        expected = build_fusion_model(*branches, seed=derive_seed(cfg.seed, "fusion", 1))
+        expected_logs.append(train_model(expected, data, settings(3, "shuffle.fusion")))
+        state = model.state_dict()
+        assert state.keys() == expected.state_dict().keys()
+        assert all(np.array_equal(state[k], v) for k, v in expected.state_dict().items())
+        assert [log.epochs for log in logs] == [log.epochs for log in expected_logs]
 
     def test_non_finite_loss_raises_numeric_error(self, fold_setup):
         _, _, _, data = fold_setup
@@ -486,7 +520,7 @@ class TestTraining:
         y = data.train_y.astype(np.float64).reshape(-1, 1)
         with neural.no_grad():
             whole = neural.loss(model.forward(data.train_x[kind]), y,
-                                model.head.kind.loss_kind).item()
+                                model.head_kind.loss_kind).item()
         rows = []
         forward = model.forward
 
@@ -501,7 +535,7 @@ class TestTraining:
         unchunked = evaluate_model(model, clips, data.stats, "binary", cfg.snrs_db,
                                    noise, seed=3, per_block=True)
         assert len(rows) == len(cfg.snrs_db)
-        decisions = model.head.kind.decide(np.concatenate(rows))
+        decisions = model.head_kind.decide(np.concatenate(rows))
         rows.clear()
 
         monkeypatch.setattr(training, "FORWARD_CHUNK", 3)
@@ -509,10 +543,10 @@ class TestTraining:
                                  noise, seed=3, per_block=True)
         assert len(rows) == 6 * len(cfg.snrs_db)  # ceil(16 / 3) per SNR
         assert all(len(r) <= 3 for r in rows)
-        assert np.array_equal(model.head.kind.decide(np.concatenate(rows)), decisions)
+        assert np.array_equal(model.head_kind.decide(np.concatenate(rows)), decisions)
         assert chunked == unchunked
         rows.clear()
-        chunked_loss = evaluate_loss(model, data.train_x, y, model.head.kind.loss_kind)
+        chunked_loss = evaluate_loss(model, data.train_x, y)
         n = len(data.train_y)
         assert n > 3 and len(rows) == -(-n // 3)
         assert chunked_loss == pytest.approx(whole, rel=1e-12, abs=0)

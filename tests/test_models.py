@@ -265,11 +265,49 @@ class TestRegressionHead:
         assert np.all(out >= 1.0) and np.all(out <= 7.0)
 
 
+class TestHeadKind:
+    """Each head kind owns its output mapping and its training targets."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_activate_maps_each_kind(self, dtype):
+        z = np.array([[0.0], [2.0], [-3.0]], dtype=dtype)
+        sig = 1.0 / (1.0 + np.exp(-z.astype(np.float64)))
+        binary = HeadKind.BINARY.activate(neural.Tensor(z)).data
+        regression = HeadKind.REGRESSION.activate(neural.Tensor(z)).data
+        assert binary.dtype == regression.dtype == dtype
+        np.testing.assert_allclose(binary, sig, rtol=1e-6)
+        np.testing.assert_allclose(regression, 1.0 + 6.0 * sig, rtol=1e-6)
+        assert regression[0, 0] == 4.0  # the middle of the 1-7 scale
+        z4 = np.array([[0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0]], dtype=dtype)
+        four = HeadKind.FOUR_CLASS.activate(neural.Tensor(z4)).data
+        e = np.exp(z4.astype(np.float64) - z4.max(axis=1, keepdims=True))
+        assert four.dtype == dtype
+        np.testing.assert_allclose(four, e / e.sum(axis=1, keepdims=True), rtol=1e-6)
+        assert four[1].tolist() == [0.25] * 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_targets_per_kind(self, dtype):
+        classes = HeadKind.FOUR_CLASS.targets(np.array([0.0, 3.0, 1.0]), dtype)
+        assert classes.dtype == np.int64 and classes.tolist() == [0, 3, 1]
+        for head, y in ((HeadKind.BINARY, [1, 0, 1]), (HeadKind.REGRESSION, [2.5, 7.0, 1.0])):
+            column = head.targets(np.array(y), dtype)
+            assert column.dtype == dtype and column.shape == (3, 1)
+            assert column[:, 0].tolist() == y
+
+    @pytest.mark.parametrize("head", list(HeadKind), ids=[h.value for h in HeadKind])
+    def test_forward_maps_the_head_layer_through_its_kind(self, head):
+        m = build_single_model("cnn", FeatureKind.MEL_SPECTROGRAM, head, seed=2,
+                               dtype=np.float32, width_scale=4)
+        assert m.head_kind is head and m.head.n_out == head.n_outputs
+        x = blocks_for(FeatureKind.MEL_SPECTROGRAM, 3, seed=4)
+        assert np.array_equal(m.forward(x).data, head.activate(m.head(m.embed(x))).data)
+
+
 class StubModel:
     """Duck-typed stand-in returning scripted block outputs."""
 
     def __init__(self, head_kind, outputs):
-        self.head = type("H", (), {"kind": head_kind})()
+        self.head_kind = head_kind
         self.kinds = (FeatureKind.MEL_SPECTROGRAM,)
         self.outputs = np.asarray(outputs, dtype=np.float64)
 
@@ -360,9 +398,9 @@ class TestFusionWiring:
         fusion.fusion_dense.weight.data[:d, :d] = np.eye(d)
         fusion.fusion_dense.bias.data = np.zeros(2 * d)
         # fusion head: copy the left head on the first half, zero the rest
-        fusion.head.dense.weight.data = np.zeros((2 * d, 1))
-        fusion.head.dense.weight.data[:d, 0] = left.head.dense.weight.data[:, 0]
-        fusion.head.dense.bias.data = left.head.dense.bias.data.copy()
+        fusion.head.weight.data = np.zeros((2 * d, 1))
+        fusion.head.weight.data[:d, 0] = left.head.weight.data[:, 0]
+        fusion.head.bias.data = left.head.bias.data.copy()
 
         rng = np.random.default_rng(7)
         x_left = rng.standard_normal((4, 30, 20))
@@ -526,7 +564,7 @@ class TestPersistence:
         # a descriptor key whose value the loaded model does not reflect is
         # a key load_model does not need
         def identity(model):
-            return (model.arch, model.kinds, model.head.kind, model.dtype, model.width_scale,
+            return (model.arch, model.kinds, model.head_kind, model.dtype, model.width_scale,
                     {k: v.tobytes() for k, v in model.state_dict().items()})
 
         m = build_single_model("cnn", FeatureKind.TMFCC, "binary", seed=3, width_scale=4)

@@ -286,7 +286,7 @@ class TestConv:
 
     def test_channel_mismatch(self):
         conv = Conv2d(2, 4, kernel=3, padding=1, rng=rng_of(0))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="channel mismatch: input 3, kernel 2"):
             conv(Tensor(np.zeros((1, 3, 5, 5))))
 
     @pytest.mark.parametrize("node", ["conv2d", "conv_stack"])
